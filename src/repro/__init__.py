@@ -11,10 +11,10 @@ benchmark harness under ``benchmarks/``.
 
 Quickstart::
 
-    from repro import SimConfig, CellSimulation
+    from repro import SimConfig, SimulationSession
     cfg = SimConfig.lte_default(num_ues=8, seed=1)
-    sim = CellSimulation(cfg, scheduler="outran")
-    result = sim.run(duration_s=5.0)
+    session = SimulationSession.from_config(cfg, "outran", duration_s=5.0)
+    result = session.start().finish()
     print(result.fct_summary())
 """
 

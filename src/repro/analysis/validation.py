@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import j0
+
+from repro.phy.bessel import j0
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ def validate_rayleigh_power(
     ``gains`` is any array of per-sample power gains with mean ~1.
     Passing means the KS p-value exceeds ``alpha``.
     """
+    from scipy import stats
+
     flat = np.asarray(gains, dtype=float).ravel()
     if flat.size < 100:
         raise ValueError(f"need >= 100 samples, got {flat.size}")
@@ -89,7 +91,7 @@ def validate_doppler_autocorrelation(
         / np.sqrt(np.vdot(a - a.mean(), a - a.mean()).real
                   * np.vdot(b - b.mean(), b - b.mean()).real)
     )
-    expected = float(j0(2 * np.pi * doppler_hz * dt_s * lag_steps))
+    expected = j0(2 * np.pi * doppler_hz * dt_s * lag_steps)
     return ValidationReport(
         name="doppler_autocorrelation",
         measured=measured,
@@ -105,6 +107,8 @@ def validate_poisson_arrivals(
     alpha: float = 0.01,
 ) -> ValidationReport:
     """KS-test inter-arrival gaps against Exp(rate)."""
+    from scipy import stats
+
     times = np.sort(np.asarray(arrival_times_s, dtype=float))
     gaps = np.diff(times)
     if gaps.size < 50:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 SizeSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -100,6 +99,8 @@ def optimize_thresholds(
     Uses differential evolution over log-spaced thresholds (the search
     space spans several decades), then sorts and rounds the result.
     """
+    from scipy import optimize
+
     sizes = np.asarray(sizes, dtype=float)
     if sizes.size == 0:
         raise ValueError("need a non-empty flow-size sample")

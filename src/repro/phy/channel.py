@@ -22,8 +22,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import j0
 
+from repro.phy.bessel import j0
 from repro.phy.cqi import CqiTable
 from repro.phy.mobility import MobilityModel
 from repro.phy.numerology import RadioGrid
@@ -82,7 +82,7 @@ class _Ar1Fader:
 
     def advance(self, dt_s: float) -> np.ndarray:
         """Step the process by ``dt_s`` and return per-band power gains."""
-        rho = float(np.clip(j0(2 * np.pi * self.doppler_hz * dt_s), 0.0, 0.9999))
+        rho = min(max(j0(2 * np.pi * self.doppler_hz * dt_s), 0.0), 0.9999)
         sigma = math.sqrt((1.0 - rho * rho) * 0.5)
         noise = self._rng.normal(scale=sigma, size=self.n_bands) + 1j * self._rng.normal(
             scale=sigma, size=self.n_bands
@@ -261,7 +261,7 @@ class ChannelModel:
             return
         self._last_vec_update_s = now_s
         doppler = self.scenario.doppler_hz()
-        rho = float(np.clip(j0(2 * np.pi * doppler * dt), 0.0, 0.9999))
+        rho = min(max(j0(2 * np.pi * doppler * dt), 0.0), 0.9999)
         sigma = math.sqrt((1.0 - rho * rho) * 0.5)
         noise = self._rng.normal(
             scale=sigma, size=(num_ues, n_bands)

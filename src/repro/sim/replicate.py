@@ -26,31 +26,14 @@ from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
 
-try:  # scipy is a declared dependency, but degrade gracefully without it
-    from scipy.stats import t as _student_t
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _student_t = None
-
-#: two-sided 95% Student-t critical values for small df (fallback table
-#: when scipy is unavailable); beyond the table the normal quantile is
-#: already within 1%.
-_T95_TABLE = (
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-)
-_Z95 = 1.96
-
 
 def t_critical_95(df: int) -> float:
     """Two-sided 95% Student-t critical value with ``df`` degrees of freedom."""
+    from scipy.stats import t as student_t
+
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1: {df}")
-    if _student_t is not None:
-        return float(_student_t.ppf(0.975, df))
-    if df <= len(_T95_TABLE):
-        return _T95_TABLE[df - 1]
-    return _Z95
+    return float(student_t.ppf(0.975, df))
 
 #: Metric extractors applied to every replication's SimResult.
 DEFAULT_METRICS: dict[str, Callable[[SimResult], float]] = {
