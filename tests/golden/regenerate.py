@@ -35,6 +35,35 @@ CASES = {
                            {"rlc_mode": "um", "radio_bler": 0.05}),
     "nr-mu1-outran-um": ("outran", "nr", 1, 0.2,
                          {"rlc_mode": "um", "radio_bler": 0.0}),
+    # Frozen from the scalar reference path the commit before it was
+    # deleted: the rest of the former two-path differential grid, the
+    # remaining metric schedulers, a list-fed scheduler of each kind
+    # (QoS, top-K ablation) and the ECN/DCTCP closed loop.
+    "lte-outran-eps0-um-lossy": ("outran:0.0", "lte", 1, 0.4,
+                                 {"rlc_mode": "um", "radio_bler": 0.02}),
+    "lte-outran-um-lossy": ("outran", "lte", 1, 0.4,
+                            {"rlc_mode": "um", "radio_bler": 0.1}),
+    "lte-outran-am-clean": ("outran", "lte", 1, 0.4,
+                            {"rlc_mode": "am", "radio_bler": 0.0}),
+    "lte-pf-am-lossy": ("pf", "lte", 1, 0.4,
+                        {"rlc_mode": "am", "radio_bler": 0.1}),
+    "lte-srjf-um-lossy": ("srjf", "lte", 1, 0.4,
+                          {"rlc_mode": "um", "radio_bler": 0.05}),
+    "lte-rr-am-lossy": ("rr", "lte", 1, 0.4,
+                        {"rlc_mode": "am", "radio_bler": 0.02}),
+    "lte-pss-um-lossy": ("pss", "lte", 1, 0.4,
+                         {"rlc_mode": "um", "radio_bler": 0.05}),
+    "lte-mt-um": ("mt", "lte", 1, 0.4,
+                  {"rlc_mode": "um", "radio_bler": 0.0}),
+    "lte-bet-um": ("bet", "lte", 1, 0.4,
+                   {"rlc_mode": "um", "radio_bler": 0.0}),
+    "lte-outran-top2-um": ("outran_top2", "lte", 1, 0.4,
+                           {"rlc_mode": "um", "radio_bler": 0.0}),
+    "lte-outran-dctcp-red": ("outran", "lte", 1, 0.4,
+                             {"rlc_mode": "um", "radio_bler": 0.0,
+                              "cc": "dctcp", "aqm": "red"}),
+    "nr-mu0-outran-um": ("outran", "nr", 0, 0.2,
+                         {"rlc_mode": "um", "radio_bler": 0.0}),
 }
 
 BASE_KWARGS = {"num_ues": 4, "load": 0.5, "seed": 7}
@@ -51,6 +80,18 @@ def sanitize(value):
     return value
 
 
+def make_case_scheduler(spec):
+    """Scheduler names pass through; ``outran_top2`` is the top-K
+    ablation, which has no name and is built as an instance."""
+    if spec == "outran_top2":
+        from repro.core.outran import OutranScheduler
+        from repro.mac.pf import ProportionalFairScheduler
+
+        return OutranScheduler(ProportionalFairScheduler(), epsilon=0.2,
+                               top_k=2)
+    return spec
+
+
 def run_case(name, backend="reference"):
     from repro import CellSimulation, SimConfig
     from repro.cli import result_summary
@@ -61,7 +102,7 @@ def run_case(name, backend="reference"):
         cfg = SimConfig.nr_default(mu=mu, **kwargs)
     else:
         cfg = SimConfig.lte_default(**kwargs)
-    sim = CellSimulation(cfg, scheduler=scheduler)
+    sim = CellSimulation(cfg, scheduler=make_case_scheduler(scheduler))
     result = sim.run(duration_s)
     return {
         "case": name,
