@@ -399,117 +399,6 @@ def measure_overhead(
     }
 
 
-def measure_tti_loop(
-    num_ues: int,
-    num_rbs: int = 100,
-    ttis: int = 2_000,
-    seed: int = DEFAULT_SEED,
-    epsilon: float = 0.2,
-    reps: Optional[int] = None,
-) -> dict:
-    """Median-of-N timing of the per-TTI scheduling loop, both backends.
-
-    Times exactly the work the backend switch replaces -- the
-    ``allocate`` + ``on_tti_end`` pair per TTI for OutRAN-over-PF on a
-    ``num_ues x num_rbs`` grid -- on the scalar reference path and the
-    batched path, after asserting the two produce identical owners on
-    the same state.  Feeds the reference-vs-vectorized speedup tracked
-    in ``BENCH_overhead.json``.
-
-    GC is paused around each timed loop: when this runs after the
-    end-to-end benchmarks the heap holds millions of sim objects and
-    collector pauses otherwise dominate a 2000-iteration micro loop.
-    """
-    import gc
-
-    import numpy as np
-
-    from repro.core.outran import OutranScheduler
-    from repro.mac.bsr import BufferStatusReport, empty_report
-    from repro.mac.kernels import KernelWorkspace, SchedArrays, kernel_tier
-    from repro.mac.pf import ProportionalFairScheduler
-    from repro.mac.scheduler import UeSchedState
-
-    reps = BENCH_REPS if reps is None else max(1, reps)
-    rng = np.random.default_rng(seed)
-    rates = rng.uniform(1e5, 5e6, size=(num_ues, num_rbs))
-    served = rng.uniform(0, 1e5, size=num_ues)
-    tti_us = 1000
-
-    def make_ues():
-        ues = []
-        for i in range(num_ues):
-            ue = UeSchedState(i, i)
-            if i % 4 != 3:  # 3 of 4 UEs backlogged, like a loaded cell
-                ue.bsr = BufferStatusReport(
-                    ue_id=i,
-                    total_bytes=10_000,
-                    head_level=i % 4,
-                )
-            else:
-                ue.bsr = empty_report(i)
-            ue.ewma_bps = 1e5 + 1e4 * i
-            ues.append(ue)
-        return ues
-
-    sched = OutranScheduler(ProportionalFairScheduler(), epsilon=epsilon)
-    ues = make_ues()
-    arrays = SchedArrays(num_ues)
-    arrays.sync_from(ues)
-    work = KernelWorkspace()
-
-    # Identity gate before timing: the two paths must agree on this
-    # exact workload or the speedup below is meaningless.
-    ref_owner = sched.allocate(rates, ues, 0)
-    vec_owner = sched.allocate_batched(rates, arrays, 0, work)
-    if not np.array_equal(ref_owner, vec_owner):
-        raise AssertionError("backend divergence on the TTI-loop workload")
-
-    def time_reference() -> float:
-        state = make_ues()
-        start = time.perf_counter()
-        for t in range(ttis):
-            sched.allocate(rates, state, t * tti_us)
-            sched.on_tti_end(state, served, tti_us)
-        return (time.perf_counter() - start) / ttis * 1e6
-
-    def time_vectorized() -> float:
-        state = SchedArrays(num_ues)
-        state.sync_from(make_ues())
-        start = time.perf_counter()
-        for t in range(ttis):
-            sched.allocate_batched(rates, state, t * tti_us, work)
-            sched.on_tti_end_batched(state, served, tti_us)
-        return (time.perf_counter() - start) / ttis * 1e6
-
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        # Interleaved so slow drift (thermal, noisy neighbours) hits
-        # both backends evenly instead of biasing whichever ran last.
-        ref_times, vec_times = [], []
-        for _ in range(reps):
-            ref_times.append(time_reference())
-            vec_times.append(time_vectorized())
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ref_us, vec_us = _median(ref_times), _median(vec_times)
-    return {
-        "num_ues": num_ues,
-        "num_rbs": num_rbs,
-        "ttis": ttis,
-        "reps": reps,
-        "kernel_tier": kernel_tier(),
-        "reference_us_per_tti": ref_us,
-        "reference_spread_pct": _spread_pct(ref_times),
-        "vectorized_us_per_tti": vec_us,
-        "vectorized_spread_pct": _spread_pct(vec_times),
-        "speedup": ref_us / vec_us if vec_us else float("nan"),
-    }
-
-
 def record_bench(name: str, payload: dict) -> dict:
     """Merge one named entry into ``BENCH_overhead.json`` at the repo root.
 

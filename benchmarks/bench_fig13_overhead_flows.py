@@ -20,7 +20,6 @@ from repro.net.packet import FiveTuple
 
 from _harness import (
     measure_overhead,
-    measure_tti_loop,
     once,
     record,
     record_bench,
@@ -89,13 +88,11 @@ def _record_trajectory(micro_rows) -> None:
     """Merge this figure's perf numbers into BENCH_overhead.json.
 
     Tracks the per-SDU ingress micro-benchmark alongside timed, uncached
-    end-to-end runs: PF vs OutRAN (the paper's overhead claim), OutRAN
-    with flow tracing on (this repo's own observability overhead), and
-    OutRAN on the vectorized backend.  All wall clocks are medians of
-    repeated runs (see ``measure_overhead``), so the derived overhead
-    percentages compare medians rather than two noise samples.  The
-    ``tti_loop`` block is the reference-vs-vectorized scheduling-loop
-    micro-benchmark on this figure's workload (target: >= 2x).
+    end-to-end runs: PF vs OutRAN (the paper's overhead claim) and
+    OutRAN with flow tracing on (this repo's own observability
+    overhead).  All wall clocks are medians of repeated runs (see
+    ``measure_overhead``), so the derived overhead percentages compare
+    medians rather than two noise samples.
     """
     baseline = measure_overhead(
         "pf", num_ues=BENCH_UES, duration_s=BENCH_DURATION_S
@@ -109,13 +106,6 @@ def _record_trajectory(micro_rows) -> None:
         duration_s=BENCH_DURATION_S,
         flow_trace=True,
     )
-    vectorized = measure_overhead(
-        "outran",
-        num_ues=BENCH_UES,
-        duration_s=BENCH_DURATION_S,
-        backend="vectorized",
-    )
-    tti_loop = measure_tti_loop(num_ues=BENCH_UES, num_rbs=100)
     record_bench(
         "fig13_overhead_flows",
         {
@@ -126,9 +116,7 @@ def _record_trajectory(micro_rows) -> None:
                 "pf": baseline,
                 "outran": outran,
                 "outran_flow_trace": traced,
-                "outran_vectorized": vectorized,
             },
-            "tti_loop": tti_loop,
             "outran_vs_pf_wall_pct": (
                 (outran["wall_s"] / baseline["wall_s"] - 1) * 100
                 if baseline["wall_s"]
@@ -136,11 +124,6 @@ def _record_trajectory(micro_rows) -> None:
             ),
             "flow_trace_wall_pct": (
                 (traced["wall_s"] / outran["wall_s"] - 1) * 100
-                if outran["wall_s"]
-                else float("nan")
-            ),
-            "vectorized_vs_reference_wall_pct": (
-                (vectorized["wall_s"] / outran["wall_s"] - 1) * 100
                 if outran["wall_s"]
                 else float("nan")
             ),

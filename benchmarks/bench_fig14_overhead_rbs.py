@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.tables import format_table
 from repro.core.outran import OutranScheduler
 from repro.mac.bsr import BufferStatusReport
-from repro.mac.kernels import KernelWorkspace, SchedArrays
+from repro.mac.kernels import as_table
 from repro.mac.pf import ProportionalFairScheduler
 from repro.mac.scheduler import UeSchedState
 
@@ -45,20 +45,10 @@ def _make_state(num_rbs: int):
 
 def _alloc_us_per_tti(scheduler, num_rbs: int) -> float:
     ues, rates = _make_state(num_rbs)
+    table = as_table(ues)  # what the xNodeB hands the scheduler
     start = time.perf_counter()
     for t in range(TTIS):
-        scheduler.allocate(rates, ues, t * 1000)
-    return (time.perf_counter() - start) / TTIS * 1e6
-
-
-def _alloc_us_per_tti_batched(scheduler, num_rbs: int) -> float:
-    ues, rates = _make_state(num_rbs)
-    arrays = SchedArrays(NUM_UES)
-    arrays.sync_from(ues)
-    work = KernelWorkspace()
-    start = time.perf_counter()
-    for t in range(TTIS):
-        scheduler.allocate_batched(rates, arrays, t * 1000, work)
+        scheduler.allocate(rates, table, t * 1000)
     return (time.perf_counter() - start) / TTIS * 1e6
 
 
@@ -68,27 +58,16 @@ def run_fig14() -> str:
     for num_rbs in RB_COUNTS:
         pf_us = _alloc_us_per_tti(ProportionalFairScheduler(), num_rbs)
         outran_us = _alloc_us_per_tti(OutranScheduler(), num_rbs)
-        outran_vec_us = _alloc_us_per_tti_batched(OutranScheduler(), num_rbs)
-        alloc_us[str(num_rbs)] = {
-            "pf": pf_us,
-            "outran": outran_us,
-            "outran_vectorized": outran_vec_us,
-            "vectorized_speedup": (
-                outran_us / outran_vec_us if outran_vec_us else float("nan")
-            ),
-        }
+        alloc_us[str(num_rbs)] = {"pf": pf_us, "outran": outran_us}
         rows.append(
             [num_rbs, f"{pf_us:.1f}", f"{outran_us:.1f}",
-             f"{(outran_us / pf_us - 1) * 100:+.0f}%",
-             f"{outran_vec_us:.1f}",
-             f"{outran_us / outran_vec_us:.2f}x"]
+             f"{(outran_us / pf_us - 1) * 100:+.0f}%"]
         )
     micro = format_table(
-        ["RBs", "PF us/TTI", "OutRAN us/TTI", "extra",
-         "vec us/TTI", "vec speedup"],
+        ["RBs", "PF us/TTI", "OutRAN us/TTI", "extra"],
         rows,
         title="Figure 14b -- per-TTI allocation time vs #RBs "
-        f"({NUM_UES} active UEs; both O(|U||B|); vec = batched backend)",
+        f"({NUM_UES} active UEs; both O(|U||B|))",
     )
     thr_rows = []
     for bw, rbs in ((5.0, 25), (10.0, 50), (15.0, 75), (20.0, 100)):

@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -100,14 +99,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rlc-mode", choices=("um", "am"), default="um")
     parser.add_argument("--bler", type=float, default=0.0)
-    parser.add_argument(
-        "--backend",
-        choices=("reference", "vectorized"),
-        default="reference",
-        help="simulation backend: 'reference' runs the scalar per-UE/"
-        "per-RB loops (the oracle), 'vectorized' the batched numpy "
-        "kernels -- byte-identical output (see docs/BACKENDS.md)",
-    )
     parser.add_argument(
         "--cc",
         choices=("cubic", "dctcp", "bbr"),
@@ -245,7 +236,6 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
         seed=args.seed,
         rlc_mode=args.rlc_mode,
         radio_bler=args.bler,
-        backend=getattr(args, "backend", "reference"),
         cc=getattr(args, "cc", "cubic"),
     )
     ecn_k = getattr(args, "ecn_k", None)
@@ -328,7 +318,6 @@ def _spec_from_args(args: argparse.Namespace, scheduler: str) -> RunSpec:
     overrides = {
         "rlc_mode": args.rlc_mode,
         "radio_bler": args.bler,
-        "backend": getattr(args, "backend", "reference"),
     }
     # Only non-defaults go into overrides so store keys of pre-existing
     # sweeps (no cc/aqm entries) keep resolving.
@@ -388,8 +377,6 @@ def build_root_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="OutRAN reproduction: single-cell LTE/5G downlink "
         "scheduling simulation",
-        epilog="Bare flags (`repro --scheduler ...`) remain a deprecated "
-        "alias for `repro run`.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     run = sub.add_parser(
@@ -439,16 +426,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] in ("-h", "--help"):
         build_root_parser().print_help()
         return 0
-    if argv and not argv[0].startswith("-"):
+    if argv:
         build_root_parser().error(
             f"unknown command {argv[0]!r} (choose from {', '.join(_SUBCOMMANDS)})"
-        )
-    if argv:
-        warnings.warn(
-            "bare-flag invocation (`repro --scheduler ...`) is deprecated; "
-            "use `repro run ...`",
-            DeprecationWarning,
-            stacklevel=2,
         )
     return run_main(argv)
 
@@ -589,12 +569,6 @@ def _add_explain_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rlc-mode", choices=("um", "am"), default="um")
     parser.add_argument("--bler", type=float, default=0.0)
-    parser.add_argument(
-        "--backend",
-        choices=("reference", "vectorized"),
-        default="reference",
-        help="simulation backend (byte-identical; see docs/BACKENDS.md)",
-    )
     parser.add_argument(
         "--top",
         type=_positive_int,

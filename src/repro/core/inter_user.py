@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-#: Level assigned to users with empty buffers; worse than any real level.
-IDLE_LEVEL = 1 << 30
+from repro.mac.bsr import IDLE_LEVEL
 
 
 def head_levels(levels: Sequence[Optional[int]]) -> np.ndarray:

@@ -19,22 +19,14 @@ OutRAN lives in the RLC entities (:mod:`repro.rlc.um` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.inter_user import head_levels, reselect_users, reselect_users_top_k
+from repro.core.inter_user import reselect_users_top_k
+from repro.mac.kernels import as_table, epsilon_owner, plain_owner
 from repro.mac.pf import ProportionalFairScheduler
-from repro.mac.scheduler import (
-    MacScheduler,
-    MetricScheduler,
-    UeSchedState,
-    active_mask,
-    argmax_allocation,
-)
-
-if TYPE_CHECKING:
-    from repro.mac.kernels import KernelWorkspace, SchedArrays
+from repro.mac.scheduler import MacScheduler, MetricScheduler, UeTable
 
 DEFAULT_EPSILON = 0.2
 
@@ -68,68 +60,38 @@ class OutranScheduler(MacScheduler):
             return f"outran_top{self.top_k}[{self.legacy.name}]"
         return f"outran(eps={self.epsilon})[{self.legacy.name}]"
 
-    def allocate(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        metric = self.legacy.metric_matrix(rates, ues, now_us)
-        active = active_mask(ues)
-        levels = head_levels([ue.bsr.head_level for ue in ues])
-        if self.top_k is not None:
-            owner = reselect_users_top_k(metric, active, levels, self.top_k)
-        else:
-            owner = reselect_users(metric, active, levels, self.epsilon)
-        if self.collect_stats:
-            assigned = owner >= 0
-            self.rb_assignments += int(assigned.sum())
-            legacy_owner = argmax_allocation(metric, active)
-            self.rb_reselections += int((assigned & (owner != legacy_owner)).sum())
-        return owner
-
     @property
     def batched_capable(self) -> bool:  # type: ignore[override]
-        # The top-K ablation rule has no fused kernel; it stays on the
-        # reference path regardless of the configured backend.
+        # The top-K ablation rule has no fused kernel; like the QoS
+        # family it is handed the list of per-UE objects.
         return self.top_k is None and self.legacy.batched_capable
 
-    def allocate_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        metric = self.legacy.metric_matrix_batched(rates, arrays, now_us, work)
-        owner = argmax_allocation(
-            metric,
-            arrays.active,
-            levels=arrays.head_levels,
-            epsilon=self.epsilon,
-            work=work,
-            penalty=arrays.inactive_penalty,
+    def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        table = as_table(ues)
+        metric = self.legacy.metric_matrix(
+            rates, table if self.legacy.batched_capable else ues, now_us
         )
+        if self.top_k is not None:
+            owner = reselect_users_top_k(
+                metric, table.active, table.head_levels, self.top_k
+            )
+        else:
+            owner = epsilon_owner(
+                metric, table.active, table.head_levels, self.epsilon
+            )
         if self.collect_stats:
             assigned = owner >= 0
             self.rb_assignments += int(assigned.sum())
-            legacy_owner = argmax_allocation(
-                metric, arrays.active, work=work, penalty=arrays.inactive_penalty
-            )
+            legacy_owner = plain_owner(metric, table.active)
             self.rb_reselections += int((assigned & (owner != legacy_owner)).sum())
         return owner
 
     def on_tti_end(
         self,
-        ues: Sequence[UeSchedState],
+        ues: UeTable,
         served_bits: np.ndarray,
         tti_us: int,
     ) -> None:
         # The legacy scheduler's fairness state (EWMA throughput) must keep
         # tracking what was actually served, exactly as it would alone.
         self.legacy.on_tti_end(ues, served_bits, tti_us)
-
-    def on_tti_end_batched(
-        self,
-        arrays: "SchedArrays",
-        served_bits: np.ndarray,
-        tti_us: int,
-    ) -> None:
-        self.legacy.on_tti_end_batched(arrays, served_bits, tti_us)

@@ -1,21 +1,12 @@
 """Lazy build/load of the compiled owner kernels (ctypes + system cc).
 
-The vectorized backend's owner selection has a three-tier dispatch:
-
-1. compiled C loops (this module) -- fastest, used when a system C
-   compiler is available,
-2. the batched numpy kernels in :mod:`repro.mac.kernels` -- the
-   always-available vectorized fallback,
-3. the scalar reference path -- the oracle both of the above are
-   differential-tested against.
-
 The C source (``_owner_kernel.c``) is compiled once into a cache
 directory keyed by a hash of the source, so rebuilds happen only when
 the source changes and parallel test workers race benignly (atomic
 rename).  Every failure mode -- no compiler, sandboxed filesystem,
-broken toolchain -- degrades silently to tier 2; correctness never
-depends on this module.  Set ``REPRO_NO_CKERNEL=1`` to force the numpy
-fallback (CI exercises both tiers).
+broken toolchain, torn cached library -- makes :func:`load` return
+``None`` and :mod:`repro.mac.kernels` fall through to the readable
+numpy references; correctness never depends on this module.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ __all__ = ["load", "MAX_RBS"]
 _SOURCE = Path(__file__).with_name("_owner_kernel.c")
 
 #: Largest RB grid the C kernels handle (their per-RB scratch is
-#: stack-allocated); the dispatcher falls back to numpy beyond it.
+#: stack-allocated); the dispatcher falls through to numpy beyond it.
 MAX_RBS = 512
 
 #: tri-state cache: unset / failed (None) / loaded library
@@ -74,8 +65,6 @@ def _compile(source: str) -> Optional[Path]:
 
 
 def _load_uncached() -> Optional[ctypes.CDLL]:
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
     try:
         source = _SOURCE.read_text()
     except OSError:

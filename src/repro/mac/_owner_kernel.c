@@ -1,15 +1,15 @@
-/* Compiled per-RB owner-selection kernels for the vectorized backend.
+/* Compiled per-RB owner-selection kernels.
  *
  * Built on demand by repro/mac/_ckernel.py with the system C compiler
  * (no third-party build deps) and called through ctypes.  The numpy
- * kernels in repro/mac/kernels.py remain the always-available fallback;
- * these loops exist because at simulation grid sizes (tens of users,
- * ~100 RBs) numpy's per-call dispatch dominates and a fused loop is
- * several times faster.
+ * references (argmax_allocation / reselect_users) remain the
+ * always-available fall-through; these loops exist because at
+ * simulation grid sizes (tens of users, ~100 RBs) numpy's per-call
+ * dispatch dominates and a fused loop is several times faster.
  *
  * Byte-identity contract: every floating-point operation below is the
- * same IEEE-754 double operation, applied per element, as the scalar
- * reference path (argmax_allocation / reselect_users).  No -ffast-math,
+ * same IEEE-754 double operation, applied per element, as the numpy
+ * references (argmax_allocation / reselect_users).  No -ffast-math,
  * no reassociation, plain compares.  Metrics are assumed non-NaN
  * (every shipped scheduler guarantees it).
  *

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+#: Level a report without a head level (empty buffer, plain FIFO) sorts
+#: at in the inter-user comparison; worse than any real level.
+IDLE_LEVEL = 1 << 30
+
 
 @dataclass(frozen=True)
 class BufferStatusReport:

@@ -1,86 +1,58 @@
-"""Batched per-TTI scheduling kernels for the vectorized backend.
+"""The per-TTI scheduling table and the compiled owner kernels.
 
-The reference backend rebuilds three Python lists per TTI (active mask,
-EWMA vector, head-level vector), allocates every numpy intermediate
-fresh, and updates the PF EWMA in a per-UE Python loop.  The vectorized
-backend replaces all of that with:
-
-* :class:`SchedArrays` -- an array-backed mirror of the per-UE
+* :class:`SchedArrays` -- the array-backed table of the per-UE
   :class:`~repro.mac.scheduler.UeSchedState` fields the schedulers read
   (EWMA throughput, activity, head MLFQ level, last-served time, SRJF
-  remaining bytes), maintained incrementally by the xNodeB's backlog
-  scan instead of being re-derived from Python objects every TTI, and
+  remaining bytes).  The xNodeB maintains it incrementally inside the
+  backlog scan it already performs, so an allocation does no per-UE
+  Python work; callers that hold a plain sequence of ``UeSchedState``
+  (unit tests, micro-benchmarks) get one gathered by :func:`as_table`.
 
-* fused owner kernels (:func:`plain_owner`, :func:`epsilon_owner`) that
-  compute the per-RB argmax -- with or without OutRAN's
-  epsilon-relaxation -- over preallocated workspace buffers.
+* :func:`plain_owner` / :func:`epsilon_owner` -- the per-RB argmax, with
+  or without OutRAN's epsilon-relaxation, as one fused C loop over the
+  ``(users, rbs)`` metric matrix (built on demand by
+  :mod:`repro.mac._ckernel`).
 
-The kernels run *transposed*: every per-RB reduction (max, min, argmax)
-is an axis-1 reduction over a C-contiguous ``(rbs, users)`` buffer,
-which is several times faster than the strided axis-0 reductions the
-natural ``(users, rbs)`` layout forces at these grid sizes.  Inactive
-users are masked by one broadcast add of a per-user ``0 / -inf``
-penalty row, which also performs the transpose copy.
-
-**Byte-identity contract**: every kernel performs *the same IEEE-754
-operations per element* as the scalar reference path
+**Byte-identity contract**: the C loops perform *the same IEEE-754
+operations per element* as the readable numpy references
 (:func:`~repro.mac.scheduler.argmax_allocation`,
-:func:`~repro.core.inter_user.reselect_users`), so the two backends
-produce bit-identical owners, EWMA trajectories, and therefore identical
-``--json`` output.  The one representational difference -- masking by
-``metric + (-inf)`` instead of ``where(active, metric, -inf)`` -- maps
-``-0.0`` to ``+0.0`` for active users, which IEEE-754 comparisons (and
-therefore every allocation decision) cannot distinguish.  The kernels
+:func:`~repro.core.inter_user.reselect_users`), so a host with a C
+compiler and a host without one produce bit-identical owners, EWMA
+trajectories, and therefore identical ``--json`` output.  The kernels
 assume metrics are non-NaN, which every shipped scheduler guarantees
-(EWMA is floored, rates are finite).  ``tests/test_kernels_properties.py``
-checks the kernels against a naive per-RB Python loop;
-``tests/test_backend_differential.py`` checks the end-to-end contract.
+(EWMA is floored, rates are finite), and run only on C-contiguous
+float64 metrics: anything else -- no compiler, a grid wider than
+``MAX_RBS``, an F-ordered or non-float64 matrix -- falls through to the
+references, silently and with the same result.
+``tests/test_kernels_properties.py`` holds both to a naive per-RB Python
+loop; ``tests/test_golden_corpus.py`` replays the end-to-end corpus with
+and without the compiled library.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.inter_user import IDLE_LEVEL
+from repro.mac.bsr import IDLE_LEVEL
 
-#: Re-exported so the xNodeB does not need a second import site.
-__all__ = [
-    "SchedArrays",
-    "KernelWorkspace",
-    "plain_owner",
-    "epsilon_owner",
-    "kernel_tier",
-]
-
-
-def kernel_tier() -> str:
-    """Which owner-kernel tier the vectorized backend will use.
-
-    ``"compiled"`` when the C loops are available, ``"numpy"``
-    otherwise.  (The reference backend never touches either.)
-    """
-    from repro.mac import _ckernel
-
-    return "compiled" if _ckernel.load() is not None else "numpy"
+__all__ = ["SchedArrays", "as_table", "plain_owner", "epsilon_owner"]
 
 
 class SchedArrays:
-    """Array-backed per-UE scheduling state (the vectorized backend's view).
+    """Array-backed per-UE scheduling state: the table schedulers read.
 
-    Holds exactly the fields the batched schedulers read.  The xNodeB
+    Holds exactly the fields the table-fed schedulers read.  The xNodeB
     keeps the arrays in sync inside the backlog scan it already performs
-    every TTI, so ``allocate_batched`` does zero per-UE Python work.
+    every TTI, so ``allocate`` does zero per-UE Python work.
     """
 
     __slots__ = (
-        "num_ues",
         "ewma_bps",
         "last_served_us",
         "head_levels",
         "active",
-        "inactive_penalty",
         "remaining_flow",
         "_ewma_tmp",
     )
@@ -88,14 +60,10 @@ class SchedArrays:
     def __init__(self, num_ues: int) -> None:
         from repro.mac.scheduler import MIN_EWMA_BPS
 
-        self.num_ues = num_ues
         self.ewma_bps = np.full(num_ues, MIN_EWMA_BPS, dtype=np.float64)
         self.last_served_us = np.zeros(num_ues, dtype=np.int64)
         self.head_levels = np.full(num_ues, IDLE_LEVEL, dtype=np.int64)
         self.active = np.zeros(num_ues, dtype=bool)
-        #: Additive mask row: 0.0 for active users, -inf for inactive.
-        #: ``metric + penalty`` excludes inactive users in one pass.
-        self.inactive_penalty = np.full(num_ues, -np.inf, dtype=np.float64)
         #: SRJF oracle: remaining bytes of the shortest active flow
         #: (+inf where unknown, mirroring ``remaining_flow_bytes=None``).
         self.remaining_flow = np.full(num_ues, np.inf, dtype=np.float64)
@@ -106,7 +74,6 @@ class SchedArrays:
     def set_report(self, index: int, head_level: Optional[int]) -> None:
         """Mark UE ``index`` active with the given BSR head level."""
         self.active[index] = True
-        self.inactive_penalty[index] = 0.0
         self.head_levels[index] = (
             IDLE_LEVEL if head_level is None else head_level
         )
@@ -114,7 +81,6 @@ class SchedArrays:
     def clear_report(self, index: int) -> None:
         """Mark UE ``index`` idle (empty buffer status report)."""
         self.active[index] = False
-        self.inactive_penalty[index] = -np.inf
         self.head_levels[index] = IDLE_LEVEL
 
     def set_remaining(self, index: int, remaining: Optional[int]) -> None:
@@ -126,36 +92,43 @@ class SchedArrays:
     # -- synchronisation with the scalar per-UE objects -------------------
 
     def sync_from(self, ues: Sequence) -> None:
-        """Load the arrays from a sequence of ``UeSchedState`` objects."""
-        for ue in ues:
-            i = ue.index
-            self.ewma_bps[i] = ue.ewma_bps
-            self.last_served_us[i] = ue.last_served_us
-            if ue.active:
-                self.set_report(i, ue.bsr.head_level)
-            else:
-                self.clear_report(i)
-            self.set_remaining(i, ue.remaining_flow_bytes)
+        """Load the arrays from a sequence of ``UeSchedState`` objects.
+
+        Row ``i`` is ``ues[i]``: the owner vector indexes the sequence it
+        was allocated against.
+        """
+        reports = [ue.bsr for ue in ues]
+        self.ewma_bps[:] = [ue.ewma_bps for ue in ues]
+        self.last_served_us[:] = [ue.last_served_us for ue in ues]
+        self.active[:] = [bsr.has_data for bsr in reports]
+        self.head_levels[:] = [
+            IDLE_LEVEL if bsr.head_level is None else bsr.head_level
+            for bsr in reports
+        ]
+        self.remaining_flow[:] = [
+            np.inf if ue.remaining_flow_bytes is None else ue.remaining_flow_bytes
+            for ue in ues
+        ]
 
     def sync_to(self, ues: Sequence) -> None:
         """Write the array state back into the per-UE objects.
 
-        Called once at the end of a run so post-run consumers (tests,
-        telemetry) observe the same per-UE view either backend produces.
+        The xNodeB calls it once at the end of a run so post-run
+        consumers (tests, telemetry) read the per-UE view; the list form
+        of ``on_tti_end`` calls it every time.
         """
-        for ue in ues:
-            i = ue.index
+        for i, ue in enumerate(ues):
             ue.ewma_bps = float(self.ewma_bps[i])
             ue.last_served_us = int(self.last_served_us[i])
 
-    # -- batched EWMA update (the former per-UE Python hot loop) ----------
+    # -- the EWMA update ---------------------------------------------------
 
     def update_ewma(self, served_bits: np.ndarray, keep: float, scale: float,
                     floor: float) -> None:
         """``ewma = max(keep * ewma + scale * bits, floor)`` elementwise.
 
-        Identical per-element arithmetic (two multiplies, one add, one
-        compare) to ``MetricScheduler.on_tti_end``'s scalar loop.
+        Two multiplies, one add, one compare per element -- the
+        arithmetic of ``UeSchedState.update_ewma``.
         """
         tmp = self._ewma_tmp
         np.multiply(served_bits, scale, out=tmp)
@@ -164,81 +137,13 @@ class SchedArrays:
         np.maximum(self.ewma_bps, floor, out=self.ewma_bps)
 
 
-class KernelWorkspace:
-    """Preallocated buffers for the owner kernels.
-
-    The grid shape is fixed for a run, so every per-TTI intermediate --
-    the masked metric, candidate masks, per-RB maxima -- lives in one
-    reusable block instead of ~a dozen fresh numpy allocations per TTI.
-    The 2-D buffers are ``(rbs, users)`` (transposed) so per-RB
-    reductions run along the contiguous axis.  Owner vectors returned to
-    callers are fresh copies; only the intermediates are recycled.
-    """
-
-    __slots__ = (
-        "_shape",
-        "masked_t",
-        "bool_a",
-        "bool_b",
-        "cand_t",
-        "tie_t",
-        "metric_out",
-        "row_f",
-        "row_f2",
-        "rb_f",
-        "rb_f2",
-        "rb_f3",
-        "rb_i",
-        "rb_bool",
-        "rb_bool2",
-        "owner",
-    )
-
-    def __init__(self) -> None:
-        self._shape: Optional[tuple[int, int]] = None
-
-    def reserve(self, shape: tuple[int, int]) -> None:
-        """(Re)allocate every buffer for a ``users x rbs`` grid shape."""
-        if self._shape == shape:
-            return
-        num_ues, num_rbs = shape
-        self._shape = shape
-        shape_t = (num_rbs, num_ues)
-        self.masked_t = np.empty(shape_t, dtype=np.float64)
-        self.bool_a = np.empty(shape_t, dtype=bool)
-        self.bool_b = np.empty(shape_t, dtype=bool)
-        self.cand_t = np.empty(shape_t, dtype=np.int64)
-        self.tie_t = np.empty(shape_t, dtype=np.float64)
-        self.metric_out = np.empty(shape, dtype=np.float64)
-        self.row_f = np.empty(num_ues, dtype=np.float64)
-        self.row_f2 = np.empty(num_ues, dtype=np.float64)
-        self.rb_f = np.empty(num_rbs, dtype=np.float64)
-        self.rb_f2 = np.empty(num_rbs, dtype=np.float64)
-        self.rb_f3 = np.empty(num_rbs, dtype=np.float64)
-        self.rb_i = np.empty(num_rbs, dtype=np.int64)
-        self.rb_bool = np.empty(num_rbs, dtype=bool)
-        self.rb_bool2 = np.empty(num_rbs, dtype=bool)
-        self.owner = np.empty(num_rbs, dtype=np.intp)
-
-
-def _masked_transposed(
-    metric: np.ndarray,
-    active: np.ndarray,
-    work: KernelWorkspace,
-    penalty: Optional[np.ndarray],
-) -> np.ndarray:
-    """``where(active, metric, -inf)``, transposed into ``(rbs, users)``.
-
-    One broadcast add does the masking and the transpose copy together:
-    ``x + 0.0 == x`` and ``x + (-inf) == -inf`` for every non-NaN x (the
-    sole representational drift, ``-0.0 + 0.0 == +0.0``, is invisible to
-    comparisons).
-    """
-    if penalty is None:
-        penalty = np.where(active, 0.0, -np.inf)
-    masked = work.masked_t
-    np.add(metric.T, penalty[None, :], out=masked)
-    return masked
+def as_table(ues: Union[SchedArrays, Sequence]) -> SchedArrays:
+    """The xNodeB's table as is; a sequence of ``UeSchedState`` gathered."""
+    if isinstance(ues, SchedArrays):
+        return ues
+    table = SchedArrays(len(ues))
+    table.sync_from(ues)
+    return table
 
 
 def _c_call(metric: np.ndarray, active: np.ndarray):
@@ -246,7 +151,7 @@ def _c_call(metric: np.ndarray, active: np.ndarray):
     from repro.mac import _ckernel
 
     lib = _ckernel.load()
-    if lib is None or metric.shape[1] > _ckernel.MAX_RBS:
+    if lib is None or metric.ndim != 2 or metric.shape[1] > _ckernel.MAX_RBS:
         return None
     if not (metric.dtype == np.float64 and metric.flags.c_contiguous):
         return None
@@ -255,53 +160,24 @@ def _c_call(metric: np.ndarray, active: np.ndarray):
     return lib
 
 
-def plain_owner(
-    metric: np.ndarray,
-    active: np.ndarray,
-    work: KernelWorkspace,
-    penalty: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-RB argmax over the metric matrix, workspace-backed.
+def plain_owner(metric: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Per-RB argmax over the metric matrix.
 
-    Byte-identical to :func:`repro.mac.scheduler.argmax_allocation`
-    called without levels: inactive users never win an RB; RBs with no
-    active user stay -1.  Dispatches to the compiled loop when
-    available, the batched numpy path otherwise.
+    Byte-identical to :func:`repro.mac.scheduler.argmax_allocation`,
+    which it falls through to when the compiled loop cannot run:
+    inactive users never win an RB; RBs with no active user stay -1.
     """
-    num_rbs = metric.shape[1] if metric.ndim == 2 else 0
-    if metric.shape[0] == 0 or not active.any():
-        return np.full(num_rbs, -1, dtype=np.int64)
     lib = _c_call(metric, active)
-    if lib is not None:
-        owner = np.empty(num_rbs, dtype=np.int64)
-        lib.repro_plain_owner(
-            metric.ctypes.data,
-            active.ctypes.data,
-            metric.shape[0],
-            num_rbs,
-            owner.ctypes.data,
-        )
-        return owner
-    return _plain_owner_numpy(metric, active, work, penalty)
+    if lib is None:
+        from repro.mac.scheduler import argmax_allocation
 
-
-def _plain_owner_numpy(
-    metric: np.ndarray,
-    active: np.ndarray,
-    work: KernelWorkspace,
-    penalty: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Batched numpy tier of :func:`plain_owner` (same contract)."""
-    num_rbs = metric.shape[1] if metric.ndim == 2 else 0
-    if metric.shape[0] == 0 or not active.any():
-        return np.full(num_rbs, -1, dtype=np.int64)
-    work.reserve(metric.shape)
-    masked = _masked_transposed(metric, active, work, penalty)
-    np.argmax(masked, axis=1, out=work.owner)
-    owner = work.owner.astype(np.int64)
-    masked.max(axis=1, out=work.rb_f)
-    np.isfinite(work.rb_f, out=work.rb_bool)
-    owner[~work.rb_bool] = -1
+        return argmax_allocation(metric, active)
+    num_ues, num_rbs = metric.shape
+    owner = np.empty(num_rbs, dtype=np.int64)
+    lib.repro_plain_owner(
+        metric.ctypes.data, active.ctypes.data, num_ues, num_rbs,
+        owner.ctypes.data,
+    )
     return owner
 
 
@@ -310,85 +186,27 @@ def epsilon_owner(
     active: np.ndarray,
     levels: np.ndarray,
     epsilon: float,
-    work: KernelWorkspace,
-    penalty: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Fused Algorithm 1: epsilon-relaxed candidates + MLFQ re-selection.
 
     Byte-identical to :func:`repro.core.inter_user.reselect_users`
     (which composes ``relaxed_candidates`` with the level/metric
-    tie-break in separate allocating steps).  Dispatches to the
-    compiled loop when available, the batched numpy path otherwise.
+    tie-break in separate allocating steps), which it falls through to
+    when the compiled loop cannot run.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1]: {epsilon}")
-    num_rbs = metric.shape[1]
-    if metric.shape[0] == 0 or not active.any():
-        return np.full(num_rbs, -1, dtype=np.int64)
     lib = _c_call(metric, active)
-    if lib is not None and levels.dtype == np.int64 and levels.flags.c_contiguous:
-        owner = np.empty(num_rbs, dtype=np.int64)
-        lib.repro_epsilon_owner(
-            metric.ctypes.data,
-            active.ctypes.data,
-            levels.ctypes.data,
-            epsilon,
-            metric.shape[0],
-            num_rbs,
-            owner.ctypes.data,
-        )
-        return owner
-    return _epsilon_owner_numpy(metric, active, levels, epsilon, work, penalty)
+    if lib is None or not (
+        levels.dtype == np.int64 and levels.flags.c_contiguous
+    ):
+        from repro.core.inter_user import reselect_users
 
-
-def _epsilon_owner_numpy(
-    metric: np.ndarray,
-    active: np.ndarray,
-    levels: np.ndarray,
-    epsilon: float,
-    work: KernelWorkspace,
-    penalty: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Batched numpy tier of :func:`epsilon_owner` (same contract)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1]: {epsilon}")
-    num_rbs = metric.shape[1]
-    if metric.shape[0] == 0 or not active.any():
-        return np.full(num_rbs, -1, dtype=np.int64)
-    work.reserve(metric.shape)
-    masked = _masked_transposed(metric, active, work, penalty)
-    # Per-RB threshold: (1-eps)*m_max - tol above zero, m_max - tol below
-    # (the cutoff direction flips for negative maxima; the tiny tolerance
-    # keeps the argmax user eligible at eps = 0).  Same selected-value
-    # arithmetic as relaxed_candidates: select the branch first, then
-    # subtract the tolerance once.
-    m_max = work.rb_f
-    masked.max(axis=1, out=m_max)
-    cutoff = np.multiply(m_max, 1.0 - epsilon, out=work.rb_f2)
-    tol = np.abs(m_max, out=work.rb_f3)
-    np.multiply(tol, 1e-12, out=tol)
-    np.less(m_max, 0.0, out=work.rb_bool)
-    np.copyto(cutoff, m_max, where=work.rb_bool)
-    thresh = np.subtract(cutoff, tol, out=cutoff)
-    eligible = np.greater_equal(masked, thresh[:, None], out=work.bool_a)
-    finite = np.isfinite(masked, out=work.bool_b)
-    np.logical_and(eligible, finite, out=eligible)
-    # Among candidates the lowest head MLFQ level wins; ties keep the
-    # best-metric candidate (first index on exact metric ties, like the
-    # reference argmax).
-    cand = work.cand_t
-    cand.fill(IDLE_LEVEL + 1)
-    np.copyto(cand, levels[None, :], where=eligible)
-    best_level = work.rb_i
-    cand.min(axis=1, out=best_level)
-    is_best = np.equal(cand, best_level[:, None], out=work.bool_b)
-    tie = work.tie_t
-    tie.fill(-np.inf)
-    np.copyto(tie, metric.T, where=is_best)
-    np.argmax(tie, axis=1, out=work.owner)
-    owner = work.owner.astype(np.int64)
-    # An RB has an eligible candidate iff its best level beat the
-    # IDLE_LEVEL + 1 sentinel -- a 1-D compare instead of a 2-D any().
-    none_eligible = np.greater(best_level, IDLE_LEVEL, out=work.rb_bool2)
-    owner[none_eligible] = -1
+        return reselect_users(metric, active, levels, epsilon)
+    num_ues, num_rbs = metric.shape
+    owner = np.empty(num_rbs, dtype=np.int64)
+    lib.repro_epsilon_owner(
+        metric.ctypes.data, active.ctypes.data, levels.ctypes.data, epsilon,
+        num_ues, num_rbs, owner.ctypes.data,
+    )
     return owner

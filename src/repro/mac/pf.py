@@ -13,14 +13,10 @@ Eq. (1) of the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 import numpy as np
 
-from repro.mac.scheduler import MetricScheduler, UeSchedState
-
-if TYPE_CHECKING:
-    from repro.mac.kernels import KernelWorkspace, SchedArrays
+from repro.mac.kernels import as_table
+from repro.mac.scheduler import MetricScheduler, UeTable
 
 
 class ProportionalFairScheduler(MetricScheduler):
@@ -29,21 +25,8 @@ class ProportionalFairScheduler(MetricScheduler):
     name = "pf"
     batched_capable = True
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        ewma = np.array([ue.ewma_bps for ue in ues])
-        return rates / ewma[:, None]
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        work.reserve(rates.shape)
-        return np.divide(rates, arrays.ewma_bps[:, None], out=work.metric_out)
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        return np.divide(rates, as_table(ues).ewma_bps[:, None], order="C")
 
 
 class MaxThroughputScheduler(MetricScheduler):
@@ -52,19 +35,8 @@ class MaxThroughputScheduler(MetricScheduler):
     name = "mt"
     batched_capable = True
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        return np.asarray(rates, dtype=float)
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        return np.asarray(rates, dtype=float)
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        return np.ascontiguousarray(rates, dtype=float)
 
 
 class BlindEqualThroughputScheduler(MetricScheduler):
@@ -77,23 +49,9 @@ class BlindEqualThroughputScheduler(MetricScheduler):
     name = "bet"
     batched_capable = True
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        inv = np.array([1.0 / ue.ewma_bps for ue in ues])
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        inv = 1.0 / as_table(ues).ewma_bps
         return np.broadcast_to(inv[:, None], rates.shape).copy()
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        work.reserve(rates.shape)
-        inv = np.divide(1.0, arrays.ewma_bps, out=work.row_f)
-        np.copyto(work.metric_out, inv[:, None])
-        return work.metric_out
 
 
 class RoundRobinScheduler(MetricScheduler):
@@ -102,26 +60,8 @@ class RoundRobinScheduler(MetricScheduler):
     name = "rr"
     batched_capable = True
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        waited = np.array(
-            [now_us - ue.last_served_us + 1.0 for ue in ues], dtype=float
-        )
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        # Subtract in exact int64 first, then widen with the +1.0: the
+        # order (and therefore rounding) of ``now_us - last_served_us + 1.0``.
+        waited = (now_us - as_table(ues).last_served_us) + 1.0
         return np.broadcast_to(waited[:, None], rates.shape).copy()
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        work.reserve(rates.shape)
-        # Subtract in exact int64 first, then widen with the +1.0 --
-        # the same order (and therefore rounding) as the scalar
-        # ``now_us - last_served_us + 1.0``.
-        waited_i = np.subtract(now_us, arrays.last_served_us)
-        waited = np.add(waited_i, 1.0, out=work.row_f)
-        np.copyto(work.metric_out, waited[:, None])
-        return work.metric_out

@@ -15,16 +15,17 @@ SRJF baseline is allowed to read.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.mac.bsr import BufferStatusReport, empty_report
+from repro.mac.kernels import SchedArrays, as_table, plain_owner
 
-if TYPE_CHECKING:
-    from repro.mac.kernels import KernelWorkspace, SchedArrays
+#: What a scheduler is handed as ``ues``: the xNodeB's table, or a plain
+#: sequence of :class:`UeSchedState` (gathered into a table on entry).
+UeTable = Union[SchedArrays, Sequence["UeSchedState"]]
 
 #: Floor for the EWMA throughput so the PF ratio is defined for new users.
 MIN_EWMA_BPS = 1e5
@@ -83,17 +84,15 @@ class MacScheduler(ABC):
 
     name: str = "base"
 
-    #: Whether the scheduler implements the array-backed fast path used by
-    #: ``--backend vectorized``.  Schedulers that read per-UE state the
-    #: :class:`~repro.mac.kernels.SchedArrays` mirror does not carry (the
-    #: QoS family) leave this False and run the reference path regardless
-    #: of the configured backend.
+    #: Whether the scheduler reads only what the
+    #: :class:`~repro.mac.kernels.SchedArrays` table carries.  The xNodeB
+    #: hands such a scheduler its table; schedulers that read other
+    #: per-UE state (the QoS family, the GBR wrapper) leave this False
+    #: and are handed the list of :class:`UeSchedState`.
     batched_capable: bool = False
 
     @abstractmethod
-    def allocate(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
+    def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         """Return ``owner`` of shape ``(num_rbs,)``: UE index or -1.
 
         ``rates[u, b]`` is the achievable bits per RB per TTI for UE ``u``
@@ -103,120 +102,22 @@ class MacScheduler(ABC):
 
     def on_tti_end(
         self,
-        ues: Sequence[UeSchedState],
+        ues: UeTable,
         served_bits: np.ndarray,
         tti_us: int,
     ) -> None:
         """Hook called after transmission with per-UE served bits."""
 
-    def allocate_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        """Array-backed :meth:`allocate` (vectorized backend only).
 
-        Must produce byte-identical owners to :meth:`allocate` given
-        arrays mirroring the per-UE objects.  Only called when
-        :attr:`batched_capable` is True.
-        """
-        raise NotImplementedError(f"{self.name} has no batched path")
-
-    def on_tti_end_batched(
-        self,
-        arrays: "SchedArrays",
-        served_bits: np.ndarray,
-        tti_us: int,
-    ) -> None:
-        """Array-backed :meth:`on_tti_end` (vectorized backend only)."""
-        raise NotImplementedError(f"{self.name} has no batched path")
-
-
-class BackendFallbackWarning(UserWarning):
-    """``--backend vectorized`` ran a scheduler on the scalar path.
-
-    Structured: carries ``scheduler_name`` and ``reason`` so callers can
-    filter or assert on the fields instead of parsing the message.
-    """
-
-    def __init__(self, scheduler_name: str, reason: str) -> None:
-        self.scheduler_name = scheduler_name
-        self.reason = reason
-        super().__init__(
-            f"--backend vectorized fell back to the reference path for "
-            f"scheduler '{scheduler_name}': {reason}; results are "
-            f"identical, only the batched speedup is lost"
-        )
-
-
-def batched_fallback_reason(scheduler: MacScheduler) -> str:
-    """Why a scheduler lacks the batched path (for warnings/telemetry)."""
-    if getattr(scheduler, "top_k", None) is not None:
-        return "the OutRAN top-K ablation rule has no fused kernel"
-    legacy = getattr(scheduler, "legacy", None)
-    if legacy is not None and not legacy.batched_capable:
-        return f"legacy metric scheduler '{legacy.name}' has no batched kernel"
-    return (
-        f"scheduler '{scheduler.name}' reads per-UE state the SchedArrays "
-        f"mirror does not carry"
-    )
-
-
-_warned_fallbacks: set[tuple[str, str]] = set()
-
-
-def warn_backend_fallback(scheduler: MacScheduler, reason: str) -> None:
-    """Emit :class:`BackendFallbackWarning` once per (scheduler, reason).
-
-    One-time: benchmark suites construct hundreds of cells, and a warning
-    per cell would bury the signal.
-    """
-    key = (scheduler.name, reason)
-    if key in _warned_fallbacks:
-        return
-    _warned_fallbacks.add(key)
-    warnings.warn(BackendFallbackWarning(scheduler.name, reason), stacklevel=3)
-
-
-def active_mask(ues: Sequence[UeSchedState]) -> np.ndarray:
-    """Boolean vector of UEs with buffered data."""
-    return np.array([ue.active for ue in ues], dtype=bool)
-
-
-def argmax_allocation(
-    metric: np.ndarray,
-    active: np.ndarray,
-    levels: Optional[np.ndarray] = None,
-    epsilon: Optional[float] = None,
-    work: Optional["KernelWorkspace"] = None,
-    penalty: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def argmax_allocation(metric: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Per-RB argmax allocation over the metric matrix.
 
     Inactive users never win an RB; RBs with no active user stay -1.
 
-    This is the shared allocation entry point for both backends.  With
-    only ``(metric, active)`` it runs the original scalar-reference code
-    path, untouched.  Passing ``work`` (a preallocated
-    :class:`~repro.mac.kernels.KernelWorkspace`) switches to the
-    workspace-backed batched kernel; additionally passing ``levels`` and
-    ``epsilon`` applies OutRAN's epsilon-relaxed MLFQ re-selection
-    (Algorithm 1) fused into the same kernel, so OutRAN/PF/SRJF all
-    allocate through this one routine.  Every variant is byte-identical
-    for the same inputs.
+    The readable reference: :func:`repro.mac.kernels.plain_owner` runs the
+    same selection as one compiled loop, falls through to this function
+    where that loop cannot run, and is held to it by the tests.
     """
-    if levels is not None or epsilon is not None:
-        if levels is None or epsilon is None or work is None:
-            raise ValueError("epsilon-relaxed allocation needs levels, epsilon and work")
-        from repro.mac.kernels import epsilon_owner
-
-        return epsilon_owner(metric, active, levels, epsilon, work, penalty)
-    if work is not None:
-        from repro.mac.kernels import plain_owner
-
-        return plain_owner(metric, active, work, penalty)
     if metric.shape[0] == 0 or not active.any():
         return np.full(metric.shape[1] if metric.ndim == 2 else 0, -1, dtype=np.int64)
     masked = np.where(active[:, None], metric, -np.inf)
@@ -234,67 +135,29 @@ class MetricScheduler(MacScheduler):
         self.fairness_window_s = fairness_window_s
 
     @abstractmethod
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        """The per-RB metric ``m_{u,b}`` (shape users x RBs)."""
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        """The per-RB metric ``m_{u,b}`` (shape users x RBs).
 
-    def allocate(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        metric = self.metric_matrix(rates, ues, now_us)
-        return argmax_allocation(metric, active_mask(ues))
+        C-ordered: the compiled owner kernels take nothing else, and the
+        rate matrix the channel hands out is F-ordered.
+        """
+
+    def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        table = as_table(ues)
+        # A scheduler that reads per-UE state the table lacks gets ``ues``.
+        metric = self.metric_matrix(
+            rates, table if self.batched_capable else ues, now_us
+        )
+        return plain_owner(metric, table.active)
 
     def on_tti_end(
         self,
-        ues: Sequence[UeSchedState],
+        ues: UeTable,
         served_bits: np.ndarray,
         tti_us: int,
     ) -> None:
-        # Inlined EWMA update (the per-TTI per-UE hot loop).
+        table = as_table(ues)
         beta = min((tti_us / 1e6) / self.fairness_window_s, 1.0)
-        keep = 1.0 - beta
-        scale = beta * 1e6 / tti_us
-        for ue, bits in zip(ues, served_bits):
-            value = keep * ue.ewma_bps + scale * bits
-            ue.ewma_bps = value if value > MIN_EWMA_BPS else MIN_EWMA_BPS
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        """Array-backed :meth:`metric_matrix`; same per-element arithmetic.
-
-        Implementations write into ``work.metric_out`` (after
-        ``work.reserve(rates.shape)``) so the metric matrix costs no
-        per-TTI allocation.
-        """
-        raise NotImplementedError(f"{self.name} has no batched metric")
-
-    def allocate_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        metric = self.metric_matrix_batched(rates, arrays, now_us, work)
-        return argmax_allocation(
-            metric, arrays.active, work=work, penalty=arrays.inactive_penalty
-        )
-
-    def on_tti_end_batched(
-        self,
-        arrays: "SchedArrays",
-        served_bits: np.ndarray,
-        tti_us: int,
-    ) -> None:
-        # Same beta/keep/scale scalars, then the elementwise update in
-        # numpy -- bit-identical per element to the scalar loop above.
-        beta = min((tti_us / 1e6) / self.fairness_window_s, 1.0)
-        keep = 1.0 - beta
-        scale = beta * 1e6 / tti_us
-        arrays.update_ewma(served_bits, keep, scale, MIN_EWMA_BPS)
+        table.update_ewma(served_bits, 1.0 - beta, beta * 1e6 / tti_us, MIN_EWMA_BPS)
+        if table is not ues:
+            table.sync_to(ues)

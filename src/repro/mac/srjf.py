@@ -11,14 +11,10 @@ whole grid at a terrible rate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 import numpy as np
 
-from repro.mac.scheduler import MetricScheduler, UeSchedState
-
-if TYPE_CHECKING:
-    from repro.mac.kernels import KernelWorkspace, SchedArrays
+from repro.mac.kernels import as_table
+from repro.mac.scheduler import MetricScheduler, UeTable
 
 
 class SrjfScheduler(MetricScheduler):
@@ -27,32 +23,8 @@ class SrjfScheduler(MetricScheduler):
     name = "srjf"
     batched_capable = True
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        remaining = np.array(
-            [
-                ue.remaining_flow_bytes
-                if ue.remaining_flow_bytes is not None
-                else np.inf
-                for ue in ues
-            ],
-            dtype=float,
-        )
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         # Smaller remaining size -> larger metric, identical across RBs
         # (the scheduler is channel-agnostic by construction).
-        metric = 1.0 / (remaining + 1.0)
+        metric = 1.0 / (as_table(ues).remaining_flow + 1.0)
         return np.broadcast_to(metric[:, None], rates.shape).copy()
-
-    def metric_matrix_batched(
-        self,
-        rates: np.ndarray,
-        arrays: "SchedArrays",
-        now_us: int,
-        work: "KernelWorkspace",
-    ) -> np.ndarray:
-        work.reserve(rates.shape)
-        denom = np.add(arrays.remaining_flow, 1.0, out=work.row_f)
-        metric = np.divide(1.0, denom, out=work.row_f2)
-        np.copyto(work.metric_out, metric[:, None])
-        return work.metric_out

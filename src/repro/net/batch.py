@@ -6,9 +6,9 @@ fast path is :class:`~repro.net.tcp.TcpFlow`'s O(1) RTT sampler.  What
 *does* scan every sender is end-of-run telemetry harvesting: one Python
 loop over every flow the run ever created, per counter.  This module
 collapses that into a single pass that fills numpy arrays and reduces
-them with array ops.  Both backends use it (the outputs are exact
-integer sums and the same float reductions the scalar loop produced), so
-harvested telemetry stays byte-identical.
+them with array ops (the outputs are exact integer sums and the same
+float reductions the scalar loop produced, so harvested telemetry stays
+byte-identical).
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ class TcpFlow:
         initial_cwnd_segments: int = INITIAL_CWND_SEGMENTS,
         on_sender_done: Optional[Callable[["TcpFlow", int], None]] = None,
         tracer: Optional["FlowTracer"] = None,
-        fast_rtt: bool = False,
         cc: Optional[CongestionControl] = None,
     ) -> None:
         if size_bytes <= 0:
@@ -105,11 +104,6 @@ class TcpFlow:
         self.rto_backoff = 1
         self._rto_event: Optional[Event] = None
         self._send_times: dict[int, int] = {}  # seq -> send time (RTT samples)
-        #: Vectorized-backend fast path: O(1) amortized RTT sampling that
-        #: exploits the ascending insertion order of ``_send_times`` (see
-        #: ``_sample_rtt``).  Off by default so the reference backend runs
-        #: the original scan.
-        self._fast_rtt = fast_rtt
         self.done = False
         self.packets_sent = 0
         self.retransmits = 0
@@ -322,31 +316,20 @@ class TcpFlow:
 
     def _sample_rtt(self, ack_seq: int, now_us: int) -> None:
         # Use the send time of the highest fully acked segment we timed.
-        if self._fast_rtt:
-            # ``_send_times`` keys are inserted in strictly ascending seq
-            # order (non-retx sends only happen at seq >= max_sent; retx
-            # removes keys), so the acked entries form a prefix and the
-            # last popped one is the highest -- identical sample and
-            # identical surviving keys to the scan below, without the
-            # per-ACK pass over every outstanding timed segment.
-            st = self._send_times
-            sent = None
-            while st:
-                seq = next(iter(st))
-                if seq >= ack_seq:
-                    break
-                sent = st.pop(seq)
-            if sent is None:
-                return
-        else:
-            sampled = [
-                (seq, t) for seq, t in self._send_times.items() if seq < ack_seq
-            ]
-            if not sampled:
-                return
-            seq, sent = max(sampled, key=lambda item: item[0])
-            for key, _ in sampled:
-                del self._send_times[key]
+        # ``_send_times`` keys are inserted in strictly ascending seq
+        # order (non-retx sends only happen at seq >= max_sent; retx
+        # removes keys), so the acked entries form a prefix and the last
+        # popped one is the highest: no per-ACK pass over every
+        # outstanding timed segment.
+        st = self._send_times
+        sent = None
+        while st:
+            seq = next(iter(st))
+            if seq >= ack_seq:
+                break
+            sent = st.pop(seq)
+        if sent is None:
+            return
         rtt = now_us - sent
         if self.srtt_us is None:
             self.srtt_us = float(rtt)

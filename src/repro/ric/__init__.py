@@ -7,7 +7,7 @@ scheduler, in the O-RAN Near-RT RIC shape (cf. TailO-RAN):
   *indications* out of the cell, guardrail-checked *control* requests in.
 * :mod:`repro.ric.node` -- :class:`CellE2Node`, the cell-side adapter:
   pure-read KPI reporting, and controls queued to apply at the next TTI
-  boundary (identical on both simulation backends).
+  boundary.
 * :mod:`repro.ric.guardrails` -- bounds and step limits a control must
   satisfy; invalid thresholds are rejected with the same validation a
   start-time :class:`~repro.core.mlfq.MlfqConfig` gets.
@@ -21,8 +21,8 @@ scheduler, in the O-RAN Near-RT RIC shape (cf. TailO-RAN):
   loaded xApps from the simulation's event engine.
 
 With the RIC disabled -- or only :class:`NoOpXApp` loaded -- simulation
-output is byte-identical to a run without the subsystem (tested on both
-backends); see ``docs/RIC.md``.
+output is byte-identical to a run without the subsystem (tested); see
+``docs/RIC.md``.
 """
 
 from repro.ric.e2 import (

@@ -4,10 +4,8 @@
 the E2 message types.  Reads (``indication``) are pure; writes
 (``control``) are validated against the :class:`~repro.ric.guardrails.
 Guardrails` and, when accepted, queued on the xNodeB to be applied at the
-*next TTI boundary* -- the one point where both the reference and the
-vectorized backend observe parameter changes identically (mid-TTI
-mutation could desynchronise the array-backed kernel state from the
-per-UE objects).
+*next TTI boundary* (mid-TTI mutation could desynchronise the xNodeB's
+array-backed scheduler table from the per-UE objects).
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ class CellE2Node:
         """Apply a validated decision (runs at a TTI boundary)."""
         sim = self._sim
         if decision.epsilon is not None:
-            # Read per allocation on both backends; no cached state.
+            # Read per allocation; no cached state.
             sim.scheduler.epsilon = decision.epsilon
         if decision.thresholds is not None:
             config = MlfqConfig(
@@ -127,8 +125,8 @@ class CellE2Node:
                 if queue is not None:
                     queue.reconfigure(config)
             # Head MLFQ levels advertised to the scheduler may shift as
-            # reclassified packets arrive; drop any kernel-side mirror of
-            # the per-UE reports so the vectorized backend re-reads them.
+            # reclassified packets arrive; re-mirror the per-UE reports
+            # into the scheduler's table.
             sim.enb.invalidate_kernel_caches()
         if decision.boost_period_us is not None:
             sim.set_priority_boost_period(decision.boost_period_us or None)

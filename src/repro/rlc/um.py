@@ -201,18 +201,14 @@ class UmReceiver:
         self,
         deliver: Callable[[RlcSdu, int], None],
         reassembly_window_us: int = 50_000,
-        fast_expiry: bool = False,
     ) -> None:
         self.deliver = deliver
         self.reassembly_window_us = reassembly_window_us
+        #: sdu_id -> (sdu, bytes received, first seen).  Entries keep
+        #: their insertion position on update, and ``first_seen`` is
+        #: stamped at insertion from the monotone event clock, so dict
+        #: order == first-seen order: the expired entries are a prefix.
         self._partials: dict[int, tuple[RlcSdu, int, int]] = {}
-        #: Vectorized-backend fast path: expire partials by popping from
-        #: the front of the dict instead of scanning every entry per PDU.
-        #: Entries keep their insertion position on update, and
-        #: ``first_seen`` is stamped at insertion from the monotone event
-        #: clock, so dict order == first-seen order and the expired
-        #: entries are exactly a prefix.  Off by default (reference path).
-        self._fast_expiry = fast_expiry
         self.sdus_delivered = 0
         self.sdus_discarded = 0
 
@@ -237,26 +233,16 @@ class UmReceiver:
 
     def flush_expired(self, now_us: int) -> int:
         """Discard partials older than the reassembly window."""
-        if self._fast_expiry:
-            partials = self._partials
-            count = 0
-            while partials:
-                sdu_id = next(iter(partials))
-                if now_us - partials[sdu_id][2] <= self.reassembly_window_us:
-                    break
-                del partials[sdu_id]
-                self.sdus_discarded += 1
-                count += 1
-            return count
-        expired = [
-            sdu_id
-            for sdu_id, (_, _, first_seen) in self._partials.items()
-            if now_us - first_seen > self.reassembly_window_us
-        ]
-        for sdu_id in expired:
-            del self._partials[sdu_id]
+        partials = self._partials
+        count = 0
+        while partials:
+            sdu_id = next(iter(partials))
+            if now_us - partials[sdu_id][2] <= self.reassembly_window_us:
+                break
+            del partials[sdu_id]
             self.sdus_discarded += 1
-        return len(expired)
+            count += 1
+        return count
 
     @property
     def pending_partials(self) -> int:

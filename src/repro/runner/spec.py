@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.sim.config import SimConfig, TrafficSpec
@@ -195,9 +195,10 @@ class SweepSpec:
     def validate(self) -> None:
         """Fail fast on bad axis values, before any worker spins up.
 
-        A misspelled scheduler/workload/backend/cc/aqm name would
-        otherwise surface as one crashed run per grid point, deep inside
-        the pool.  Raises ``ValueError`` naming the axis and the value.
+        A misspelled scheduler/workload/cc/aqm name, or a variant key
+        that is no :class:`SimConfig` field, would otherwise surface as
+        one crashed run per grid point, deep inside the pool.  Raises
+        ``ValueError`` naming the axis and the value (or the key).
         """
         from repro.cc import AQM_NAMES, CC_NAMES
         from repro.sim.cell import is_scheduler_name
@@ -215,13 +216,17 @@ class SweepSpec:
                     f"unknown workload in sweep axis 'workloads': "
                     f"{workload!r} (choices: {WORKLOADS})"
                 )
-        checked = {
-            "backend": ("reference", "vectorized"),
-            "cc": CC_NAMES,
-            "aqm": AQM_NAMES,
-        }
+        checked = {"cc": CC_NAMES, "aqm": AQM_NAMES}
+        # ``bandwidth_mhz`` is the one lte_default/nr_default keyword
+        # that is not itself a field.
+        config_keys = {f.name for f in fields(SimConfig)} | {"bandwidth_mhz"}
         for variant in self.variants:
             for name, value in variant:
+                if name not in config_keys:
+                    raise ValueError(
+                        f"unknown SimConfig field in sweep variant "
+                        f"override: {name!r}"
+                    )
                 allowed = checked.get(name)
                 if allowed is not None and value not in allowed:
                     raise ValueError(

@@ -344,7 +344,6 @@ class CellSimulation:
             initial_cwnd_segments=self.config.tcp_initial_cwnd,
             on_sender_done=self._on_sender_done,
             tracer=self.flow_trace,
-            fast_rtt=self.config.backend == "vectorized",
             cc=make_cc(
                 self.config.cc,
                 initial_cwnd_segments=self.config.tcp_initial_cwnd,
@@ -523,8 +522,8 @@ class CellSimulation:
             self._reset_task = None
         if self._heartbeat is not None:
             self._heartbeat.stop()
-        # Vectorized backend: fold the array-backed scheduler state back
-        # into the per-UE objects before anything reads them.
+        # Fold the array-backed scheduler state back into the per-UE
+        # objects before anything reads them.
         self.enb.finalize()
         self._harvest_counters()
         self._harvest_telemetry()
@@ -668,12 +667,6 @@ class CellSimulation:
         if not self.telemetry.enabled and not self.profiler.enabled:
             return None
         snapshot = self.telemetry.snapshot()
-        if self.enb.backend_fallback_reason is not None:
-            snapshot["backend"] = {
-                "requested": self.config.backend,
-                "effective": "reference",
-                "fallback_reason": self.enb.backend_fallback_reason,
-            }
         if self.profiler.enabled:
             snapshot["profile"] = self.profiler.report()
         return snapshot
@@ -697,12 +690,6 @@ class CellSimulation:
             # Live-instrumented metrics (per-TTI latency histograms) exist
             # only in the attached registry; overlay them.
             snapshot["histograms"].update(self.telemetry.snapshot()["histograms"])
-        if self.enb.backend_fallback_reason is not None:
-            snapshot["backend"] = {
-                "requested": self.config.backend,
-                "effective": "reference",
-                "fallback_reason": self.enb.backend_fallback_reason,
-            }
         if self.profiler.enabled:
             snapshot["profile"] = self.profiler.report()
         return snapshot

@@ -99,13 +99,6 @@ class SimConfig:
     harq_rtt_ttis: int = 8
     harq_max_retx: int = 3
 
-    # -- execution backend ----------------------------------------------------
-    #: "reference" runs the scalar per-UE/per-RB loops (the oracle);
-    #: "vectorized" batches the per-TTI inner loops with numpy kernels
-    #: that are byte-identical to the reference (see docs/BACKENDS.md).
-    #: Schedulers without a batched path silently fall back to reference.
-    backend: str = "reference"
-
     # -- scheduler-adjacent knobs ---------------------------------------------
     fairness_window_s: float = 1.0
     #: Give PSS/CQA their oracle: short flows are known and QoS-marked.
@@ -153,8 +146,6 @@ class SimConfig:
             raise ValueError(
                 f"unknown link_adaptation: {self.link_adaptation!r}"
             )
-        if self.backend not in ("reference", "vectorized"):
-            raise ValueError(f"unknown backend: {self.backend!r}")
         if self.traffic.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind: {self.traffic.kind!r}")
         from repro.cc import AQM_NAMES, CC_NAMES

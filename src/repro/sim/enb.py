@@ -24,13 +24,9 @@ import numpy as np
 
 from repro.mac.bsr import empty_report
 from repro.mac.harq import HarqEntity
-from repro.mac.kernels import KernelWorkspace, SchedArrays
+from repro.mac.kernels import SchedArrays
 from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
-from repro.mac.scheduler import (
-    MacScheduler,
-    batched_fallback_reason,
-    warn_backend_fallback,
-)
+from repro.mac.scheduler import MacScheduler
 from repro.mac.srjf import SrjfScheduler
 from repro.phy.channel import ChannelModel
 from repro.phy.tbs import transport_block_bits
@@ -87,32 +83,18 @@ class XNodeB:
         self._sched_states = [ue.sched for ue in self.ues]
         self._empty_reports = [empty_report(ue.index) for ue in self.ues]
         self._needs_oracle = _needs_oracle(scheduler)
-        # Vectorized backend: array-backed scheduler state + preallocated
-        # kernel workspace.  While batched, SchedArrays is the source of
-        # truth for EWMA/last-served (the per-UE objects go stale until
-        # finalize()); the backlog scan below keeps activity, head levels
-        # and the SRJF oracle mirrored incrementally.
-        self._batched = (
-            config.backend == "vectorized" and scheduler.batched_capable
-        )
-        #: Why the vectorized backend is running this scheduler on the
-        #: scalar path (None when no fallback happened).  Surfaced in the
-        #: telemetry snapshot and warned once per scheduler/reason.
-        self.backend_fallback_reason: Optional[str] = None
-        if config.backend == "vectorized" and not self._batched:
-            self.backend_fallback_reason = batched_fallback_reason(scheduler)
-            warn_backend_fallback(scheduler, self.backend_fallback_reason)
-        #: Runtime parameter changes (Near-RT RIC controls) queued to be
-        #: applied at the top of the next TTI -- the one boundary where
-        #: both backends observe a change identically.
-        self._pending_controls: list[Callable[[], None]] = []
-        if self._batched:
-            self._arrays: SchedArrays | None = SchedArrays(len(self.ues))
+        # The table a table-fed scheduler reads.  While it exists it is
+        # the source of truth for EWMA/last-served (the per-UE objects go
+        # stale until finalize()); the backlog scan below keeps activity,
+        # head levels and the SRJF oracle mirrored incrementally.  A
+        # scheduler that reads other per-UE state gets the objects.
+        self._arrays: SchedArrays | None = None
+        if scheduler.batched_capable:
+            self._arrays = SchedArrays(len(self.ues))
             self._arrays.sync_from(self._sched_states)
-            self._work: KernelWorkspace | None = KernelWorkspace()
-        else:
-            self._arrays = None
-            self._work = None
+        #: Runtime parameter changes (Near-RT RIC controls) queued to be
+        #: applied at the top of the next TTI, never mid-allocation.
+        self._pending_controls: list[Callable[[], None]] = []
         if config.harq_enabled:
             self._harq: list[HarqEntity] | None = [
                 HarqEntity(
@@ -192,20 +174,19 @@ class XNodeB:
     def request_control(self, apply: Callable[[], None]) -> None:
         """Queue a runtime parameter change for the next TTI boundary.
 
-        Applying between TTIs (never mid-allocation) keeps the reference
-        and vectorized backends byte-identical under runtime tuning: both
-        see the new parameters for the first time at the same TTI.
+        Controls apply between TTIs, never mid-allocation: a TTI is
+        scheduled under one set of parameters from scan to grant.
         """
         self._pending_controls.append(apply)
 
     def invalidate_kernel_caches(self) -> None:
-        """Re-mirror per-UE report state into the batched kernel arrays.
+        """Re-mirror per-UE report state into the scheduler's table.
 
         Called after a runtime parameter change that can shift the per-UE
         MLFQ head levels.  Only the report-derived fields (activity, head
         level, SRJF remaining) are re-mirrored -- the EWMA/last-served
-        arrays are the *source of truth* while batched and must not be
-        overwritten from the stale per-UE objects.
+        arrays are the *source of truth* and must not be overwritten
+        from the stale per-UE objects.
         """
         arrays = self._arrays
         if arrays is None:
@@ -260,12 +241,13 @@ class XNodeB:
         grant_bits = np.zeros(len(self.ues))
         if backlogged:
             with self._sec_schedule:
+                sched_ues = arrays if arrays is not None else self._sched_states
                 if self._lat_hist is not None:
                     t0 = perf_counter_ns()
-                    owner = self._allocate(now)
+                    owner = self.scheduler.allocate(self._rates, sched_ues, now)
                     self._lat_hist.observe((perf_counter_ns() - t0) / 1e3)
                 else:
-                    owner = self._allocate(now)
+                    owner = self.scheduler.allocate(self._rates, sched_ues, now)
             valid = owner >= 0
             if valid.any():
                 rb_idx = np.nonzero(valid)[0]
@@ -313,16 +295,8 @@ class XNodeB:
         with self._sec_bookkeeping:
             self._record_tti(now, owner, grant_bits, served_bits, backlogged)
 
-    def _allocate(self, now: int) -> np.ndarray:
-        """Dispatch one TTI's RB allocation to the configured backend."""
-        if self._batched:
-            return self.scheduler.allocate_batched(
-                self._rates, self._arrays, now, self._work
-            )
-        return self.scheduler.allocate(self._rates, self._sched_states, now)
-
     def finalize(self) -> None:
-        """End-of-run hook: fold batched state back into the UE objects."""
+        """End-of-run hook: fold the table back into the UE objects."""
         if self._arrays is not None:
             self._arrays.sync_to(self._sched_states)
 
@@ -351,15 +325,15 @@ class XNodeB:
                 ),
             )
         self.metrics.on_tti(now, served_bits, backlogged)
-        if self._batched:
-            self.scheduler.on_tti_end_batched(
-                self._arrays, served_bits, self.config.tti_us
-            )
-            self._arrays.last_served_us[served_bits != 0] = now
+        arrays = self._arrays
+        self.scheduler.on_tti_end(
+            arrays if arrays is not None else self._sched_states,
+            served_bits,
+            self.config.tti_us,
+        )
+        if arrays is not None:
+            arrays.last_served_us[served_bits != 0] = now
         else:
-            self.scheduler.on_tti_end(
-                self._sched_states, served_bits, self.config.tti_us
-            )
             for ue_index in np.nonzero(served_bits)[0]:
                 self._sched_states[ue_index].last_served_us = now
 
@@ -449,8 +423,6 @@ class XNodeB:
             return
         reg.counter("mac.ttis_run").inc(self.ttis_run)
         reg.counter("mac.tbs_lost").inc(self.tbs_lost)
-        if self.backend_fallback_reason is not None:
-            reg.counter("mac.backend.fallbacks").inc(1)
         if self._harq is not None:
             reg.counter("mac.harq.retransmissions").inc(
                 sum(h.retransmissions for h in self._harq)

@@ -13,10 +13,10 @@ CellSimulation` and owns its event loop.  Where the legacy
 
 Sessions checkpoint mid-run (:meth:`checkpoint` / :meth:`resume`): the
 whole simulation object graph -- event heap, TCP senders/receivers,
-PDCP/RLC entities, MLFQ flow tables, scheduler (including the vectorized
-backend's array state), RNGs, telemetry -- is serialized with stdlib
+PDCP/RLC entities, MLFQ flow tables, scheduler (including the xNodeB's
+array-backed table), RNGs, telemetry -- is serialized with stdlib
 pickle, and a paused-and-resumed run is **byte-identical** to an
-uninterrupted one on both backends.  Two properties make that hold:
+uninterrupted one.  Two properties make that hold:
 
 * ``EventEngine.run_until(t)`` leaves the clock exactly at ``t`` even
   when the queue drains early, so splitting one ``run_until`` into many
@@ -29,8 +29,8 @@ uninterrupted one on both backends.  Two properties make that hold:
 
 The compiled MAC kernel is process state (a module-level ctypes handle),
 not simulation state: checkpoints carry the *array* state and the
-resuming process re-binds whatever kernel tier it has, so a checkpoint
-written on the compiled tier resumes bit-identically on the numpy tier.
+resuming process re-binds the kernel it has, so a checkpoint written on
+a host with the compiled kernel resumes bit-identically on one without.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class SessionError(RuntimeError):
@@ -231,7 +231,6 @@ class SimulationSession:
         sim = self.sim
         out = self.progress()
         out["scheduler"] = sim.scheduler.name
-        out["backend"] = sim.config.backend
         out["duration_s"] = self.duration_s
         out["drain_s"] = self.drain_s
         out["num_ues"] = sim.config.num_ues
@@ -433,8 +432,6 @@ def canonical_telemetry(snapshot: Optional[dict]) -> Optional[dict]:
             if name not in _WALL_CLOCK_HISTOGRAMS
         },
     }
-    if "backend" in snapshot:
-        out["backend"] = snapshot["backend"]
     return out
 
 

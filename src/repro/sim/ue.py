@@ -102,7 +102,6 @@ class UeContext:
             self.rlc_rx = UmReceiver(
                 deliver=self._deliver,
                 reassembly_window_us=config.reassembly_window_us,
-                fast_expiry=config.backend == "vectorized",
             )
         self.sched = UeSchedState(index, index)
         self.receivers: dict[int, "TcpReceiver"] = {}

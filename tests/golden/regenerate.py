@@ -2,10 +2,10 @@
 
 Each case pins one small-but-real simulation config and stores its
 sanitized summary plus the raw per-flow FCT samples.  The replay test
-(``tests/test_golden_corpus.py``) re-runs every stored case on BOTH
-backends and demands exact agreement, so the corpus catches silent
-behaviour drift in either path -- including drift that keeps the two
-backends consistent with each other.
+(``tests/test_golden_corpus.py``) re-runs every stored case, with the
+compiled owner kernel and without it, and demands exact agreement with
+the stored output, so the corpus catches silent behaviour drift --
+including drift that keeps the two consistent with each other.
 
 Run from the repo root after an *intentional* behaviour change:
 
@@ -70,7 +70,7 @@ BASE_KWARGS = {"num_ues": 4, "load": 0.5, "seed": 7}
 
 
 def sanitize(value):
-    """NaN -> None recursively (mirrors test_backend_differential)."""
+    """NaN -> None recursively, so dict equality is well-defined."""
     if isinstance(value, dict):
         return {k: sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -92,12 +92,12 @@ def make_case_scheduler(spec):
     return spec
 
 
-def run_case(name, backend="reference"):
+def run_case(name):
     from repro import CellSimulation, SimConfig
     from repro.cli import result_summary
 
     scheduler, rat, mu, duration_s, overrides = CASES[name]
-    kwargs = dict(BASE_KWARGS, backend=backend, **overrides)
+    kwargs = dict(BASE_KWARGS, **overrides)
     if rat == "nr":
         cfg = SimConfig.nr_default(mu=mu, **kwargs)
     else:

@@ -3,7 +3,7 @@
 The load-bearing guarantee of the refactor: with ``cc="cubic"`` and AQM
 disabled (or enabled but never marking), simulation output is
 byte-identical to the pre-refactor inline-Cubic sender -- asserted
-through ``result_fingerprint`` on both backends and, independently, by
+through ``result_fingerprint`` and, independently, by
 the unchanged golden corpus.  On top of that sit behavioural tests for
 the marker, DCTCP's EWMA cut, BBR's model, checkpoint round-tripping of
 CC state, and the fail-fast sweep validation.
@@ -26,13 +26,9 @@ from repro.telemetry import TelemetryRegistry
 
 DURATION_S = 0.4
 
-BACKENDS = ["reference", "vectorized"]
 
-
-def make_sim(backend="reference", telemetry=None, **overrides):
-    cfg = SimConfig.lte_default(
-        num_ues=3, load=0.5, seed=5, backend=backend, **overrides
-    )
+def make_sim(telemetry=None, **overrides):
+    cfg = SimConfig.lte_default(num_ues=3, load=0.5, seed=5, **overrides)
     return CellSimulation(cfg, scheduler="outran", telemetry=telemetry)
 
 
@@ -253,42 +249,25 @@ class TestSenderIntegration:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_explicit_cubic_matches_default(self, backend):
+    def test_explicit_cubic_matches_default(self):
         """cc="cubic" spelled out == the config default, to the byte."""
-        baseline = result_fingerprint(make_sim(backend).run(DURATION_S))
-        explicit = result_fingerprint(
-            make_sim(backend, cc="cubic").run(DURATION_S)
-        )
+        baseline = result_fingerprint(make_sim().run(DURATION_S))
+        explicit = result_fingerprint(make_sim(cc="cubic").run(DURATION_S))
         assert explicit == baseline
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_never_marking_red_matches_droptail(self, backend):
+    def test_never_marking_red_matches_droptail(self):
         """RED with an unreachable step threshold == droptail, to the byte.
 
         The marker draws no randomness below min_sdus, so the whole AQM
         path being plumbed in must be output-invariant until it marks.
         """
-        baseline = result_fingerprint(make_sim(backend).run(DURATION_S))
+        baseline = result_fingerprint(make_sim().run(DURATION_S))
         idle_red = result_fingerprint(
             make_sim(
-                backend, aqm="red", ecn_min_sdus=10_000, ecn_max_sdus=10_000
+                aqm="red", ecn_min_sdus=10_000, ecn_max_sdus=10_000
             ).run(DURATION_S)
         )
         assert idle_red == baseline
-
-    def test_backends_agree_under_dctcp_ecn(self):
-        """Vectorized == reference with marking actually happening."""
-        fps = [
-            result_fingerprint(
-                make_sim(
-                    backend, cc="dctcp", aqm="red",
-                    ecn_min_sdus=30, ecn_max_sdus=30,
-                ).run(DURATION_S)
-            )
-            for backend in BACKENDS
-        ]
-        assert fps[0] == fps[1]
 
     def test_ecn_changes_output(self):
         """Sanity: an aggressive marker actually alters the run."""
@@ -306,18 +285,13 @@ class TestByteIdentity:
 
 
 class TestCheckpointRoundTrip:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stepped_resumed_equals_one_shot_dctcp_ecn(self, backend, tmp_path):
+    def test_stepped_resumed_equals_one_shot_dctcp_ecn(self, tmp_path):
         """--cc dctcp --ecn-k 30: step/checkpoint/resume == run()."""
         kwargs = dict(
             cc="dctcp", aqm="red", ecn_min_sdus=30, ecn_max_sdus=30
         )
-        baseline = result_fingerprint(
-            make_sim(backend, **kwargs).run(DURATION_S)
-        )
-        session = SimulationSession(
-            make_sim(backend, **kwargs), DURATION_S
-        ).start()
+        baseline = result_fingerprint(make_sim(**kwargs).run(DURATION_S))
+        session = SimulationSession(make_sim(**kwargs), DURATION_S).start()
         session.step(n_ttis=137)
         ckpt = tmp_path / "cc.ckpt"
         session.checkpoint(ckpt)
@@ -345,7 +319,7 @@ class TestSweepValidation:
         SweepSpec(
             schedulers=("pf", "outran:0.5"),
             workloads=("poisson", "incast"),
-            variants=({"cc": "dctcp", "aqm": "red", "backend": "vectorized"},),
+            variants=({"cc": "dctcp", "aqm": "red", "radio_bler": 0.05},),
         ).validate()
 
     def test_bad_scheduler_named(self):
@@ -361,16 +335,22 @@ class TestSweepValidation:
             SweepSpec(variants=({"cc": "reno"},)).validate()
 
     def test_bad_variant_backend_named(self):
-        with pytest.raises(ValueError, match="backend.*'gpu'"):
-            SweepSpec(variants=({"backend": "gpu"},)).validate()
+        # `backend` is no SimConfig field any more: a stale spec is
+        # rejected up front, not once per grid point inside the pool.
+        with pytest.raises(ValueError, match="variant.*'backend'"):
+            SweepSpec(variants=({"backend": "vectorized"},)).validate()
+
+    def test_misspelt_variant_key_named(self):
+        with pytest.raises(ValueError, match="variant.*'rlc_mod'"):
+            SweepSpec(variants=({"rlc_mod": "am"},)).validate()
 
     def test_bad_variant_aqm_named(self):
         with pytest.raises(ValueError, match="aqm.*'codel'"):
             SweepSpec(variants=({"aqm": "codel"},)).validate()
 
     def test_unchecked_overrides_pass_through(self):
-        # validate() only vets names it knows; numeric overrides are the
-        # config layer's to reject at run time.
+        # validate() vets keys and the names it knows; numeric values are
+        # the config layer's to reject at run time.
         SweepSpec(variants=({"radio_bler": 0.1},)).validate()
 
 

@@ -45,14 +45,15 @@ class TestParser:
 
 class TestMain:
     def test_single_run_prints_summary(self, capsys):
-        rc = main(["--ues", "3", "--load", "0.4", "--duration", "1", "--seed", "2"])
+        rc = main(["run", "--ues", "3", "--load", "0.4", "--duration", "1",
+                   "--seed", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "avg FCT" in out
 
     def test_compare_mode_prints_table(self, capsys):
         rc = main(
-            ["--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
+            ["run", "--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
              "--duration", "1"]
         )
         assert rc == 0
@@ -61,7 +62,8 @@ class TestMain:
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "out.json"
-        main(["--ues", "3", "--load", "0.4", "--duration", "1", "--json", str(path)])
+        main(["run", "--ues", "3", "--load", "0.4", "--duration", "1",
+              "--json", str(path)])
         data = json.loads(path.read_text())
         assert data["completed_flows"] > 0
         assert "avg_fct_ms" in data
@@ -69,15 +71,15 @@ class TestMain:
     def test_json_output_compare(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         main(
-            ["--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
+            ["run", "--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
              "--duration", "1", "--json", str(path)]
         )
         data = json.loads(path.read_text())
         assert isinstance(data, list) and len(data) == 2
 
 
-COMPARE_ARGS = ["--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
-                "--duration", "1"]
+COMPARE_ARGS = ["run", "--compare", "pf", "outran", "--ues", "3",
+                "--load", "0.4", "--duration", "1"]
 
 
 class TestJobs:
@@ -98,7 +100,7 @@ class TestJobs:
 
     def test_jobs_requires_compare(self):
         with pytest.raises(SystemExit):
-            main(["--jobs", "2", "--ues", "3"])
+            main(["run", "--jobs", "2", "--ues", "3"])
 
     def test_jobs_incompatible_with_observability(self):
         with pytest.raises(SystemExit):
@@ -170,7 +172,6 @@ class TestSubcommandTree:
         out = capsys.readouterr().out
         for command in ("run", "sweep", "explain", "serve"):
             assert command in out
-        assert "deprecated alias" in out  # the bare-flag note
 
     @pytest.mark.parametrize("command", ["run", "sweep", "explain", "serve"])
     def test_subcommand_help_renders(self, command, capsys):
@@ -184,7 +185,7 @@ class TestSubcommandTree:
         with pytest.raises(SystemExit):
             main(["run", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--scheduler", "--compare", "--backend", "--telemetry",
+        for flag in ("--scheduler", "--compare", "--telemetry",
                      "--ric", "--jobs", "--flow-trace"):
             assert flag in out
 
@@ -206,17 +207,18 @@ class TestSubcommandTree:
         assert args.port == 0
         assert args.chunk_ttis is None
 
-    def test_run_subcommand_equals_bare_flags(self, capsys):
-        argv = ["--ues", "3", "--load", "0.4", "--duration", "1", "--seed", "2"]
-        assert main(["run"] + argv) == 0
-        via_run = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(argv) == 0
-        assert capsys.readouterr().out == via_run
-
-    def test_bare_flags_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning):
+    def test_bare_flags_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["--ues", "2", "--load", "0.3", "--duration", "0.3"])
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
+    def test_backend_flag_rejected(self, capsys):
+        # One execution path: the flag that chose between two is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--backend", "vectorized"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_run_subcommand_does_not_warn(self, recwarn):
         main(["run", "--ues", "2", "--load", "0.3", "--duration", "0.3"])

@@ -85,6 +85,7 @@ class TestTtiLoop:
         ingress_packet(sim)
         sim.engine.now_us = 5_000
         sim.enb.on_tti()
+        sim.enb.finalize()  # the table is the truth until folded back
         assert sim.ues[0].sched.last_served_us == 5_000
 
     def test_multiple_ues_share_grid(self):

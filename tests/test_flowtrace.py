@@ -112,7 +112,7 @@ class TestDeterminism:
         assert traced_sim.flow_trace.completed_flows > 0
 
     def test_cli_json_identical_with_flow_trace(self, tmp_path):
-        base_args = ["--ues", "3", "--load", "0.4", "--duration", "1",
+        base_args = ["run", "--ues", "3", "--load", "0.4", "--duration", "1",
                      "--seed", "2"]
         plain_json = tmp_path / "plain.json"
         traced_json = tmp_path / "traced.json"

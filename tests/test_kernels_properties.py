@@ -11,9 +11,11 @@ compiled loops perform), one RB at a time:
   lowest head level among eligible users, best metric within the level,
   first index on exact metric ties.
 
-Every kernel tier -- the scalar reference (`argmax_allocation` /
-`reselect_users`), the batched numpy kernels, and the compiled C loops
-when available -- must match the oracle exactly on the same inputs.
+The readable numpy references (`argmax_allocation` / `reselect_users`)
+and the dispatchers (`plain_owner` / `epsilon_owner`) must match the
+oracle exactly on the same inputs -- with the compiled C loops behind
+the dispatchers, and with the library absent (the ``owner_kernel``
+fixture runs every test both ways).
 
 Kernel contract (documented in docs/BACKENDS.md): metrics are never
 NaN, and are finite or -inf.  Strategies honour it.
@@ -26,15 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.inter_user import IDLE_LEVEL, reselect_users
-from repro.mac.kernels import (
-    KernelWorkspace,
-    SchedArrays,
-    _epsilon_owner_numpy,
-    _plain_owner_numpy,
-    epsilon_owner,
-    kernel_tier,
-    plain_owner,
-)
+from repro.mac.kernels import SchedArrays, epsilon_owner, plain_owner
 from repro.mac.scheduler import MIN_EWMA_BPS, argmax_allocation
 
 SEED_SETTINGS = dict(derandomize=True, deadline=None, max_examples=120)
@@ -125,24 +119,25 @@ def problems(draw, with_levels=False):
 # -- plain argmax -----------------------------------------------------------
 
 
+@pytest.mark.usefixtures("owner_kernel")
 class TestPlainOwner:
     @settings(**SEED_SETTINGS)
     @given(problems())
     def test_all_tiers_match_naive_loop(self, problem):
         metric, active = problem
         expected = naive_plain(metric, active)
-        work = KernelWorkspace()
         assert np.array_equal(argmax_allocation(metric, active), expected)
-        assert np.array_equal(plain_owner(metric, active, work), expected)
+        assert np.array_equal(plain_owner(metric, active), expected)
+        # F-ordered input is never kernel-ready: same answer regardless.
         assert np.array_equal(
-            _plain_owner_numpy(metric, active, work), expected
+            plain_owner(np.asfortranarray(metric), active), expected
         )
 
     @settings(**SEED_SETTINGS)
     @given(problems())
     def test_inactive_users_never_win(self, problem):
         metric, active = problem
-        owner = plain_owner(metric, active, KernelWorkspace())
+        owner = plain_owner(metric, active)
         for u in owner:
             assert u == -1 or active[u]
 
@@ -150,22 +145,24 @@ class TestPlainOwner:
 # -- epsilon re-selection ---------------------------------------------------
 
 
+@pytest.mark.usefixtures("owner_kernel")
 class TestEpsilonOwner:
     @settings(**SEED_SETTINGS)
     @given(problems(with_levels=True))
     def test_all_tiers_match_naive_loop(self, problem):
         metric, active, levels, epsilon = problem
         expected = naive_epsilon(metric, active, levels, epsilon)
-        work = KernelWorkspace()
         with np.errstate(invalid="ignore"):
             assert np.array_equal(
                 reselect_users(metric, active, levels, epsilon), expected
             )
             assert np.array_equal(
-                epsilon_owner(metric, active, levels, epsilon, work), expected
+                epsilon_owner(metric, active, levels, epsilon), expected
             )
             assert np.array_equal(
-                _epsilon_owner_numpy(metric, active, levels, epsilon, work),
+                epsilon_owner(
+                    np.asfortranarray(metric), active, levels, epsilon
+                ),
                 expected,
             )
 
@@ -173,10 +170,9 @@ class TestEpsilonOwner:
     @given(problems(with_levels=True))
     def test_relaxation_invariants(self, problem):
         metric, active, levels, epsilon = problem
-        work = KernelWorkspace()
         with np.errstate(invalid="ignore"):
-            owner = epsilon_owner(metric, active, levels, epsilon, work)
-            plain = plain_owner(metric, active, KernelWorkspace())
+            owner = epsilon_owner(metric, active, levels, epsilon)
+            plain = plain_owner(metric, active)
         for b, u in enumerate(owner):
             # Inactive users are excluded outright.
             assert u == -1 or active[u]
@@ -192,9 +188,8 @@ class TestEpsilonOwner:
     @given(problems(with_levels=True))
     def test_epsilon_zero_keeps_argmax_tier(self, problem):
         metric, active, levels, _ = problem
-        work = KernelWorkspace()
-        owner = epsilon_owner(metric, active, levels, 0.0, work)
-        plain = plain_owner(metric, active, KernelWorkspace())
+        owner = epsilon_owner(metric, active, levels, 0.0)
+        plain = plain_owner(metric, active)
         for b in range(metric.shape[1]):
             u, p = owner[b], plain[b]
             if u < 0 or p < 0:
@@ -213,7 +208,7 @@ class TestEpsilonOwner:
         levels = np.zeros(2, dtype=np.int64)
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError, match="epsilon"):
-                epsilon_owner(metric, active, levels, bad, KernelWorkspace())
+                epsilon_owner(metric, active, levels, bad)
 
 
 # -- batched EWMA update ----------------------------------------------------
@@ -242,7 +237,3 @@ class TestUpdateEwma:
             value = keep * ewma[i] + scale * bits[i]
             expected = value if value > MIN_EWMA_BPS else MIN_EWMA_BPS
             assert arrays.ewma_bps[i] == expected
-
-
-def test_kernel_tier_reports():
-    assert kernel_tier() in ("compiled", "numpy")

@@ -2,9 +2,8 @@
 
 Covers the guardrails (rejections and clamping), the E2 node's control
 application on a live cell, xApp registry/lifecycle, the byte-identity
-guarantee (a no-op xApp must not perturb the simulation on either
-backend), and the hill-climbing xApp's closed-loop behaviour under
-non-stationary load.
+guarantee (a no-op xApp must not perturb the simulation), and the
+hill-climbing xApp's closed-loop behaviour under non-stationary load.
 """
 
 import json
@@ -252,7 +251,7 @@ class TestXAppRegistry:
 def _cli_json(tmp_path, name, extra):
     path = tmp_path / f"{name}.json"
     args = [
-        "--scheduler", "outran", "--ues", "3", "--load", "0.5",
+        "run", "--scheduler", "outran", "--ues", "3", "--load", "0.5",
         "--duration", "1", "--seed", "9", "--json", str(path),
     ] + extra
     assert main(args) == 0
@@ -260,14 +259,9 @@ def _cli_json(tmp_path, name, extra):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_noop_xapp_is_invisible(self, tmp_path, backend, capsys):
-        plain = _cli_json(tmp_path, f"plain-{backend}", ["--backend", backend])
-        ric = _cli_json(
-            tmp_path,
-            f"ric-{backend}",
-            ["--backend", backend, "--ric", "--ric-xapp", "noop"],
-        )
+    def test_noop_xapp_is_invisible(self, tmp_path, capsys):
+        plain = _cli_json(tmp_path, "plain", [])
+        ric = _cli_json(tmp_path, "ric", ["--ric", "--ric-xapp", "noop"])
         assert plain == ric
 
     def test_ric_report_written(self, tmp_path, capsys):

@@ -67,6 +67,42 @@ def test_property_um_lossless_channel_delivers_everything(payloads, grants):
     assert sorted(delivered) == list(range(len(payloads)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    payloads=st.lists(st.integers(40, 3000), min_size=1, max_size=20),
+    steps=st.lists(
+        st.tuples(st.integers(50, 2500), st.integers(0, 4000), st.booleans()),
+        min_size=1, max_size=60,
+    ),
+)
+def test_property_um_expiry_pops_exactly_the_expired(payloads, steps):
+    """``flush_expired`` pops expired partials off the front of the dict
+    and stops at the first young one.  That equals a scan of every entry
+    only while dict order is first-seen order; the scan is kept here."""
+    window = 5_000
+    rx = UmReceiver(deliver=lambda sdu, now: None, reassembly_window_us=window)
+    tx = UmTransmitter(0, capacity_sdus=1000)
+    for i, payload in enumerate(payloads):
+        tx.write_sdu(Packet(FT, i, 0, payload), 0, 0)
+    now = 0
+    scanned = 0
+    for grant, dt, lost in steps:
+        now += dt
+        pdu = tx.build_pdu(grant, now_us=now)
+        if pdu is None or lost:
+            continue  # a lost PDU strands the partials it would complete
+        scanned += sum(
+            1 for _, _, first_seen in rx._partials.values()
+            if now - first_seen > window
+        )
+        rx.receive_pdu(pdu, now_us=now)
+        assert all(
+            now - first_seen <= window
+            for _, _, first_seen in rx._partials.values()
+        )
+        assert rx.sdus_discarded == scanned
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

@@ -270,6 +270,13 @@ class TestHttpEndToEnd:
         assert self.request(server, "GET", "/nope")[0] == 404
         st, body = self.request(server, "POST", "/sessions", {"bogus": 1})
         assert st == 400 and body["error"] == "unknown_field"
+        # An override that is no SimConfig field (the removed `backend`).
+        st, body = self.request(
+            server, "POST", "/sessions",
+            dict(SPEC, overrides={"backend": "vectorized"}),
+        )
+        assert st == 400 and body["error"] == "bad_spec"
+        assert "backend" in body["detail"]
         assert self.request(server, "DELETE", "/sessions")[0] == 405
         st, health = self.request(server, "GET", "/healthz")
         assert st == 200 and health["status"] == "ok"

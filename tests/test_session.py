@@ -2,8 +2,8 @@
 
 The load-bearing guarantee: a run driven as start / step ... checkpoint /
 resume ... finish is **byte-identical** to `CellSimulation.run()` -- same
-FCT records, same telemetry counters, same flow breakdowns -- on both
-backends, for every scheduler family and RLC mode.  Identity is asserted
+FCT records, same telemetry counters, same flow breakdowns -- for every
+scheduler family and RLC mode.  Identity is asserted
 through `result_fingerprint`, the same canonical hash CI's serve-smoke
 job uses.
 """
@@ -35,15 +35,15 @@ DURATION_S = 0.4
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def make_sim(scheduler="outran", rlc_mode="um", backend="reference", **kwargs):
+def make_sim(scheduler="outran", rlc_mode="um", **kwargs):
     cfg = SimConfig.lte_default(
-        num_ues=3, load=0.5, seed=5, rlc_mode=rlc_mode, backend=backend, **kwargs
+        num_ues=3, load=0.5, seed=5, rlc_mode=rlc_mode, **kwargs
     )
     return CellSimulation(cfg, scheduler=scheduler)
 
 
-def one_shot(scheduler="outran", rlc_mode="um", backend="reference"):
-    return make_sim(scheduler, rlc_mode, backend).run(DURATION_S)
+def one_shot(scheduler="outran", rlc_mode="um"):
+    return make_sim(scheduler, rlc_mode).run(DURATION_S)
 
 
 class TestStateMachine:
@@ -106,7 +106,7 @@ class TestStateMachine:
         assert 0 < progress["progress"] < 1
         snap = session.snapshot()
         assert snap["scheduler"].startswith("outran")
-        assert snap["backend"] == "reference"
+        assert "backend" not in snap
         assert snap["mlfq_thresholds"]
         assert snap["resumed"] is False
         session.finish()
@@ -122,16 +122,13 @@ GRID = [
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("scheduler,rlc_mode", GRID)
-    def test_stepped_equals_one_shot(
-        self, scheduler, rlc_mode, backend, tmp_path
-    ):
+    def test_stepped_equals_one_shot(self, scheduler, rlc_mode, tmp_path):
         """step / checkpoint / resume / finish == run(), to the byte."""
-        baseline = result_fingerprint(one_shot(scheduler, rlc_mode, backend))
+        baseline = result_fingerprint(one_shot(scheduler, rlc_mode))
 
         session = SimulationSession(
-            make_sim(scheduler, rlc_mode, backend), DURATION_S
+            make_sim(scheduler, rlc_mode), DURATION_S
         ).start()
         session.step(n_ttis=137)
         ckpt = tmp_path / "mid.ckpt"
@@ -213,6 +210,14 @@ class TestCheckpointFormat:
         bad.write_bytes(CHECKPOINT_MAGIC + b" 99\n" + pickle.dumps(object()))
         with pytest.raises(CheckpointError, match="v99 not supported"):
             SimulationSession.resume(bad)
+
+    def test_previous_version_rejected(self, tmp_path):
+        # v1 graphs predate the single execution path (SimConfig, XNodeB,
+        # TcpFlow and UmReceiver layouts differ): refuse, never half-load.
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(CHECKPOINT_MAGIC + b" 1\n" + pickle.dumps(object()))
+        with pytest.raises(CheckpointError, match="v1 not supported"):
+            SimulationSession.resume(old)
 
     def test_wrong_payload_type_rejected(self, tmp_path):
         bad = tmp_path / "dict.ckpt"

@@ -99,3 +99,54 @@ def test_property_sack_blocks_are_coherent(size_segments, loss, seed):
     for ack_seq, blocks in observed:
         for start, end in blocks:
             assert ack_seq <= start < end <= size
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size_segments=st.integers(2, 60),
+    loss=st.floats(0.0, 0.3),
+    seed=st.integers(0, 10_000),
+)
+def test_property_rtt_sampler_pops_exactly_the_acked(size_segments, loss, seed):
+    """``_sample_rtt`` pops acked send times off the front of the dict and
+    samples the last one popped.  That is the highest acked timed segment
+    only while keys stay in ascending order; checked around every ACK."""
+    size = size_segments * DEFAULT_MSS
+    engine = EventEngine()
+    rng = np.random.default_rng(seed)
+    samples = []
+
+    def route_data(packet):
+        if rng.random() < loss:
+            return
+        engine.schedule_in(8_000, rx.on_data, packet, 0)
+
+    def checked_on_ack(ack_seq, sack_blocks):
+        if tx.done:
+            return
+        timed = dict(tx._send_times)
+        advances = ack_seq > tx.snd_una
+        now = engine.now_us
+        del samples[:]
+        tx.on_ack(ack_seq, sack_blocks)
+        acked = [seq for seq in timed if seq < ack_seq]
+        if advances and acked:
+            assert samples == [now - timed[max(acked)]]
+        else:
+            assert samples == []
+        keys = list(tx._send_times)
+        assert all(seq >= ack_seq for seq in keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def route_ack(ack):
+        engine.schedule_in(8_000, checked_on_ack, ack.ack_seq, ack.sack_blocks)
+
+    rx = TcpReceiver(0, FT, size, send_ack=route_ack)
+    original = rx.on_data
+    rx.on_data = lambda p, _t: original(p, engine.now_us)
+    tx = TcpFlow(engine, 0, FT, size, route_data=route_data)
+    feed_cc = tx.cc.on_rtt_sample
+    tx.cc.on_rtt_sample = lambda rtt, now: (samples.append(rtt), feed_cc(rtt, now))
+    tx.start()
+    engine.run_until(600_000_000)
+    assert tx.done

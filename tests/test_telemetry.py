@@ -426,7 +426,8 @@ class TestHarnessCache:
 
 
 class TestCliObservability:
-    ARGS = ["--ues", "3", "--load", "0.4", "--duration", "1", "--seed", "2"]
+    ARGS = ["run", "--ues", "3", "--load", "0.4", "--duration", "1",
+            "--seed", "2"]
 
     def test_telemetry_to_file(self, tmp_path, capsys):
         path = tmp_path / "out.telemetry.json"
@@ -460,7 +461,7 @@ class TestCliObservability:
     def test_compare_writes_per_scheduler_files(self, tmp_path):
         path = tmp_path / "out.json"
         rc = main(
-            ["--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
+            ["run", "--compare", "pf", "outran", "--ues", "3", "--load", "0.4",
              "--duration", "1", "--telemetry", str(path)]
         )
         assert rc == 0

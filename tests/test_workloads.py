@@ -191,29 +191,6 @@ class TestEndToEnd:
         assert ratio is not None
         assert 0.0 <= ratio < 1.0
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_backends_agree_on_incast(self, backend):
-        spec = RunSpec(
-            rat="lte", scheduler="outran", load=0.4, seed=7, num_ues=4,
-            duration_s=1.0, workload="incast",
-            overrides={"backend": backend},
-        )
-        fp = result_fingerprint(
-            CellSimulation(spec.to_config(), scheduler=spec.scheduler).run(
-                spec.duration_s
-            )
-        )
-        reference = RunSpec(
-            rat="lte", scheduler="outran", load=0.4, seed=7, num_ues=4,
-            duration_s=1.0, workload="incast",
-        )
-        ref_fp = result_fingerprint(
-            CellSimulation(
-                reference.to_config(), scheduler=reference.scheduler
-            ).run(reference.duration_s)
-        )
-        assert fp == ref_fp
-
     def test_workload_survives_checkpoint_resume(self, tmp_path):
         """An incast run resumed mid-burst finishes byte-identically."""
         baseline = result_fingerprint(sim_for("incast_fanin").run(1.0))
