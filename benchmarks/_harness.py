@@ -11,16 +11,12 @@ runs) so the whole suite finishes in tens of minutes.  Set
 further via ``REPRO_BENCH_LTE_UES`` / ``REPRO_BENCH_LTE_DURATION`` (and
 the ``NR`` twins).
 
-Caching is two layers deep.  The in-process LRU (``CACHE_CAP`` entries,
-override with ``REPRO_BENCH_CACHE``) serves repeat requests within one
-suite run; beneath it sits the persistent, content-hash-keyed
+Results are cached in the persistent, content-hash-keyed
 :class:`~repro.runner.store.ResultStore` under
 ``benchmarks/results/.store/`` (relocate with ``REPRO_BENCH_STORE=path``,
 disable with ``REPRO_BENCH_STORE=0``), so figures that share a sweep --
-e.g. Figure 15 and Figure 16 -- reuse runs *across* processes and
-interrupted suites resume from the last completed run.  An LRU eviction
-is therefore harmless: the evicted entry is re-served from disk, not
-re-simulated.
+e.g. Figure 15 and Figure 16 -- reuse runs within and *across* processes
+and interrupted suites resume from the last completed run.
 
 Parallelism: ``REPRO_BENCH_JOBS=N`` makes the ``prefetch_*`` helpers
 (called by the sweep-heavy figures) execute their grid through
@@ -44,11 +40,9 @@ import json
 import os
 import sys
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro import CellSimulation
 from repro.runner import ResultStore, RunSpec, SweepRunner
 from repro.sim.metrics import SimResult
 from repro.telemetry import Profiler, TelemetryRegistry, snapshot_to_json
@@ -77,12 +71,6 @@ DEFAULT_SEED = 42
 #: Worker processes used by the prefetch helpers (1 = serial, unchanged).
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
-#: Most figure groups reuse at most a handful of sweeps; two dozen cached
-#: results comfortably covers the sharing while bounding process memory.
-CACHE_CAP = int(os.environ.get("REPRO_BENCH_CACHE", "24"))
-
-_cache: "OrderedDict[str, SimResult]" = OrderedDict()
-
 
 def _make_store() -> Optional[ResultStore]:
     configured = os.environ.get("REPRO_BENCH_STORE")
@@ -99,30 +87,6 @@ STORE = _make_store()
 #: Shared across every harness run so the suite's telemetry pools.
 TELEMETRY = TelemetryRegistry()
 PROFILER = Profiler()
-
-
-def _cache_get(key: str) -> Optional[SimResult]:
-    result = _cache.get(key)
-    if result is not None:
-        _cache.move_to_end(key)
-        return result
-    # LRU miss: fall through to the persistent store, so an evicted entry
-    # is re-read from disk instead of silently re-simulated.
-    if STORE is not None:
-        stored = STORE.get(key)
-        if stored is not None:
-            return _cache_put(key, stored, persist=False)
-    return None
-
-
-def _cache_put(key: str, result: SimResult, persist: bool = True) -> SimResult:
-    _cache[key] = result
-    _cache.move_to_end(key)
-    while len(_cache) > CACHE_CAP:
-        _cache.popitem(last=False)
-    if persist and STORE is not None and key not in STORE:
-        STORE.put(key, result)
-    return result
 
 
 def scale(quick_value, full_value):
@@ -172,23 +136,17 @@ def _nr_spec(
     )
 
 
-def _run_spec_inline(spec: RunSpec) -> SimResult:
-    """Execute one spec in-process, instrumented with the suite telemetry."""
-    sim = CellSimulation(
-        spec.to_config(),
-        scheduler=spec.scheduler,
-        telemetry=TELEMETRY,
-        profiler=PROFILER,
-    )
-    return sim.run(spec.duration_s)
-
-
 def _fetch_or_run(spec: RunSpec) -> SimResult:
+    """Serve one spec from the store, else run it in-process (instrumented
+    with the suite telemetry) and persist the result."""
     key = spec.key()
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    return _cache_put(key, _run_spec_inline(spec))
+    result = STORE.get(key) if STORE is not None else None
+    if result is None:
+        session = spec.session(telemetry=TELEMETRY, profiler=PROFILER)
+        result = session.start().finish()
+        if STORE is not None:
+            STORE.put(key, result)
+    return result
 
 
 def run_lte(
@@ -199,7 +157,7 @@ def run_lte(
     seed: int = DEFAULT_SEED,
     **overrides,
 ) -> SimResult:
-    """Run (or fetch from cache/store) one LTE cell simulation."""
+    """Run (or fetch from the store) one LTE cell simulation."""
     return _fetch_or_run(
         _lte_spec(scheduler, load, num_ues, duration_s, seed, overrides)
     )
@@ -215,22 +173,21 @@ def run_nr(
     seed: int = DEFAULT_SEED,
     **overrides,
 ) -> SimResult:
-    """Run (or fetch from cache/store) one 5G NR cell simulation."""
+    """Run (or fetch from the store) one 5G NR cell simulation."""
     return _fetch_or_run(
         _nr_spec(scheduler, mu, load, mec, num_ues, duration_s, seed, overrides)
     )
 
 
 def prefetch(specs: Sequence[RunSpec]) -> None:
-    """Execute a sweep grid up-front, in parallel when ``JOBS`` > 1.
+    """Execute a sweep grid up-front into the store when ``JOBS`` > 1.
 
-    With ``JOBS=1`` this is a no-op: runs happen lazily exactly as they
-    always have, preserving today's serial behaviour byte-for-byte.  With
-    more jobs the grid executes across worker processes into the shared
-    store and primes the in-process LRU; any quarantined run is reported
-    but not raised, so the figure falls back to simulating it inline.
+    With ``JOBS=1`` (or the store disabled) this is a no-op: runs happen
+    lazily exactly as they always have.  With more jobs the grid executes
+    across worker processes, each persisting its result; any quarantined
+    run is reported but not raised, so the figure simulates it inline.
     """
-    if JOBS <= 1 or not specs:
+    if JOBS <= 1 or STORE is None or not specs:
         return
     runner = SweepRunner(
         jobs=JOBS,
@@ -239,14 +196,9 @@ def prefetch(specs: Sequence[RunSpec]) -> None:
         progress=sys.stderr,
         progress_period_s=30.0,
     )
-    outcome = runner.execute(specs)
-    for failure in outcome.failures.values():
+    for failure in runner.execute(specs).failures.values():
         print(f"[harness] prefetch failure, will retry inline: {failure}",
               file=sys.stderr)
-    for spec in specs:
-        result = outcome.get(spec)
-        if result is not None:
-            _cache_put(spec.key(), result, persist=STORE is None)
 
 
 def prefetch_lte(
@@ -341,7 +293,7 @@ def measure_overhead(
 ) -> dict:
     """Time *uncached* LTE runs end-to-end for the perf trajectory.
 
-    Deliberately bypasses both cache layers and uses a private profiler
+    Deliberately bypasses the store and uses a private profiler
     per repetition: a cached result has no wall clock to measure, and
     the shared ``PROFILER`` pools phase time across every figure in the
     suite.  Runs ``reps`` (default :data:`BENCH_REPS`, >= 5) identical
@@ -358,15 +310,11 @@ def measure_overhead(
     samples = []
     for _ in range(reps):
         profiler = Profiler()
-        sim = CellSimulation(
-            spec.to_config(),
-            scheduler=spec.scheduler,
-            telemetry=TELEMETRY,
-            profiler=profiler,
-            flow_trace=flow_trace,
+        session = spec.session(
+            telemetry=TELEMETRY, profiler=profiler, flow_trace=flow_trace
         )
         start = time.perf_counter()
-        result = sim.run(spec.duration_s)
+        result = session.start().finish()
         wall_s = time.perf_counter() - start
         walls.append(wall_s)
         samples.append((wall_s, result, profiler))

@@ -26,12 +26,11 @@ import time
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.sim.cell import CellSimulation
+from repro.runner import RunSpec
 from repro.sim.session import result_fingerprint
 
 from _harness import (
     BENCH_REPS,
-    _lte_spec,
     _median,
     _spread_pct,
     once,
@@ -49,25 +48,22 @@ SEED = 42
 K_SWEEP = (None, 10, 30, 60)
 
 
-def _spec(workload="poisson", cc="cubic", ecn_k=None):
-    overrides = {}
-    if cc != "cubic":
-        overrides["cc"] = cc
-    if ecn_k is not None:
-        overrides.update(aqm="red", ecn_min_sdus=ecn_k, ecn_max_sdus=ecn_k)
-    spec = _lte_spec("outran", LOAD, BENCH_UES, BENCH_DURATION_S,
-                     seed=SEED, overrides=overrides)
-    if workload != "poisson":
-        from dataclasses import replace as _replace
+def _spec(workload="poisson", **overrides):
+    return RunSpec(
+        "lte", "outran", load=LOAD, seed=SEED, num_ues=BENCH_UES,
+        duration_s=BENCH_DURATION_S, workload=workload, overrides=overrides,
+    )
 
-        spec = _replace(spec, workload=workload)
-    return spec
+
+def _step_marking(k):
+    """Overrides for RED step marking at ``k`` queued SDUs (None = drop-tail)."""
+    return {} if k is None else dict(aqm="red", ecn_min_sdus=k, ecn_max_sdus=k)
 
 
 def _run(spec):
-    sim = CellSimulation(spec.to_config(), scheduler=spec.scheduler)
-    result = sim.run(spec.duration_s)
-    marked = sum(getattr(ue.rlc, "sdus_marked", 0) for ue in sim.ues)
+    session = spec.session()
+    result = session.start().finish()
+    marked = sum(getattr(ue.rlc, "sdus_marked", 0) for ue in session.sim.ues)
     return result, marked
 
 
@@ -75,8 +71,7 @@ def run_fct_vs_k() -> str:
     rows = []
     points = []
     for k in K_SWEEP:
-        spec = _spec(workload="incast", cc="dctcp", ecn_k=k)
-        result, marked = _run(spec)
+        result, marked = _run(_spec("incast", cc="dctcp", **_step_marking(k)))
         point = {
             "ecn_k": k,
             "aqm": "droptail" if k is None else "red",
@@ -117,22 +112,18 @@ def run_fct_vs_k() -> str:
 
 
 def _time_run(spec) -> tuple[float, str]:
-    sim = CellSimulation(spec.to_config(), scheduler=spec.scheduler)
+    session = spec.session()
     start = time.perf_counter()
-    result = sim.run(spec.duration_s)
+    result = session.start().finish()
     return time.perf_counter() - start, result_fingerprint(result)
 
 
 def run_cc_overhead() -> str:
     #: Idle RED: attached marker with an unreachable step threshold, so
     #: the whole AQM/ECN path executes without ever changing behaviour.
-    idle_red = dict(aqm="red", ecn_min_sdus=100_000, ecn_max_sdus=100_000)
     variants = {
         "cubic/droptail": _spec(),
-        "cubic/idle-red": _lte_spec(
-            "outran", LOAD, BENCH_UES, BENCH_DURATION_S, seed=SEED,
-            overrides=idle_red,
-        ),
+        "cubic/idle-red": _spec(**_step_marking(100_000)),
         "dctcp/droptail": _spec(cc="dctcp"),
         "bbr/droptail": _spec(cc="bbr"),
     }

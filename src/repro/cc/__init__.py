@@ -17,14 +17,13 @@ from repro.cc.cubic import CUBIC_BETA, CUBIC_C, CubicCC, CubicState
 from repro.cc.dctcp import DCTCP_G, DctcpCC
 from repro.net.packet import DEFAULT_MSS
 
-#: Valid ``SimConfig.cc`` / ``--cc`` values.
-CC_NAMES = ("cubic", "dctcp", "bbr")
-
 _CC_REGISTRY = {
     "cubic": CubicCC,
     "dctcp": DctcpCC,
     "bbr": BbrCC,
 }
+#: Valid ``SimConfig.cc`` / ``--cc`` values.
+CC_NAMES = tuple(_CC_REGISTRY)
 
 
 def make_cc(

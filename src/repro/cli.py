@@ -14,24 +14,26 @@ Examples::
     python -m repro serve --port 8711
 
 ``run`` executes one simulation (or ``--compare`` several on the
-identical workload) and prints the FCT summary.  Bare-flag invocations
-(``python -m repro --scheduler ...``, the pre-subcommand surface) still
-work as a deprecated alias for ``run``.
+identical workload) and prints the FCT summary.
 
 ``sweep`` expands a declarative JSON grid (see ``docs/RUNNER.md``) and
 executes it through the crash-tolerant parallel runner with a persistent
 result store, so interrupted sweeps resume from the last checkpoint when
 re-invoked.
 
-``explain`` runs with flow tracing enabled and prints the per-layer FCT
-breakdown report (see ``docs/OBSERVABILITY.md``): where each size
-bucket's completion time is spent -- TCP dynamics, core transport, PDCP,
-MAC scheduling wait, RLC buffering, HARQ recovery, air time -- plus the
-slowest individual flows with their dominant layer.
+``explain`` takes ``run``'s scenario flags, runs with flow tracing
+enabled and prints the per-layer FCT breakdown report (see
+``docs/OBSERVABILITY.md``): where each size bucket's completion time is
+spent -- TCP dynamics, core transport, PDCP, MAC scheduling wait, RLC
+buffering, HARQ recovery, air time -- plus the slowest individual flows
+with their dominant layer.
 
 ``serve`` hosts resumable :class:`~repro.sim.session.SimulationSession`
 objects behind a local HTTP/JSON control API with a live Prometheus
 ``/metrics`` endpoint (see ``docs/API.md``).
+
+Every command reaches a simulation the same way: flags ->
+:class:`~repro.runner.spec.RunSpec` -> ``spec.session(...)``.
 """
 
 from __future__ import annotations
@@ -44,17 +46,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.compare import comparison_table
 from repro.analysis.tables import format_table
-from repro.ric import CellE2Node, NearRTRIC, make_xapp
+from repro.cc import CC_NAMES
 from repro.runner import RunSpec, SweepRunner, SweepSpec
-from repro.sim.cell import CellSimulation
-from repro.sim.config import SimConfig, TrafficSpec
+from repro.sim.cell import SCHEDULER_NAMES
 from repro.sim.metrics import SimResult
-from repro.telemetry import (
-    Profiler,
-    TelemetryRegistry,
-    snapshot_to_json,
-    snapshot_to_prometheus,
-)
+from repro.telemetry import snapshot_to_json, snapshot_to_prometheus
+from repro.traffic.workloads import WORKLOADS
 
 
 RUN_DESCRIPTION = (
@@ -64,27 +61,9 @@ RUN_DESCRIPTION = (
 )
 
 
-def build_parser(prog: str = "repro run") -> argparse.ArgumentParser:
-    """The ``repro run`` argument parser (also the bare-flag shim's)."""
-    parser = argparse.ArgumentParser(prog=prog, description=RUN_DESCRIPTION)
-    _add_run_arguments(parser)
-    return parser
-
-
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler",
-        default="outran",
-        help="scheduler name: pf, mt, rr, srjf, pss, cqa, outran, "
-        "outran:<eps>, mlfq_strict (default: outran)",
-    )
-    parser.add_argument(
-        "--compare",
-        nargs="+",
-        metavar="SCHED",
-        help="run several schedulers on the identical workload and print "
-        "a comparison table (overrides --scheduler)",
-    )
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scenario flags ``run`` and ``explain`` share (see
+    :func:`_spec_from_args` for what they select)."""
     parser.add_argument("--rat", choices=("lte", "nr"), default="lte")
     parser.add_argument("--mu", type=int, default=1, help="NR numerology (nr only)")
     parser.add_argument("--mec", action="store_true", help="edge server (nr only)")
@@ -101,7 +80,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bler", type=float, default=0.0)
     parser.add_argument(
         "--cc",
-        choices=("cubic", "dctcp", "bbr"),
+        choices=CC_NAMES,
         default="cubic",
         help="sender congestion control (default: %(default)s; see "
         "docs/CONGESTION.md)",
@@ -117,12 +96,29 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workload",
-        choices=("poisson", "incast", "rpc", "video"),
+        choices=WORKLOADS,
         default="poisson",
         help="traffic matrix: Poisson flow arrivals (default), "
         "synchronized incast fan-in bursts, RPC request/response, or "
         "DASH-style video segments (see docs/CONGESTION.md)",
     )
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scheduler",
+        default="outran",
+        help=f"scheduler name: {', '.join(SCHEDULER_NAMES)}, outran:<eps> "
+        "(default: %(default)s)",
+    )
+    parser.add_argument(
+        "--compare",
+        nargs="+",
+        metavar="SCHED",
+        help="run several schedulers on the identical workload and print "
+        "a comparison table (overrides --scheduler)",
+    )
+    _add_scenario_arguments(parser)
     parser.add_argument(
         "--json", metavar="PATH", help="also write a JSON summary to PATH"
     )
@@ -228,57 +224,6 @@ def _per_scheduler_path(base: str, scheduler: str, multi: bool) -> str:
     return str(path.with_name(f"{path.stem}.{safe}{path.suffix}"))
 
 
-def config_from_args(args: argparse.Namespace) -> SimConfig:
-    """Translate parsed CLI arguments into a :class:`SimConfig`."""
-    common = dict(
-        num_ues=args.ues,
-        load=args.load,
-        seed=args.seed,
-        rlc_mode=args.rlc_mode,
-        radio_bler=args.bler,
-        cc=getattr(args, "cc", "cubic"),
-    )
-    ecn_k = getattr(args, "ecn_k", None)
-    if ecn_k:
-        common.update(aqm="red", ecn_min_sdus=ecn_k, ecn_max_sdus=ecn_k)
-    if args.rat == "nr":
-        cfg = SimConfig.nr_default(mu=args.mu, mec=args.mec, **common)
-    else:
-        cfg = SimConfig.lte_default(**common)
-    if args.distribution:
-        cfg = cfg.with_overrides(
-            traffic=TrafficSpec(distribution=args.distribution, load=args.load)
-        )
-    workload = getattr(args, "workload", "poisson")
-    if workload != "poisson":
-        from dataclasses import replace
-
-        from repro.traffic.workloads import WORKLOAD_KINDS
-
-        cfg = cfg.with_overrides(
-            traffic=replace(cfg.traffic, kind=WORKLOAD_KINDS[workload])
-        )
-    return cfg
-
-
-def result_summary(result: SimResult) -> dict:
-    """JSON-friendly summary of one run."""
-    return {
-        "scheduler": result.scheduler_name,
-        "duration_s": result.duration_s,
-        "completed_flows": result.completed_flows,
-        "censored_flows": result.censored_flows,
-        "avg_fct_ms": result.avg_fct_ms(),
-        "short_avg_fct_ms": result.avg_fct_ms("S"),
-        "short_p95_fct_ms": result.pctl_fct_ms(95, "S"),
-        "medium_avg_fct_ms": result.avg_fct_ms("M"),
-        "long_avg_fct_ms": result.avg_fct_ms("L"),
-        "spectral_efficiency": result.mean_se(),
-        "fairness": result.mean_fairness(),
-        "sdus_dropped": result.sdus_dropped,
-    }
-
-
 def _print_profile(result: SimResult, scheduler: str) -> None:
     profile = (result.telemetry or {}).get("profile")
     if not profile:
@@ -314,7 +259,7 @@ def _print_workload_metrics(result: SimResult, workload: str) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace, scheduler: str) -> RunSpec:
-    """The :class:`RunSpec` equivalent of :func:`config_from_args`."""
+    """The :class:`RunSpec` the shared scenario flags describe."""
     overrides = {
         "rlc_mode": args.rlc_mode,
         "radio_bler": args.bler,
@@ -342,105 +287,94 @@ def _spec_from_args(args: argparse.Namespace, scheduler: str) -> RunSpec:
     )
 
 
-def _compare_parallel(args: argparse.Namespace, schedulers: Sequence[str]) -> int:
-    """--compare over the sweep runner: N workers, identical table output."""
-    specs = [_spec_from_args(args, name) for name in schedulers]
-    runner = SweepRunner(jobs=args.jobs, store=None, progress=sys.stderr)
-    outcome = runner.execute(specs).raise_on_failure()
-    results = {
-        name: outcome.get(spec) for name, spec in zip(schedulers, specs)
-    }
-    print(
-        comparison_table(
-            results,
-            title=f"{args.rat.upper()} load={args.load} ues={args.ues} "
-            f"duration={args.duration}s",
-            baseline=schedulers[0],
-        )
-    )
-    if args.json:
-        summaries = [result_summary(results[name]) for name in schedulers]
-        with open(args.json, "w") as handle:
-            json.dump(summaries, handle, indent=2)
-    return 0
-
-
 def build_root_parser() -> argparse.ArgumentParser:
-    """The ``repro`` top-level parser: one subparser per command.
-
-    :func:`main` dispatches on ``argv[0]`` itself (each command's
-    ``*_main`` owns its parsing), so this parser exists for the help
-    surface -- ``repro --help`` and ``repro <command> --help`` render
-    from the same argument definitions the dispatch path uses.
-    """
+    """The ``repro`` parser: one subparser per command, each bound to
+    its handler (``args.func``) and its own ``error`` (``args.error``)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="OutRAN reproduction: single-cell LTE/5G downlink "
         "scheduling simulation",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    run = sub.add_parser(
-        "run",
-        help="run one simulation (or --compare several) and print the "
-        "FCT summary",
-        description=RUN_DESCRIPTION,
-    )
-    _add_run_arguments(run)
-    sweep = sub.add_parser(
-        "sweep",
-        help="execute a declarative run grid on a crash-tolerant, "
-        "resumable worker pool",
-        description=SWEEP_DESCRIPTION,
-    )
-    _add_sweep_arguments(sweep)
-    explain = sub.add_parser(
-        "explain",
-        help="attribute FCT to layers: per-bucket breakdown + slowest "
-        "flows",
-        description=EXPLAIN_DESCRIPTION,
-    )
-    _add_explain_arguments(explain)
-    serve = sub.add_parser(
-        "serve",
-        help="host sessions behind a local HTTP/JSON control API with "
-        "live /metrics",
-        description=SERVE_DESCRIPTION,
-    )
-    _add_serve_arguments(serve)
+    for name, add_arguments, func, help_text, description in (
+        ("run", _add_run_arguments, run_main,
+         "run one simulation (or --compare several) and print the "
+         "FCT summary", RUN_DESCRIPTION),
+        ("sweep", _add_sweep_arguments, sweep_main,
+         "execute a declarative run grid on a crash-tolerant, "
+         "resumable worker pool", SWEEP_DESCRIPTION),
+        ("explain", _add_explain_arguments, explain_main,
+         "attribute FCT to layers: per-bucket breakdown + slowest "
+         "flows", EXPLAIN_DESCRIPTION),
+        ("serve", _add_serve_arguments, serve_main,
+         "host sessions behind a local HTTP/JSON control API with "
+         "live /metrics", SERVE_DESCRIPTION),
+    ):
+        command = sub.add_parser(name, help=help_text, description=description)
+        add_arguments(command)
+        command.set_defaults(func=func, error=command.error)
     return parser
-
-
-_SUBCOMMANDS = ("run", "sweep", "explain", "serve")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "run":
-        return run_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "explain":
-        return explain_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] in ("-h", "--help"):
-        build_root_parser().print_help()
-        return 0
-    if argv:
-        build_root_parser().error(
-            f"unknown command {argv[0]!r} (choose from {', '.join(_SUBCOMMANDS)})"
+    # Bare ``repro`` runs the default scenario; flags follow a command.
+    args = build_root_parser().parse_args(argv or ["run"])
+    return args.func(args)
+
+
+def _run_one(args: argparse.Namespace, scheduler: str, multi: bool) -> SimResult:
+    """One in-process run with whatever observability the flags ask for."""
+    session = _spec_from_args(args, scheduler).session(
+        telemetry=bool(args.telemetry or args.prometheus),
+        profiler=args.profile,
+        flow_trace=bool(args.flow_trace),
+    )
+    sim = session.sim
+
+    def out_path(base: str) -> str:
+        return _per_scheduler_path(base, scheduler, multi)
+
+    if args.trace:
+        sim.enable_trace()
+    if args.heartbeat:
+        sim.attach_heartbeat(period_s=args.heartbeat, stream=sys.stderr)
+    if args.ric:
+        try:
+            session.attach_ric(
+                [args.ric_xapp], period_us=int(round(args.ric_period * 1000))
+            )
+        except ValueError as exc:
+            args.error(str(exc))
+    result = session.start().finish()
+    if args.ric and args.ric_report:
+        Path(out_path(args.ric_report)).write_text(
+            json.dumps(session.ric_report(), indent=2) + "\n"
         )
-    return run_main(argv)
+    if not args.compare:
+        print(result.fct_summary())
+        _print_workload_metrics(result, args.workload)
+    if args.trace:
+        sim.enb.trace.save_npz(out_path(args.trace))
+    if args.flow_trace:
+        sim.flow_trace.save_chrome_trace(out_path(args.flow_trace))
+    if args.telemetry and args.telemetry != "-":
+        snapshot_to_json(result.telemetry, out_path(args.telemetry))
+    elif args.telemetry:
+        print(snapshot_to_json(result.telemetry))
+    if args.prometheus:
+        snapshot_to_prometheus(result.telemetry, out_path(args.prometheus))
+    if args.profile:
+        _print_profile(result, scheduler)
+    return result
 
 
-def run_main(argv: Optional[Sequence[str]] = None) -> int:
+def run_main(args: argparse.Namespace) -> int:
     """``python -m repro run``: simulate and print/save results."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     schedulers = args.compare if args.compare else [args.scheduler]
     if args.jobs > 1:
         if not args.compare:
-            parser.error("--jobs requires --compare (or the sweep subcommand)")
+            args.error("--jobs requires --compare (or the sweep subcommand)")
         incompatible = [
             flag
             for flag, value in (
@@ -455,71 +389,20 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             if value
         ]
         if incompatible:
-            parser.error(
+            args.error(
                 f"--jobs > 1 is incompatible with {', '.join(incompatible)} "
                 "(observability needs the simulation in-process; run serially)"
             )
-        return _compare_parallel(args, schedulers)
-    collect = bool(args.telemetry or args.prometheus)
-    multi = len(schedulers) > 1
-    summaries = []
-    results = {}
-    for name in schedulers:
-        cfg = config_from_args(args)
-        sim = CellSimulation(
-            cfg,
-            scheduler=name,
-            telemetry=TelemetryRegistry() if collect else None,
-            profiler=Profiler() if args.profile else None,
-            flow_trace=bool(args.flow_trace),
-        )
-        if args.trace:
-            sim.enable_trace()
-        if args.heartbeat:
-            sim.attach_heartbeat(period_s=args.heartbeat, stream=sys.stderr)
-        ric_loop = None
-        if args.ric:
-            try:
-                xapp = make_xapp(args.ric_xapp)
-            except ValueError as exc:
-                parser.error(str(exc))
-            ric_loop = NearRTRIC(
-                CellE2Node(sim), period_us=int(round(args.ric_period * 1000))
-            )
-            ric_loop.load_xapps([xapp])
-            ric_loop.start()
-        result = sim.run(duration_s=args.duration)
-        if ric_loop is not None:
-            ric_loop.stop()
-            if args.ric_report:
-                Path(
-                    _per_scheduler_path(args.ric_report, name, multi)
-                ).write_text(json.dumps(ric_loop.report(), indent=2) + "\n")
-        results[name] = result
-        summaries.append(result_summary(result))
-        if not args.compare:
-            print(result.fct_summary())
-            _print_workload_metrics(result, args.workload)
-        if args.trace:
-            sim.enb.trace.save_npz(_per_scheduler_path(args.trace, name, multi))
-        if args.flow_trace:
-            sim.flow_trace.save_chrome_trace(
-                _per_scheduler_path(args.flow_trace, name, multi)
-            )
-        if args.telemetry and args.telemetry != "-":
-            snapshot_to_json(
-                result.telemetry,
-                _per_scheduler_path(args.telemetry, name, multi),
-            )
-        elif args.telemetry:
-            print(snapshot_to_json(result.telemetry))
-        if args.prometheus:
-            snapshot_to_prometheus(
-                result.telemetry,
-                _per_scheduler_path(args.prometheus, name, multi),
-            )
-        if args.profile:
-            _print_profile(result, name)
+        # --compare over the sweep runner: N workers, identical output.
+        specs = [_spec_from_args(args, name) for name in schedulers]
+        runner = SweepRunner(jobs=args.jobs, store=None, progress=sys.stderr)
+        outcome = runner.execute(specs).raise_on_failure()
+        results = {
+            name: outcome.get(spec) for name, spec in zip(schedulers, specs)
+        }
+    else:
+        multi = len(schedulers) > 1
+        results = {name: _run_one(args, name, multi) for name in schedulers}
     if args.compare:
         print(
             comparison_table(
@@ -530,6 +413,7 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     if args.json:
+        summaries = [results[name].summary() for name in schedulers]
         with open(args.json, "w") as handle:
             json.dump(summaries if args.compare else summaries[0], handle, indent=2)
     return 0
@@ -542,14 +426,6 @@ EXPLAIN_DESCRIPTION = (
 )
 
 
-def build_explain_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro explain", description=EXPLAIN_DESCRIPTION
-    )
-    _add_explain_arguments(parser)
-    return parser
-
-
 def _add_explain_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler",
@@ -559,16 +435,7 @@ def _add_explain_arguments(parser: argparse.ArgumentParser) -> None:
         help="scheduler(s) to explain on the identical workload "
         "(default: %(default)s)",
     )
-    parser.add_argument("--rat", choices=("lte", "nr"), default="lte")
-    parser.add_argument("--mu", type=int, default=1, help="NR numerology (nr only)")
-    parser.add_argument("--mec", action="store_true", help="edge server (nr only)")
-    parser.add_argument("--ues", type=int, default=40)
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--distribution", default=None)
-    parser.add_argument("--duration", type=float, default=8.0, help="seconds")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rlc-mode", choices=("um", "am"), default="um")
-    parser.add_argument("--bler", type=float, default=0.0)
+    _add_scenario_arguments(parser)
     parser.add_argument(
         "--top",
         type=_positive_int,
@@ -590,24 +457,20 @@ def _add_explain_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def explain_main(argv: Optional[Sequence[str]] = None) -> int:
+def explain_main(args: argparse.Namespace) -> int:
     """``python -m repro explain``: per-layer FCT attribution report."""
     from repro.analysis.breakdown import aggregate_breakdowns, breakdown_report
 
-    parser = build_explain_parser()
-    args = parser.parse_args(argv)
     schedulers = args.scheduler
     multi = len(schedulers) > 1
     reports = []
     payload = {}
     for name in schedulers:
-        cfg = config_from_args(args)
-        sim = CellSimulation(cfg, scheduler=name, flow_trace=True)
-        sim.run(duration_s=args.duration)
-        breakdowns = sim.flow_trace.breakdowns()
+        session = _spec_from_args(args, name).session(flow_trace=True)
+        breakdowns = session.start().finish().flow_breakdowns
         reports.append(breakdown_report(breakdowns, scheduler=name, top=args.top))
         if args.perfetto:
-            sim.flow_trace.save_chrome_trace(
+            session.sim.flow_trace.save_chrome_trace(
                 _per_scheduler_path(args.perfetto, name, multi)
             )
         if args.json:
@@ -626,14 +489,6 @@ SWEEP_DESCRIPTION = (
     "override variants) and execute it on a crash-tolerant worker pool "
     "with a persistent, resumable result store."
 )
-
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep", description=SWEEP_DESCRIPTION
-    )
-    _add_sweep_arguments(parser)
-    return parser
 
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -679,16 +534,14 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def sweep_main(argv: Optional[Sequence[str]] = None) -> int:
+def sweep_main(args: argparse.Namespace) -> int:
     """``python -m repro sweep SPEC.json``: run a declarative sweep."""
-    parser = build_sweep_parser()
-    args = parser.parse_args(argv)
     try:
         data = json.loads(Path(args.spec).read_text())
         sweep = SweepSpec.from_dict(data)
         sweep.validate()  # fail fast, before the worker pool spins up
     except (OSError, ValueError, TypeError) as exc:
-        parser.error(f"bad sweep spec {args.spec!r}: {exc}")
+        args.error(f"bad sweep spec {args.spec!r}: {exc}")
     specs = sweep.expand()
     runner = SweepRunner(
         jobs=args.jobs,
@@ -722,7 +575,7 @@ def sweep_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{result.mean_fairness():.3f}",
             ]
         )
-        summaries.append({"spec": spec.canonical(), "metrics": result_summary(result)})
+        summaries.append({"spec": spec.canonical(), "metrics": result.summary()})
     stats = outcome.stats
     print(
         format_table(
@@ -755,14 +608,6 @@ SERVE_DESCRIPTION = (
 )
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve", description=SERVE_DESCRIPTION
-    )
-    _add_serve_arguments(parser)
-    return parser
-
-
 def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--host",
@@ -788,15 +633,13 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def serve_main(argv: Optional[Sequence[str]] = None) -> int:
+def serve_main(args: argparse.Namespace) -> int:
     """``python -m repro serve``: run the session control server."""
     import asyncio
 
     from repro.serve import ReproServer, ServeController
     from repro.serve.controller import DEFAULT_CHUNK_TTIS
 
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
     controller = ServeController(chunk_ttis=args.chunk_ttis or DEFAULT_CHUNK_TTIS)
     server = ReproServer(controller, host=args.host, port=args.port)
 

@@ -353,8 +353,6 @@ class TcpFlow:
             self._rto_event = None
         if self.done or self.snd_una >= self.size_bytes:
             return
-        if self.inflight_bytes <= 0 and self.snd_nxt >= self.size_bytes:
-            pass  # everything sent, waiting for last ACKs: keep timer
         self._rto_event = self.engine.schedule_in(
             self.rto_us * self.rto_backoff, self._on_rto
         )

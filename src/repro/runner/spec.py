@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.sim.config import SimConfig, TrafficSpec
+from repro.sim.session import SimulationSession
 
 #: Bump when the meaning of a spec field (or the simulator's seeded
 #: behaviour contract) changes incompatibly: old store entries must not
@@ -139,6 +140,22 @@ class RunSpec:
                 traffic=replace(cfg.traffic, kind=WORKLOAD_KINDS[self.workload])
             )
         return cfg
+
+    def session(self, drain_s: float = 2.0, **sim_kwargs) -> SimulationSession:
+        """The (not yet started) session that runs this spec.
+
+        Every front end -- ``repro run``/``explain``, sweep workers,
+        ``repro serve``, the benchmarks -- launches through here;
+        ``sim_kwargs`` are :class:`~repro.sim.cell.CellSimulation`'s
+        ``telemetry=``, ``profiler=`` and ``flow_trace=``.
+        """
+        return SimulationSession.from_config(
+            self.to_config(),
+            self.scheduler,
+            duration_s=self.duration_s,
+            drain_s=drain_s,
+            **sim_kwargs,
+        )
 
     def label(self) -> str:
         """Short human-readable tag for progress lines and failures."""

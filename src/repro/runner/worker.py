@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
 from repro.sim.session import SimulationSession
@@ -64,12 +63,8 @@ def execute_spec(
     """
     ckpt_ttis = _checkpoint_ttis() if checkpoint_path is not None else None
     if ckpt_ttis is None:
-        session = SimulationSession(
-            CellSimulation(spec.to_config(), scheduler=spec.scheduler),
-            duration_s=spec.duration_s,
-        )
-        session.start()
-        return session.finish()
+        return spec.session().start().finish()
+    session = None
     if checkpoint_path.exists():
         try:
             session = SimulationSession.resume(checkpoint_path)
@@ -77,15 +72,8 @@ def execute_spec(
             # A torn checkpoint (worker killed mid-write) must never kill
             # the retry: fall back to a fresh run.
             checkpoint_path.unlink(missing_ok=True)
-            session = None
-    else:
-        session = None
     if session is None:
-        session = SimulationSession(
-            CellSimulation(spec.to_config(), scheduler=spec.scheduler),
-            duration_s=spec.duration_s,
-        )
-        session.start()
+        session = spec.session().start()
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = checkpoint_path.with_suffix(".tmp")
     while not session.done:
@@ -137,7 +125,7 @@ class ConfigTask:
 
 def run_config_task(task: ConfigTask, store_root: Optional[str] = None):
     """Pool worker for :class:`ConfigTask` (store is intentionally unused)."""
-    result = CellSimulation(task.config, scheduler=task.scheduler).run(
-        task.duration_s
+    session = SimulationSession.from_config(
+        task.config, task.scheduler, duration_s=task.duration_s
     )
-    return task.key(), result
+    return task.key(), session.start().finish()

@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.ric.guardrails import GuardrailRejection
 from repro.runner.spec import RunSpec
-from repro.sim.cell import CellSimulation
 from repro.sim.session import CheckpointError, SessionError, SimulationSession
 from repro.sim.session import result_fingerprint
 from repro.telemetry.exporters import snapshot_to_prometheus
@@ -141,21 +140,17 @@ class ServeController:
         spec_kwargs.setdefault("scheduler", "outran")
         try:
             spec = RunSpec(**spec_kwargs)
-            sim = CellSimulation(
-                spec.to_config(),
-                scheduler=spec.scheduler,
+            session = spec.session(
+                drain_s=float(drain_s),
                 telemetry=telemetry,
                 profiler=profile,
                 flow_trace=flow_trace,
-            )
-            session = SimulationSession(
-                sim, duration_s=spec.duration_s, drain_s=float(drain_s)
             )
         except (TypeError, ValueError) as exc:
             raise ApiError(400, "bad_spec", str(exc))
         handle = self._register(session, spec)
         if heartbeat_s is not None:
-            sim.attach_heartbeat(
+            session.sim.attach_heartbeat(
                 period_s=float(heartbeat_s), emit=handle.heartbeat_lines.append
             )
         if ric is not None:
@@ -291,13 +286,11 @@ class ServeController:
             raise ApiError(409, "running", "pause the background run first")
         with self._locked(handle):
             result = self._session_call(handle.session.finish)
-        from repro.cli import result_summary
-
         return {
             "id": sid,
             "state": handle.session.state,
             "fingerprint": result_fingerprint(result),
-            "result": result_summary(result),
+            "result": result.summary(),
         }
 
     def checkpoint(self, sid: str, payload: Optional[dict] = None) -> dict:

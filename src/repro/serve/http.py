@@ -93,10 +93,20 @@ class ReproServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                if length > MAX_BODY_BYTES:
-                    await self._respond(writer, 400, {"error": "bad_request",
-                                                      "detail": "body too large"})
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
+                if not 0 <= length <= MAX_BODY_BYTES:
+                    # The body cannot be framed, so this connection ends
+                    # here; the server keeps serving the others.
+                    await self._respond(
+                        writer, 400,
+                        {"error": "bad_request",
+                         "detail": "Content-Length must be an integer in "
+                         f"[0, {MAX_BODY_BYTES}]"},
+                        keep_alive=False,
+                    )
                     break
                 raw = await reader.readexactly(length) if length else b""
                 status, payload, content_type = await self._dispatch(

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from repro.cc import make_cc
-from repro.core.outran import OutranScheduler
+from repro.core.outran import DEFAULT_EPSILON, OutranScheduler
 from repro.mac.pf import (
     BlindEqualThroughputScheduler,
     MaxThroughputScheduler,
@@ -31,7 +31,6 @@ from repro.mac.pf import (
 from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
 from repro.mac.scheduler import MacScheduler
 from repro.mac.srjf import SrjfScheduler
-from repro.net.batch import harvest_sender_stats
 from repro.net.packet import FiveTuple, Packet
 from repro.net.tcp import TcpFlow, TcpReceiver
 from repro.pdcp.entity import CipheredPdu
@@ -47,76 +46,62 @@ from repro.telemetry.flowtrace import FlowTracer, coerce_flow_tracer
 from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
-from repro.traffic.distributions import distribution_by_name
-from repro.traffic.generator import FlowSpec, IncastGenerator, PoissonTrafficGenerator
-from repro.traffic.workloads import (
-    IncastFanInGenerator,
-    RpcWorkloadGenerator,
-    VideoWorkloadGenerator,
-)
+from repro.traffic.generator import FlowSpec
+from repro.traffic.workloads import make_generator
 
 SERVER_IP = 0x0A00_0001
 UE_IP_BASE = 0x0B00_0000
 
-#: Fixed scheduler names (``outran:<eps>`` is additionally accepted).
-SCHEDULER_NAMES = (
-    "pf", "mt", "rr", "bet", "srjf", "pss", "cqa", "mlwdf", "exppf",
-    "mlfq_strict", "outran",
-)
+
+def _outran(epsilon: float = DEFAULT_EPSILON):
+    """Factory for OutRAN over PF at one epsilon."""
+    return lambda tf: OutranScheduler(ProportionalFairScheduler(tf), epsilon)
+
+
+#: Scheduler name -> factory taking the fairness window in seconds.
+#: ``outran`` is epsilon 0.2 over PF, ``mlfq_strict`` epsilon 1 (the
+#: strict-MLFQ comparison of Figure 7); ``outran:<eps>`` is additionally
+#: accepted for other epsilons.
+_SCHEDULERS = {
+    "pf": ProportionalFairScheduler,
+    "mt": MaxThroughputScheduler,
+    "rr": RoundRobinScheduler,
+    "bet": BlindEqualThroughputScheduler,
+    "srjf": SrjfScheduler,
+    "pss": PssScheduler,
+    "cqa": CqaScheduler,
+    "mlwdf": MlwdfScheduler,
+    "exppf": ExpPfScheduler,
+    "mlfq_strict": _outran(1.0),
+    "outran": _outran(),
+}
+SCHEDULER_NAMES = tuple(_SCHEDULERS)
+
+
+def _scheduler_factory(spec: str):
+    """The factory a name selects, or None when the name is unknown."""
+    name = spec.lower()
+    if name.startswith("outran:"):
+        try:
+            return _outran(float(name.split(":", 1)[1]))
+        except ValueError:
+            return None
+    return _SCHEDULERS.get(name)
 
 
 def is_scheduler_name(spec: str) -> bool:
     """Whether ``make_scheduler`` would accept this name."""
-    name = spec.lower()
-    if name in SCHEDULER_NAMES:
-        return True
-    if name.startswith("outran:"):
-        try:
-            float(name.split(":", 1)[1])
-            return True
-        except ValueError:
-            return False
-    return False
+    return _scheduler_factory(spec) is not None
 
 
 def make_scheduler(spec: Union[str, MacScheduler], config: SimConfig) -> MacScheduler:
-    """Build a scheduler from a name.
-
-    Names: ``pf``, ``mt``, ``rr``, ``bet``, ``srjf``, ``pss``, ``cqa``,
-    ``mlwdf``, ``exppf``,
-    ``outran`` (epsilon 0.2 over PF), ``outran:<eps>`` for other epsilons,
-    ``mlfq_strict`` (epsilon 1: the strict-MLFQ comparison of Figure 7).
-    """
+    """Build a scheduler from a name (instances pass through)."""
     if isinstance(spec, MacScheduler):
         return spec
-    name = spec.lower()
-    tf = config.fairness_window_s
-    if name == "pf":
-        return ProportionalFairScheduler(tf)
-    if name == "mt":
-        return MaxThroughputScheduler(tf)
-    if name == "rr":
-        return RoundRobinScheduler(tf)
-    if name == "bet":
-        return BlindEqualThroughputScheduler(tf)
-    if name == "srjf":
-        return SrjfScheduler(tf)
-    if name == "pss":
-        return PssScheduler(tf)
-    if name == "cqa":
-        return CqaScheduler(tf)
-    if name == "mlwdf":
-        return MlwdfScheduler(tf)
-    if name == "exppf":
-        return ExpPfScheduler(tf)
-    if name == "mlfq_strict":
-        return OutranScheduler(ProportionalFairScheduler(tf), epsilon=1.0)
-    if name == "outran":
-        return OutranScheduler(ProportionalFairScheduler(tf))
-    if name.startswith("outran:"):
-        epsilon = float(name.split(":", 1)[1])
-        return OutranScheduler(ProportionalFairScheduler(tf), epsilon=epsilon)
-    raise ValueError(f"unknown scheduler {spec!r}")
+    factory = _scheduler_factory(spec)
+    if factory is None:
+        raise ValueError(f"unknown scheduler {spec!r}")
+    return factory(config.fairness_window_s)
 
 
 def _uses_mlfq(scheduler: MacScheduler, config: SimConfig) -> bool:
@@ -258,56 +243,10 @@ class CellSimulation:
     def _make_flows(self, duration_s: float) -> list[FlowSpec]:
         if self._provided_flows is not None:
             return self._provided_flows
-        traffic = self.config.traffic
-        dist = distribution_by_name(traffic.distribution)
-        if traffic.kind == "incast":
-            generator = IncastGenerator(
-                dist,
-                self.config.num_ues,
-                traffic.load,
-                self.capacity_bps(),
-                seed=self.config.seed + 3,
-                short_bytes=traffic.incast_short_bytes,
-                short_fraction=traffic.incast_short_fraction,
-                burst_flows=traffic.incast_burst_flows,
-            )
-        elif traffic.kind == "incast_fanin":
-            generator = IncastFanInGenerator(
-                dist,
-                self.config.num_ues,
-                traffic.load,
-                self.capacity_bps(),
-                seed=self.config.seed + 3,
-                fanin_flows=traffic.fanin_flows,
-                fanin_bytes=traffic.fanin_bytes,
-                fanin_fraction=traffic.fanin_fraction,
-            )
-        elif traffic.kind == "rpc":
-            generator = RpcWorkloadGenerator(
-                self.config.num_ues,
-                traffic.load,
-                self.capacity_bps(),
-                seed=self.config.seed + 3,
-                response_bytes=traffic.rpc_response_bytes,
-                request_delay_us=traffic.rpc_request_delay_us,
-            )
-        elif traffic.kind == "video":
-            generator = VideoWorkloadGenerator(
-                self.config.num_ues,
-                traffic.load,
-                self.capacity_bps(),
-                seed=self.config.seed + 3,
-                bitrate_bps=traffic.video_bitrate_bps,
-                segment_s=traffic.video_segment_s,
-            )
-        else:
-            generator = PoissonTrafficGenerator(
-                dist,
-                self.config.num_ues,
-                traffic.load,
-                self.capacity_bps(),
-                seed=self.config.seed + 3,
-            )
+        config = self.config
+        generator = make_generator(
+            config.traffic, config.num_ues, self.capacity_bps(), config.seed + 3
+        )
         return generator.generate(duration_s)
 
     # -- flow plumbing -----------------------------------------------------------
@@ -381,10 +320,8 @@ class CellSimulation:
         flow_id: int,
         ack_seq: int,
         sack_blocks: tuple,
-        ece: bool = False,
+        ece: bool,
     ) -> None:
-        # ``ece`` defaults False so pre-ECN checkpoints (whose pending ACK
-        # events carry three args) resume cleanly.
         runtime = self._runtimes.get(flow_id)
         if runtime is not None:
             with self._sec_tcp:
@@ -765,15 +702,22 @@ class CellSimulation:
         reg.counter("mlfq.demotions").inc(demotions)
         reg.counter("mlfq.priority_boosts").inc(boosts)
         # TCP -----------------------------------------------------------
-        tcp = harvest_sender_stats(
-            runtime.sender for runtime in self._runtimes.values()
-        )
-        reg.counter("tcp.packets_sent").inc(tcp.packets_sent)
-        reg.counter("tcp.retransmits").inc(tcp.retransmits)
-        reg.counter("tcp.rto_firings").inc(tcp.rto_firings)
-        reg.counter("tcp.ecn_ce_acks").inc(tcp.ecn_ce_acks)
-        reg.gauge("tcp.cwnd_bytes.mean").set(tcp.cwnd_mean)
-        reg.gauge("tcp.cwnd_bytes.max").set(tcp.cwnd_max)
+        sent = retransmits = rto_firings = ce_acks = 0
+        cwnds = []  # of every sender still running
+        for runtime in self._runtimes.values():
+            sender = runtime.sender
+            sent += sender.packets_sent
+            retransmits += sender.retransmits
+            rto_firings += sender.rto_firings
+            ce_acks += sender.ecn_ce_acks
+            if not sender.done:
+                cwnds.append(sender.cwnd_bytes)
+        reg.counter("tcp.packets_sent").inc(sent)
+        reg.counter("tcp.retransmits").inc(retransmits)
+        reg.counter("tcp.rto_firings").inc(rto_firings)
+        reg.counter("tcp.ecn_ce_acks").inc(ce_acks)
+        reg.gauge("tcp.cwnd_bytes.mean").set(float(np.mean(cwnds)) if cwnds else 0.0)
+        reg.gauge("tcp.cwnd_bytes.max").set(float(max(cwnds)) if cwnds else 0.0)
         # flows ---------------------------------------------------------
         reg.counter("sim.flows_started").inc(self.metrics.flows_started)
         reg.counter("sim.flows_completed").inc(len(self.metrics.records))

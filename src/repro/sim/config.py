@@ -22,19 +22,13 @@ from repro.phy.numerology import RadioGrid
 from repro.phy.scenarios import PEDESTRIAN, URBAN_5G, ChannelScenario
 
 
-#: TrafficSpec.kind values the flow factory dispatches on.  "incast" is
-#: the legacy multi-UE short-burst mix (section 6.3); "incast_fanin",
-#: "rpc" and "video" are the repro.traffic.workloads generators.
-TRAFFIC_KINDS = ("poisson", "incast", "incast_fanin", "rpc", "video")
-
-
 @dataclass(frozen=True)
 class TrafficSpec:
     """What downlink traffic the cell carries."""
 
     distribution: str = "lte_cellular"
     load: float = 0.6
-    kind: str = "poisson"  # one of TRAFFIC_KINDS
+    kind: str = "poisson"  # one of repro.traffic.TRAFFIC_KINDS
     #: Incast-only knobs (section 6.3 worst case).
     incast_short_bytes: int = 8_000
     incast_short_fraction: float = 0.1
@@ -146,10 +140,11 @@ class SimConfig:
             raise ValueError(
                 f"unknown link_adaptation: {self.link_adaptation!r}"
             )
+        from repro.cc import AQM_NAMES, CC_NAMES
+        from repro.traffic.workloads import TRAFFIC_KINDS
+
         if self.traffic.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind: {self.traffic.kind!r}")
-        from repro.cc import AQM_NAMES, CC_NAMES
-
         if self.cc not in CC_NAMES:
             raise ValueError(
                 f"unknown congestion control: {self.cc!r} (choices: {CC_NAMES})"

@@ -294,6 +294,23 @@ class SimResult:
 
     # -- reporting ----------------------------------------------------------------
 
+    def summary(self) -> dict:
+        """JSON-friendly summary of the run (``--json``, serve, sweeps)."""
+        return {
+            "scheduler": self.scheduler_name,
+            "duration_s": self.duration_s,
+            "completed_flows": self.completed_flows,
+            "censored_flows": self.censored_flows,
+            "avg_fct_ms": self.avg_fct_ms(),
+            "short_avg_fct_ms": self.avg_fct_ms("S"),
+            "short_p95_fct_ms": self.pctl_fct_ms(95, "S"),
+            "medium_avg_fct_ms": self.avg_fct_ms("M"),
+            "long_avg_fct_ms": self.avg_fct_ms("L"),
+            "spectral_efficiency": self.mean_se(),
+            "fairness": self.mean_fairness(),
+            "sdus_dropped": self.sdus_dropped,
+        }
+
     def fct_summary(self) -> str:
         """Human-readable one-run summary (the quickstart prints this)."""
         lines = [

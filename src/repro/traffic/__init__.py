@@ -15,6 +15,7 @@ from repro.traffic.nonstationary import (
 )
 from repro.traffic.webpage import Webpage, ALEXA_TOP20, page_flow_sizes
 from repro.traffic.workloads import (
+    TRAFFIC_KINDS,
     WORKLOAD_KINDS,
     WORKLOADS,
     IncastFanInGenerator,
@@ -40,6 +41,7 @@ __all__ = [
     "video_rebuffer_ratio",
     "WORKLOADS",
     "WORKLOAD_KINDS",
+    "TRAFFIC_KINDS",
     "LoadPhase",
     "NonStationaryLoad",
     "PHASE_FLOW_ID_STRIDE",

@@ -25,10 +25,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.sim.engine import US_PER_SEC
-from repro.traffic.distributions import EmpiricalDistribution
+from repro.traffic.distributions import EmpiricalDistribution, distribution_by_name
 from repro.traffic.generator import (
     SHORT_FLOW_BYTES,
     FlowSpec,
+    IncastGenerator,
     PoissonTrafficGenerator,
 )
 
@@ -41,16 +42,6 @@ INCAST_FLOW_ID_BASE = 5_000_000
 RPC_FLOW_ID_BASE = 6_000_000
 VIDEO_FLOW_ID_BASE = 7_000_000
 _ID_RANGE = 1_000_000
-
-#: CLI-facing workload names (``repro run --workload``).
-WORKLOADS = ("poisson", "incast", "rpc", "video")
-#: Workload name -> TrafficSpec.kind the flow factory dispatches on.
-WORKLOAD_KINDS = {
-    "poisson": "poisson",
-    "incast": "incast_fanin",
-    "rpc": "rpc",
-    "video": "video",
-}
 
 
 class IncastFanInGenerator:
@@ -248,6 +239,45 @@ class VideoWorkloadGenerator:
                 t += self.segment_s
         flows.sort(key=lambda f: f.start_us)
         return flows
+
+
+# -- the kind table -----------------------------------------------------------
+
+#: ``TrafficSpec.kind`` -> (``--workload`` name or None, generator factory).
+#: A factory takes the TrafficSpec ``t``, its resolved size distribution,
+#: and the ``num_ues, load, capacity_bps, seed`` every generator shares.
+#: The section 6.3 "incast" mix (synchronized shorts spread over distinct
+#: UEs) is reachable from a config only: on the command line "incast"
+#: names the single-victim fan-in.
+_KINDS = {
+    "poisson": ("poisson", lambda t, dist, *common: PoissonTrafficGenerator(
+        dist, *common)),
+    "incast": (None, lambda t, dist, *common: IncastGenerator(
+        dist, *common, short_bytes=t.incast_short_bytes,
+        short_fraction=t.incast_short_fraction,
+        burst_flows=t.incast_burst_flows)),
+    "incast_fanin": ("incast", lambda t, dist, *common: IncastFanInGenerator(
+        dist, *common, fanin_flows=t.fanin_flows, fanin_bytes=t.fanin_bytes,
+        fanin_fraction=t.fanin_fraction)),
+    "rpc": ("rpc", lambda t, dist, *common: RpcWorkloadGenerator(
+        *common, response_bytes=t.rpc_response_bytes,
+        request_delay_us=t.rpc_request_delay_us)),
+    "video": ("video", lambda t, dist, *common: VideoWorkloadGenerator(
+        *common, bitrate_bps=t.video_bitrate_bps,
+        segment_s=t.video_segment_s)),
+}
+#: Every value ``TrafficSpec.kind`` may take.
+TRAFFIC_KINDS = tuple(_KINDS)
+#: CLI-facing workload name (``repro run --workload``) -> TrafficSpec.kind.
+WORKLOAD_KINDS = {name: kind for kind, (name, _) in _KINDS.items() if name}
+WORKLOADS = tuple(WORKLOAD_KINDS)
+
+
+def make_generator(traffic, num_ues: int, capacity_bps: float, seed: int):
+    """The flow generator a :class:`~repro.sim.config.TrafficSpec` names."""
+    _, factory = _KINDS[traffic.kind]
+    dist = distribution_by_name(traffic.distribution)
+    return factory(traffic, dist, num_ues, traffic.load, capacity_bps, seed)
 
 
 # -- post-hoc workload metrics ------------------------------------------------

@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 CLI_DIR = Path(__file__).parent
 
@@ -66,9 +67,10 @@ def run_case(name):
     from repro.cli import main
 
     argv, outputs = CASES[name]
-    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     stdout = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
+    # argparse wraps help to the terminal width: pin it.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         paths = {flag: Path(tmp) / f"out{STORED[flag]}" for flag in outputs}
         argv = list(argv)
         for flag, path in paths.items():

@@ -94,7 +94,6 @@ def make_case_scheduler(spec):
 
 def run_case(name):
     from repro import CellSimulation, SimConfig
-    from repro.cli import result_summary
 
     scheduler, rat, mu, duration_s, overrides = CASES[name]
     kwargs = dict(BASE_KWARGS, **overrides)
@@ -111,7 +110,7 @@ def run_case(name):
         "mu": mu,
         "duration_s": duration_s,
         "config": dict(BASE_KWARGS, **overrides),
-        "summary": sanitize(result_summary(result)),
+        "summary": sanitize(result.summary()),
         # json round-trips doubles exactly (shortest-repr floats), so
         # the replay comparison below stays bit-exact.
         "fcts_ms": [float(v) for v in result.fcts_ms()],

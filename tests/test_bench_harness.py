@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness's two-layer cache (LRU over store).
+"""Tests for the benchmark harness's result cache (the persistent store).
 
 The harness reads its configuration from the environment at import time,
 so each test imports a fresh copy under a controlled environment.
@@ -20,7 +20,6 @@ def harness(tmp_path, monkeypatch):
     def build(**env):
         defaults = {
             "REPRO_BENCH_STORE": str(tmp_path / "store"),
-            "REPRO_BENCH_CACHE": "1",
             "REPRO_BENCH_LTE_UES": "2",
             "REPRO_BENCH_LTE_DURATION": "0.3",
             "REPRO_BENCH_JOBS": "1",
@@ -37,68 +36,66 @@ def harness(tmp_path, monkeypatch):
 
 
 def _count_sims(monkeypatch, mod):
-    """Count in-process simulation constructions in the harness."""
-    real = mod.CellSimulation
+    """Count in-process simulation launches in the harness."""
+    real = mod.RunSpec.session
     calls = []
 
-    class Counting(real):
-        def __init__(self, *args, **kwargs):
-            calls.append(1)
-            super().__init__(*args, **kwargs)
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(mod, "CellSimulation", Counting)
+    monkeypatch.setattr(mod.RunSpec, "session", counting)
     return calls
 
 
 class TestEvictSafety:
-    def test_lru_eviction_served_from_store(self, harness, monkeypatch):
+    def test_repeat_request_served_from_store(self, harness, monkeypatch):
         mod = harness()
         calls = _count_sims(monkeypatch, mod)
         first = mod.run_lte("pf", load=0.5)
         assert len(calls) == 1
-        mod.run_lte("srjf", load=0.5)  # CACHE_CAP=1: evicts the pf entry
+        mod.run_lte("srjf", load=0.5)
         assert len(calls) == 2
         again = mod.run_lte("pf", load=0.5)  # must come from disk, not re-sim
         assert len(calls) == 2
-        assert mod.STORE.hits >= 1
+        assert mod.STORE.hits == 1
         assert again.avg_fct_ms() == first.avg_fct_ms()
         assert again.fcts_ms().tolist() == first.fcts_ms().tolist()
 
-    def test_store_disabled_by_env(self, harness):
-        mod = harness(REPRO_BENCH_STORE="0")
+    def test_store_disabled_by_env(self, harness, monkeypatch):
+        mod = harness(REPRO_BENCH_STORE="0", REPRO_BENCH_JOBS="2")
         assert mod.STORE is None
-        assert mod.run_lte("pf", load=0.5).completed_flows >= 0
-
-    def test_warm_lru_never_touches_disk(self, harness, monkeypatch):
-        mod = harness(REPRO_BENCH_CACHE="8")
         calls = _count_sims(monkeypatch, mod)
-        mod.run_lte("pf", load=0.5)
-        hits_before = mod.STORE.hits
-        mod.run_lte("pf", load=0.5)
-        assert len(calls) == 1
-        assert mod.STORE.hits == hits_before
+        mod.prefetch_lte(("pf",), (0.5,))  # nowhere to put results: no-op
+        assert mod.run_lte("pf", load=0.5).completed_flows >= 0
+        assert mod.run_lte("pf", load=0.5).completed_flows >= 0
+        assert len(calls) == 2  # nothing is cached
 
 
 class TestPrefetch:
-    def test_prefetch_primes_cache_without_inline_sims(self, harness, monkeypatch):
-        mod = harness(REPRO_BENCH_JOBS="2", REPRO_BENCH_CACHE="8")
+    def test_prefetch_fills_store_without_inline_sims(self, harness, monkeypatch):
+        mod = harness(REPRO_BENCH_JOBS="2")
         calls = _count_sims(monkeypatch, mod)
         mod.prefetch_lte(("pf", "outran"), (0.5,))
         assert len(calls) == 0  # grid ran in worker processes
+        assert mod.STORE.writes == 0 and len(mod.STORE) == 2  # workers wrote
         mod.run_lte("pf", load=0.5)
         mod.run_lte("outran", load=0.5)
-        assert len(calls) == 0  # served from the primed cache
+        assert len(calls) == 0  # served from the filled store
 
     def test_prefetch_serial_is_noop(self, harness, monkeypatch):
         mod = harness(REPRO_BENCH_JOBS="1")
         calls = _count_sims(monkeypatch, mod)
         mod.prefetch_lte(("pf",), (0.5,))
         assert len(calls) == 0
-        assert len(mod._cache) == 0
+        assert len(mod.STORE) == 0
 
-    def test_parallel_prefetch_matches_serial_results(self, harness):
+    def test_parallel_prefetch_matches_serial_results(self, harness, tmp_path):
         serial = harness(REPRO_BENCH_JOBS="1")
-        expect = serial.run_lte("pf", load=0.5).avg_fct_ms()
-        parallel = harness(REPRO_BENCH_JOBS="2", REPRO_BENCH_STORE="0")
+        expect = serial.run_lte("pf", load=0.5).fcts_ms().tolist()
+        parallel = harness(
+            REPRO_BENCH_JOBS="2", REPRO_BENCH_STORE=str(tmp_path / "parallel")
+        )
         parallel.prefetch_lte(("pf",), (0.5,))
-        assert parallel.run_lte("pf", load=0.5).avg_fct_ms() == expect
+        assert parallel.run_lte("pf", load=0.5).fcts_ms().tolist() == expect
+        assert parallel.STORE.hits == 1

@@ -4,43 +4,42 @@ import json
 
 import pytest
 
-from repro.cli import (
-    build_parser,
-    build_root_parser,
-    build_serve_parser,
-    build_sweep_parser,
-    config_from_args,
-    main,
-    result_summary,
-)
+from repro.cli import _spec_from_args, build_root_parser, main
+
+
+def parse(*argv):
+    return build_root_parser().parse_args(list(argv))
+
+
+def run_config(*flags):
+    """The SimConfig `repro run <flags>` simulates."""
+    args = parse("run", *flags)
+    return _spec_from_args(args, args.scheduler).to_config()
 
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
+        args = parse("run")
         assert args.scheduler == "outran"
         assert args.rat == "lte"
 
     def test_nr_options(self):
-        args = build_parser().parse_args(["--rat", "nr", "--mu", "3", "--mec"])
-        cfg = config_from_args(args)
+        cfg = run_config("--rat", "nr", "--mu", "3", "--mec")
         assert cfg.tti_us == 125
         assert cfg.server_delay_us == 5_000
 
     def test_lte_config(self):
-        args = build_parser().parse_args(["--ues", "7", "--load", "0.5"])
-        cfg = config_from_args(args)
+        cfg = run_config("--ues", "7", "--load", "0.5")
         assert cfg.num_ues == 7
         assert cfg.traffic.load == 0.5
 
     def test_distribution_override(self):
-        args = build_parser().parse_args(["--distribution", "websearch"])
-        cfg = config_from_args(args)
+        cfg = run_config("--distribution", "websearch")
         assert cfg.traffic.distribution == "websearch"
 
     def test_invalid_rlc_mode_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--rlc-mode", "tm"])
+            parse("run", "--rlc-mode", "tm")
 
 
 class TestMain:
@@ -108,7 +107,7 @@ class TestJobs:
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--jobs", "0"])
+            parse("run", "--jobs", "0")
 
 
 class TestSweepCommand:
@@ -158,7 +157,7 @@ class TestSweepCommand:
             main(["sweep", str(bad), "--quiet"])
 
     def test_sweep_parser_defaults(self):
-        args = build_sweep_parser().parse_args(["spec.json"])
+        args = parse("sweep", "spec.json")
         assert args.jobs == 1
         assert args.store == ".repro-store"
         assert args.max_attempts == 3
@@ -168,7 +167,9 @@ class TestSubcommandTree:
     """The `repro run|sweep|explain|serve` surface and its help text."""
 
     def test_root_help_lists_every_command(self, capsys):
-        assert main(["--help"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
         out = capsys.readouterr().out
         for command in ("run", "sweep", "explain", "serve"):
             assert command in out
@@ -202,7 +203,7 @@ class TestSubcommandTree:
         assert exc.value.code == 2
 
     def test_serve_parser_defaults(self):
-        args = build_serve_parser().parse_args([])
+        args = parse("serve")
         assert args.host == "127.0.0.1"
         assert args.port == 0
         assert args.chunk_ttis is None

@@ -22,7 +22,7 @@ from repro.analysis.breakdown import (
     breakdown_report,
     dominant_component,
 )
-from repro.cli import main, result_summary
+from repro.cli import main
 from repro.telemetry import COMPONENTS, FlowTracer, coerce_flow_tracer
 from repro.telemetry.flowtrace import LAYER_TRACKS
 
@@ -107,7 +107,7 @@ class TestDeterminism:
             SimConfig.lte_default(**cfg), scheduler="outran", flow_trace=True
         )
         traced = traced_sim.run(1.0)
-        assert result_summary(plain) == result_summary(traced)
+        assert plain.summary() == traced.summary()
         assert list(plain.fcts_ms()) == list(traced.fcts_ms())
         assert traced_sim.flow_trace.completed_flows > 0
 

@@ -7,6 +7,7 @@ serve-vs-offline fingerprint identity the CI serve-smoke job asserts.
 """
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -278,5 +279,23 @@ class TestHttpEndToEnd:
         assert st == 400 and body["error"] == "bad_spec"
         assert "backend" in body["detail"]
         assert self.request(server, "DELETE", "/sessions")[0] == 405
+        st, health = self.request(server, "GET", "/healthz")
+        assert st == 200 and health["status"] == "ok"
+
+    @pytest.mark.parametrize("length", ["abc", "-5", str(2**40)])
+    def test_hostile_content_length_is_a_400(self, server, length):
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                f"POST /sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                .encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # server closes after replying
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "bad_request"
+        # ... and the server is still there for the next client.
         st, health = self.request(server, "GET", "/healthz")
         assert st == 200 and health["status"] == "ok"

@@ -6,16 +6,14 @@ change simulation outcomes (same seed => identical results), and the
 disabled path must be a true no-op.
 """
 
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import CellSimulation, SimConfig
-from repro.cli import main, result_summary
+from repro.cli import main
 from repro.sim.engine import EventEngine
 from repro.sim.multicell import MultiCellSimulation
 from repro.sim.trace import SchedulingTrace
@@ -319,7 +317,7 @@ class TestSimulationTelemetry:
         samples = []
         instrumented.attach_heartbeat(period_s=0.25, emit=samples.append)
         observed = instrumented.run(1.0)
-        assert result_summary(plain) == result_summary(observed)
+        assert plain.summary() == observed.summary()
         assert list(plain.fcts_ms()) == list(observed.fcts_ms())
         assert samples  # the heartbeat really ran
 
@@ -378,51 +376,6 @@ class TestTraceSerialization:
         )
         assert trace.memory_bytes() == expected
         assert trace.memory_bytes() > 0
-
-
-def load_harness():
-    path = Path(__file__).parent.parent / "benchmarks" / "_harness.py"
-    spec = importlib.util.spec_from_file_location("bench_harness", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestHarnessCache:
-    """In-process LRU mechanics, with the persistent store disabled.
-
-    The disk-store read-through path is covered by tests/test_bench_harness.py.
-    """
-
-    @staticmethod
-    def load_lru_only_harness():
-        harness = load_harness()
-        harness.STORE = None
-        return harness
-
-    def test_lru_eviction_keeps_cap(self):
-        harness = self.load_lru_only_harness()
-        harness.CACHE_CAP = 3
-        harness._cache.clear()
-        for i in range(5):
-            harness._cache_put(("key", i), object())
-        assert len(harness._cache) == 3
-        assert list(harness._cache) == [("key", 2), ("key", 3), ("key", 4)]
-
-    def test_get_refreshes_recency(self):
-        harness = self.load_lru_only_harness()
-        harness.CACHE_CAP = 2
-        harness._cache.clear()
-        harness._cache_put(("a",), object())
-        harness._cache_put(("b",), object())
-        assert harness._cache_get(("a",)) is not None
-        harness._cache_put(("c",), object())  # evicts ("b",), not ("a",)
-        assert harness._cache_get(("a",)) is not None
-        assert harness._cache_get(("b",)) is None
-
-    def test_miss_returns_none(self):
-        harness = self.load_lru_only_harness()
-        assert harness._cache_get(("nope",)) is None
 
 
 class TestCliObservability:
