@@ -64,6 +64,40 @@ CASES = {
                               "cc": "dctcp", "aqm": "red"}),
     "nr-mu0-outran-um": ("outran", "nr", 0, 0.2,
                          {"rlc_mode": "um", "radio_bler": 0.0}),
+    # Frozen from the list feed the commit before it was deleted: every
+    # scheduler the xNodeB handed ``UeSchedState`` objects and the
+    # corpus lacked -- the rest of the QoS family, the GBR wrapper,
+    # OutRAN over MT (the Fig. 18b instance) -- plus the oracle gating
+    # (``qos_oracle`` refreshes nothing for PF) and a mid-run control.
+    "lte-cqa-um-lossy": ("cqa", "lte", 1, 0.4,
+                         {"rlc_mode": "um", "radio_bler": 0.05}),
+    "lte-mlwdf-um-lossy": ("mlwdf", "lte", 1, 0.4,
+                           {"rlc_mode": "um", "radio_bler": 0.05}),
+    "lte-exppf-um-lossy": ("exppf", "lte", 1, 0.4,
+                           {"rlc_mode": "um", "radio_bler": 0.05}),
+    "lte-pss-am": ("pss", "lte", 1, 0.4,
+                   {"rlc_mode": "am", "radio_bler": 0.02}),
+    "lte-pf-qos-oracle-um": ("pf", "lte", 1, 0.4,
+                             {"rlc_mode": "um", "radio_bler": 0.0,
+                              "qos_oracle": True}),
+    "lte-gbr-pf-um": ("gbr[pf]", "lte", 1, 0.4,
+                      {"rlc_mode": "um", "radio_bler": 0.0}),
+    "lte-gbr-outran-um": ("gbr[outran]", "lte", 1, 0.4,
+                          {"rlc_mode": "um", "radio_bler": 0.0,
+                           "use_mlfq": True}),
+    "lte-outran-mt-um": ("outran[mt]", "lte", 1, 0.4,
+                         {"rlc_mode": "um", "radio_bler": 0.0}),
+    "lte-outran-am-ric-thresholds": ("outran", "lte", 1, 0.4,
+                                     {"rlc_mode": "am", "radio_bler": 0.1}),
+}
+
+#: case name -> (TTI, ``SimulationSession.reconfigure`` kwargs): a
+#: guardrail-checked E2 control requested mid-run, applied at the next
+#: TTI boundary.
+CONTROLS = {
+    "lte-outran-am-ric-thresholds": (
+        150, {"thresholds": (5_000, 25_000, 250_000)}
+    ),
 }
 
 BASE_KWARGS = {"num_ues": 4, "load": 0.5, "seed": 7}
@@ -81,14 +115,23 @@ def sanitize(value):
 
 
 def make_case_scheduler(spec):
-    """Scheduler names pass through; ``outran_top2`` is the top-K
-    ablation, which has no name and is built as an instance."""
-    if spec == "outran_top2":
-        from repro.core.outran import OutranScheduler
-        from repro.mac.pf import ProportionalFairScheduler
+    """Scheduler names pass through; the top-K ablation, OutRAN over MT
+    and the GBR wrapper have no name and are built as instances."""
+    from repro.core.outran import OutranScheduler
+    from repro.mac.gbr import GbrConfig, GbrReservingScheduler
+    from repro.mac.pf import MaxThroughputScheduler, ProportionalFairScheduler
 
+    if spec == "outran_top2":
         return OutranScheduler(ProportionalFairScheduler(), epsilon=0.2,
                                top_k=2)
+    if spec == "outran[mt]":
+        return OutranScheduler(MaxThroughputScheduler())
+    if spec.startswith("gbr["):
+        inner = (OutranScheduler() if spec == "gbr[outran]"
+                 else ProportionalFairScheduler())
+        return GbrReservingScheduler(
+            inner, {0: GbrConfig(rate_bps=2e6), 2: GbrConfig(rate_bps=5e5)}
+        )
     return spec
 
 
@@ -102,7 +145,16 @@ def run_case(name):
     else:
         cfg = SimConfig.lte_default(**kwargs)
     sim = CellSimulation(cfg, scheduler=make_case_scheduler(scheduler))
-    result = sim.run(duration_s)
+    if name in CONTROLS:
+        from repro.sim.session import SimulationSession
+
+        at_tti, control = CONTROLS[name]
+        session = SimulationSession(sim, duration_s).start()
+        session.step(n_ttis=at_tti)
+        session.reconfigure(**control)
+        result = session.finish()
+    else:
+        result = sim.run(duration_s)
     return {
         "case": name,
         "scheduler": scheduler,
