@@ -52,6 +52,18 @@ def relaxed_candidates(
     return eligible
 
 
+def _reselect(
+    metric: np.ndarray, eligible: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """Per RB: lowest head level among candidates, best metric within it."""
+    cand_levels = np.where(eligible, levels[:, None], IDLE_LEVEL + 1)
+    best_level = cand_levels.min(axis=0)
+    tie_metric = np.where(cand_levels == best_level[None, :], metric, -np.inf)
+    owner = tie_metric.argmax(axis=0).astype(np.int64)
+    owner[~eligible.any(axis=0)] = -1
+    return owner
+
+
 def reselect_users(
     metric: np.ndarray,
     active: np.ndarray,
@@ -69,13 +81,7 @@ def reselect_users(
     num_rbs = metric.shape[1]
     if metric.shape[0] == 0 or not active.any():
         return np.full(num_rbs, -1, dtype=np.int64)
-    eligible = relaxed_candidates(metric, active, epsilon)
-    cand_levels = np.where(eligible, levels[:, None], IDLE_LEVEL + 1)
-    best_level = cand_levels.min(axis=0)
-    tie_metric = np.where(cand_levels == best_level[None, :], metric, -np.inf)
-    owner = tie_metric.argmax(axis=0).astype(np.int64)
-    owner[~eligible.any(axis=0)] = -1
-    return owner
+    return _reselect(metric, relaxed_candidates(metric, active, epsilon), levels)
 
 
 def top_k_candidates(metric: np.ndarray, active: np.ndarray, k: int) -> np.ndarray:
@@ -110,10 +116,4 @@ def reselect_users_top_k(
     num_rbs = metric.shape[1]
     if metric.shape[0] == 0 or not active.any():
         return np.full(num_rbs, -1, dtype=np.int64)
-    eligible = top_k_candidates(metric, active, k)
-    cand_levels = np.where(eligible, levels[:, None], IDLE_LEVEL + 1)
-    best_level = cand_levels.min(axis=0)
-    tie_metric = np.where(cand_levels == best_level[None, :], metric, -np.inf)
-    owner = tie_metric.argmax(axis=0).astype(np.int64)
-    owner[~eligible.any(axis=0)] = -1
-    return owner
+    return _reselect(metric, top_k_candidates(metric, active, k), levels)

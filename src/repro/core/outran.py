@@ -61,16 +61,12 @@ class OutranScheduler(MacScheduler):
         return f"outran(eps={self.epsilon})[{self.legacy.name}]"
 
     @property
-    def batched_capable(self) -> bool:  # type: ignore[override]
-        # The top-K ablation rule has no fused kernel; like the QoS
-        # family it is handed the list of per-UE objects.
-        return self.top_k is None and self.legacy.batched_capable
+    def oracle_columns(self) -> tuple[str, ...]:  # type: ignore[override]
+        return self.legacy.oracle_columns
 
     def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         table = as_table(ues)
-        metric = self.legacy.metric_matrix(
-            rates, table if self.legacy.batched_capable else ues, now_us
-        )
+        metric = self.legacy.metric_matrix(rates, table, now_us)
         if self.top_k is not None:
             owner = reselect_users_top_k(
                 metric, table.active, table.head_levels, self.top_k

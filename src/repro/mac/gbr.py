@@ -15,11 +15,10 @@ rather than replacing it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from repro.mac.scheduler import MacScheduler, UeSchedState
+from repro.mac.kernels import as_table
+from repro.mac.scheduler import MacScheduler, UeTable
 
 
 class GbrConfig:
@@ -66,16 +65,18 @@ class GbrReservingScheduler(MacScheduler):
     def name(self) -> str:  # type: ignore[override]
         return f"gbr[{self.inner.name}]"
 
-    def allocate(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
+    @property
+    def oracle_columns(self) -> tuple[str, ...]:  # type: ignore[override]
+        return self.inner.oracle_columns
+
+    def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        table = as_table(ues)
         num_rbs = rates.shape[1]
         owner = np.full(num_rbs, -1, dtype=np.int64)
         reserved = np.zeros(num_rbs, dtype=bool)
         # 1. Reserve best RBs for backlogged GBR users behind their rate.
         for ue_index, contract in self.guarantees.items():
-            ue = ues[ue_index]
-            if not ue.active or contract.deficit_bits <= 0:
+            if not table.active[ue_index] or contract.deficit_bits <= 0:
                 continue
             order = np.argsort(-rates[ue_index])
             needed = contract.deficit_bits
@@ -90,16 +91,11 @@ class GbrReservingScheduler(MacScheduler):
         # 2. The inner scheduler fills the unreserved remainder.
         if not reserved.all():
             free = ~reserved
-            inner_owner = self.inner.allocate(rates[:, free], ues, now_us)
+            inner_owner = self.inner.allocate(rates[:, free], table, now_us)
             owner[np.nonzero(free)[0]] = inner_owner
         return owner
 
-    def on_tti_end(
-        self,
-        ues: Sequence[UeSchedState],
-        served_bits: np.ndarray,
-        tti_us: int,
-    ) -> None:
+    def on_tti_end(self, ues: UeTable, served_bits: np.ndarray, tti_us: int) -> None:
         for ue_index, contract in self.guarantees.items():
             contract.accrue(tti_us)
             contract.consume(float(served_bits[ue_index]))

@@ -2,11 +2,12 @@
 
 * :class:`SchedArrays` -- the array-backed table of the per-UE
   :class:`~repro.mac.scheduler.UeSchedState` fields the schedulers read
-  (EWMA throughput, activity, head MLFQ level, last-served time, SRJF
-  remaining bytes).  The xNodeB maintains it incrementally inside the
-  backlog scan it already performs, so an allocation does no per-UE
-  Python work; callers that hold a plain sequence of ``UeSchedState``
-  (unit tests, micro-benchmarks) get one gathered by :func:`as_table`.
+  (EWMA throughput, activity, head MLFQ level, last-served time, and the
+  SRJF and QoS oracle columns): the one thing every scheduler is fed.
+  The xNodeB maintains it incrementally inside the backlog scan it
+  already performs, so an allocation does no per-UE Python work; callers
+  that hold a plain sequence of ``UeSchedState`` (unit tests,
+  micro-benchmarks) get one gathered by :func:`as_table`.
 
 * :func:`plain_owner` / :func:`epsilon_owner` -- the per-RB argmax, with
   or without OutRAN's epsilon-relaxation, as one fused C loop over the
@@ -43,9 +44,9 @@ __all__ = ["SchedArrays", "as_table", "plain_owner", "epsilon_owner"]
 class SchedArrays:
     """Array-backed per-UE scheduling state: the table schedulers read.
 
-    Holds exactly the fields the table-fed schedulers read.  The xNodeB
-    keeps the arrays in sync inside the backlog scan it already performs
-    every TTI, so ``allocate`` does zero per-UE Python work.
+    Holds exactly the fields the schedulers read.  The xNodeB keeps the
+    arrays in sync inside the backlog scan it already performs every
+    TTI, so ``allocate`` does zero per-UE Python work.
     """
 
     __slots__ = (
@@ -54,6 +55,8 @@ class SchedArrays:
         "head_levels",
         "active",
         "remaining_flow",
+        "qos_deadline_flows",
+        "qos_hol_delay_us",
         "_ewma_tmp",
     )
 
@@ -67,6 +70,10 @@ class SchedArrays:
         #: SRJF oracle: remaining bytes of the shortest active flow
         #: (+inf where unknown, mirroring ``remaining_flow_bytes=None``).
         self.remaining_flow = np.full(num_ues, np.inf, dtype=np.float64)
+        #: QoS oracle (PSS/CQA/M-LWDF/EXP-PF): flows under a delay budget
+        #: and the head-of-line delay of the oldest one.
+        self.qos_deadline_flows = np.zeros(num_ues, dtype=np.int64)
+        self.qos_hol_delay_us = np.zeros(num_ues, dtype=np.int64)
         self._ewma_tmp = np.empty(num_ues, dtype=np.float64)
 
     # -- per-TTI maintenance (called from the xNodeB backlog scan) --------
@@ -83,11 +90,12 @@ class SchedArrays:
         self.active[index] = False
         self.head_levels[index] = IDLE_LEVEL
 
-    def set_remaining(self, index: int, remaining: Optional[int]) -> None:
-        """Mirror the SRJF clairvoyant field (None -> +inf)."""
-        self.remaining_flow[index] = (
-            np.inf if remaining is None else remaining
-        )
+    def set_oracle(self, index: int, state) -> None:
+        """Mirror the clairvoyant fields of one ``UeSchedState``."""
+        remaining = state.remaining_flow_bytes
+        self.remaining_flow[index] = np.inf if remaining is None else remaining
+        self.qos_deadline_flows[index] = state.qos_deadline_flows
+        self.qos_hol_delay_us[index] = state.qos_hol_delay_us
 
     # -- synchronisation with the scalar per-UE objects -------------------
 
@@ -109,13 +117,15 @@ class SchedArrays:
             np.inf if ue.remaining_flow_bytes is None else ue.remaining_flow_bytes
             for ue in ues
         ]
+        self.qos_deadline_flows[:] = [ue.qos_deadline_flows for ue in ues]
+        self.qos_hol_delay_us[:] = [ue.qos_hol_delay_us for ue in ues]
 
     def sync_to(self, ues: Sequence) -> None:
         """Write the array state back into the per-UE objects.
 
         The xNodeB calls it once at the end of a run so post-run
-        consumers (tests, telemetry) read the per-UE view; the list form
-        of ``on_tti_end`` calls it every time.
+        consumers (tests, telemetry) read the per-UE view; ``on_tti_end``
+        calls it for a caller that passed the per-UE objects.
         """
         for i, ue in enumerate(ues):
             ue.ewma_bps = float(self.ewma_bps[i])

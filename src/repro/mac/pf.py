@@ -23,7 +23,6 @@ class ProportionalFairScheduler(MetricScheduler):
     """The de-facto standard xNodeB scheduler (paper baseline)."""
 
     name = "pf"
-    batched_capable = True
 
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         return np.divide(rates, as_table(ues).ewma_bps[:, None], order="C")
@@ -33,7 +32,6 @@ class MaxThroughputScheduler(MetricScheduler):
     """Maximize spectral efficiency; ignores fairness entirely."""
 
     name = "mt"
-    batched_capable = True
 
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         return np.ascontiguousarray(rates, dtype=float)
@@ -47,7 +45,6 @@ class BlindEqualThroughputScheduler(MetricScheduler):
     """
 
     name = "bet"
-    batched_capable = True
 
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         inv = 1.0 / as_table(ues).ewma_bps
@@ -58,7 +55,6 @@ class RoundRobinScheduler(MetricScheduler):
     """Serve the longest-waiting user; channel-blind fairness extreme."""
 
     name = "rr"
-    batched_capable = True
 
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         # Subtract in exact int64 first, then widen with the +1.0: the

@@ -30,20 +30,20 @@ Two further classics from the downlink-scheduling survey the paper cites
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.mac.scheduler import MetricScheduler, UeSchedState
+from repro.mac.kernels import as_table
+from repro.mac.scheduler import MetricScheduler, UeTable
 
 #: Delay budget the paper configures for short flows (section 6.2).
 DEFAULT_DELAY_BUDGET_US = 50_000
 
 
-class PssScheduler(MetricScheduler):
-    """Priority Set Scheduler: deadline users first, PF for the rest."""
+class _DeadlineScheduler(MetricScheduler):
+    """PF metric times a per-UE weight read from the QoS oracle columns."""
 
-    name = "pss"
+    oracle_columns = ("qos_deadline_flows", "qos_hol_delay_us")
 
     def __init__(
         self,
@@ -53,23 +53,35 @@ class PssScheduler(MetricScheduler):
         super().__init__(fairness_window_s)
         self.delay_budget_us = delay_budget_us
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        ewma = np.array([ue.ewma_bps for ue in ues])
-        pf = rates / ewma[:, None]
-        in_priority_set = np.array(
-            [ue.qos_deadline_flows > 0 for ue in ues], dtype=bool
-        )
+    def weight(self, has_deadline: np.ndarray, hol_delay_us: np.ndarray) -> np.ndarray:
+        """Per-UE multiplier on the PF metric."""
+        raise NotImplementedError
+
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        table = as_table(ues)
+        pf = np.divide(rates, table.ewma_bps[:, None], order="C")
+        weight = self.weight(table.qos_deadline_flows > 0, table.qos_hol_delay_us)
+        return np.multiply(pf, weight[:, None], out=pf)
+
+
+class PssScheduler(_DeadlineScheduler):
+    """Priority Set Scheduler: deadline users first, PF for the rest."""
+
+    name = "pss"
+
+    def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
+        table = as_table(ues)
+        pf = np.divide(rates, table.ewma_bps[:, None], order="C")
+        in_priority_set = table.qos_deadline_flows > 0
         if not in_priority_set.any():
             return pf
         # Members of the priority set beat every non-member on every RB;
         # within the set, PF order decides (PSS's frequency-domain stage).
         bonus = pf.max() + 1.0 if np.isfinite(pf.max()) else 1.0
-        return pf + np.where(in_priority_set[:, None], bonus, 0.0)
+        return np.add(pf, np.where(in_priority_set[:, None], bonus, 0.0), out=pf)
 
 
-class MlwdfScheduler(MetricScheduler):
+class MlwdfScheduler(_DeadlineScheduler):
     """Modified Largest Weighted Delay First over the PF metric."""
 
     name = "mlwdf"
@@ -81,93 +93,33 @@ class MlwdfScheduler(MetricScheduler):
         delta: float = 0.05,
     ) -> None:
         """``delta``: target probability of exceeding the delay budget."""
-        super().__init__(fairness_window_s)
+        super().__init__(fairness_window_s, delay_budget_us)
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1): {delta}")
-        self.delay_budget_us = delay_budget_us
         self._alpha = -math.log(delta) / delay_budget_us
 
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        ewma = np.array([ue.ewma_bps for ue in ues])
-        pf = rates / ewma[:, None]
-        weight = np.array(
-            [
-                1.0 + self._alpha * ue.qos_hol_delay_us
-                if ue.qos_deadline_flows > 0
-                else 1.0
-                for ue in ues
-            ]
-        )
-        return pf * weight[:, None]
+    def weight(self, has_deadline: np.ndarray, hol_delay_us: np.ndarray) -> np.ndarray:
+        return np.where(has_deadline, 1.0 + self._alpha * hol_delay_us, 1.0)
 
 
-class ExpPfScheduler(MetricScheduler):
+class ExpPfScheduler(MlwdfScheduler):
     """EXP/PF: exponential deadline urgency times the PF metric."""
 
     name = "exppf"
 
-    def __init__(
-        self,
-        fairness_window_s: float = 1.0,
-        delay_budget_us: int = DEFAULT_DELAY_BUDGET_US,
-        delta: float = 0.05,
-    ) -> None:
-        super().__init__(fairness_window_s)
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1): {delta}")
-        self.delay_budget_us = delay_budget_us
-        self._alpha = -math.log(delta) / delay_budget_us
-
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        ewma = np.array([ue.ewma_bps for ue in ues])
-        pf = rates / ewma[:, None]
-        weighted = np.array(
-            [
-                self._alpha * ue.qos_hol_delay_us
-                if ue.qos_deadline_flows > 0
-                else 0.0
-                for ue in ues
-            ]
-        )
+    def weight(self, has_deadline: np.ndarray, hol_delay_us: np.ndarray) -> np.ndarray:
+        weighted = np.where(has_deadline, self._alpha * hol_delay_us, 0.0)
         avg = weighted.mean() if weighted.size else 0.0
-        urgency = np.exp(
+        return np.exp(
             np.clip((weighted - avg) / (1.0 + math.sqrt(max(avg, 0.0))), -20, 20)
         )
-        return pf * urgency[:, None]
 
 
-class CqaScheduler(MetricScheduler):
+class CqaScheduler(_DeadlineScheduler):
     """Channel & QoS Aware scheduler: HOL-delay urgency times PF."""
 
     name = "cqa"
 
-    def __init__(
-        self,
-        fairness_window_s: float = 1.0,
-        delay_budget_us: int = DEFAULT_DELAY_BUDGET_US,
-    ) -> None:
-        super().__init__(fairness_window_s)
-        self.delay_budget_us = delay_budget_us
-
-    def metric_matrix(
-        self, rates: np.ndarray, ues: Sequence[UeSchedState], now_us: int
-    ) -> np.ndarray:
-        ewma = np.array([ue.ewma_bps for ue in ues])
-        pf = rates / ewma[:, None]
+    def weight(self, has_deadline: np.ndarray, hol_delay_us: np.ndarray) -> np.ndarray:
         half_budget = max(self.delay_budget_us // 2, 1)
-        urgency = np.array(
-            [
-                1.0
-                + (
-                    math.ceil(ue.qos_hol_delay_us / half_budget)
-                    if ue.qos_deadline_flows > 0
-                    else 0.0
-                )
-                for ue in ues
-            ]
-        )
-        return pf * urgency[:, None]
+        return 1.0 + np.where(has_deadline, np.ceil(hol_delay_us / half_budget), 0.0)

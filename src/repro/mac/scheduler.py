@@ -84,12 +84,12 @@ class MacScheduler(ABC):
 
     name: str = "base"
 
-    #: Whether the scheduler reads only what the
-    #: :class:`~repro.mac.kernels.SchedArrays` table carries.  The xNodeB
-    #: hands such a scheduler its table; schedulers that read other
-    #: per-UE state (the QoS family, the GBR wrapper) leave this False
-    #: and are handed the list of :class:`UeSchedState`.
-    batched_capable: bool = False
+    #: The clairvoyant :class:`~repro.mac.kernels.SchedArrays` columns
+    #: this scheduler reads (``remaining_flow``, ``qos_deadline_flows``,
+    #: ``qos_hol_delay_us``).  The xNodeB refreshes the oracle only for a
+    #: scheduler that declares some; a wrapper forwards its inner
+    #: scheduler's.
+    oracle_columns: tuple[str, ...] = ()
 
     @abstractmethod
     def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
@@ -144,11 +144,7 @@ class MetricScheduler(MacScheduler):
 
     def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         table = as_table(ues)
-        # A scheduler that reads per-UE state the table lacks gets ``ues``.
-        metric = self.metric_matrix(
-            rates, table if self.batched_capable else ues, now_us
-        )
-        return plain_owner(metric, table.active)
+        return plain_owner(self.metric_matrix(rates, table, now_us), table.active)
 
     def on_tti_end(
         self,

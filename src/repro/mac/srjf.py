@@ -21,7 +21,7 @@ class SrjfScheduler(MetricScheduler):
     """Channel-blind SRJF over the users' shortest active flows."""
 
     name = "srjf"
-    batched_capable = True
+    oracle_columns = ("remaining_flow",)
 
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         # Smaller remaining size -> larger metric, identical across RBs

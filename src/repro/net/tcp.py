@@ -17,9 +17,8 @@ retransmission dynamics.  The model implements:
 * SRTT/RTTVAR estimation (RFC 6298) driving the RTO.
 
 Connection establishment is not simulated (flows model HTTP exchanges on
-warm connections); an optional ``handshake_rtt`` can add the setup delay.
-Flow completion time is recorded when the *last byte arrives at the
-receiver* -- the paper's FCT definition.
+warm connections).  Flow completion time is recorded when the *last byte
+arrives at the receiver* -- the paper's FCT definition.
 
 ``CubicState`` (and the ``CUBIC_C``/``CUBIC_BETA`` constants) moved to
 ``repro.cc.cubic`` when the policy was extracted; they are re-exported

@@ -119,14 +119,12 @@ class CellE2Node:
                 num_queues=len(decision.thresholds) + 1,
                 thresholds=decision.thresholds,
             )
+            # Head levels shift as reclassified packets arrive; the TTI
+            # this runs ahead of mirrors them into the scheduler's table.
+            has_queue = sim.config.rlc_mode != "tm"  # TM: one FIFO, no MLFQ
             for ue in sim.ues:
                 ue.flow_table.reconfigure(config)
-                queue = getattr(ue.rlc, "queue", None)
-                if queue is not None:
-                    queue.reconfigure(config)
-            # Head MLFQ levels advertised to the scheduler may shift as
-            # reclassified packets arrive; re-mirror the per-UE reports
-            # into the scheduler's table.
-            sim.enb.invalidate_kernel_caches()
+                if has_queue:
+                    ue.rlc.queue.reconfigure(config)
         if decision.boost_period_us is not None:
             sim.set_priority_boost_period(decision.boost_period_us or None)

@@ -231,8 +231,8 @@ class AmTransmitter:
         self._tx.tracer = value
 
     @property
-    def tx_queue(self):
-        """The underlying MLFQ Tx queue (tests and metrics)."""
+    def queue(self):
+        """The MLFQ Tx queue, under the name the UM entity gives its own."""
         return self._tx.queue
 
     @property

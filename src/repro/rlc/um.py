@@ -180,13 +180,6 @@ class UmTransmitter:
     def buffered_sdus(self) -> int:
         return len(self.queue)
 
-    def oldest_enqueue_us(self) -> Optional[int]:
-        """Enqueue time of the head SDU (for HOL-delay accounting)."""
-        if not self.queue:
-            return None
-        sdu, _ = self.queue.peek()
-        return sdu.enqueued_us
-
 
 class UmReceiver:
     """Receiving RLC UM entity: reassembly with a discard window.

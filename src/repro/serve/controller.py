@@ -16,7 +16,9 @@ chunk granularity instead of blocking for the rest of the run.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from collections import deque
+from pathlib import Path
+from typing import Optional, Union
 
 from repro.ric.guardrails import GuardrailRejection
 from repro.runner.spec import RunSpec
@@ -27,6 +29,10 @@ from repro.telemetry.exporters import snapshot_to_prometheus
 #: Default background-run slice: 1000 TTIs (1 simulated second in LTE)
 #: between lock releases.
 DEFAULT_CHUNK_TTIS = 1000
+
+#: Where checkpoints live unless the embedding program says otherwise
+#: (relative to the server's working directory).
+DEFAULT_CHECKPOINT_DIR = ".repro-serve"
 
 #: How long an inspect/scrape waits for a mid-chunk session lock before
 #: reporting 503 instead of stalling the scrape loop.
@@ -62,7 +68,9 @@ class _SessionHandle:
         self.pause_requested = threading.Event()
         self.thread: Optional[threading.Thread] = None
         self.run_error: Optional[str] = None
-        self.heartbeat_lines: list[str] = []
+        #: The latest heartbeat line (a picklable sink: checkpoints carry
+        #: the heartbeat's emit callback).
+        self.last_heartbeat: deque[str] = deque(maxlen=1)
 
     @property
     def running_in_background(self) -> bool:
@@ -72,10 +80,16 @@ class _SessionHandle:
 class ServeController:
     """Owns every hosted session; the HTTP layer is a codec over this."""
 
-    def __init__(self, chunk_ttis: int = DEFAULT_CHUNK_TTIS) -> None:
+    def __init__(
+        self,
+        chunk_ttis: int = DEFAULT_CHUNK_TTIS,
+        checkpoint_dir: Union[str, Path] = DEFAULT_CHECKPOINT_DIR,
+    ) -> None:
         if chunk_ttis <= 0:
             raise ValueError(f"chunk_ttis must be positive: {chunk_ttis}")
         self.chunk_ttis = chunk_ttis
+        #: The only directory clients can checkpoint into or resume from.
+        self.checkpoint_dir = Path(checkpoint_dir)
         self._handles: dict[str, _SessionHandle] = {}
         self._registry_lock = threading.Lock()
         self._counter = 0
@@ -151,7 +165,7 @@ class ServeController:
         handle = self._register(session, spec)
         if heartbeat_s is not None:
             session.sim.attach_heartbeat(
-                period_s=float(heartbeat_s), emit=handle.heartbeat_lines.append
+                period_s=float(heartbeat_s), emit=handle.last_heartbeat.append
             )
         if ric is not None:
             try:
@@ -168,15 +182,39 @@ class ServeController:
                 raise ApiError(400, "bad_ric", str(exc))
         return self.describe(handle.id)
 
+    def _checkpoint_path(self, payload: Optional[dict]) -> Path:
+        """The file a client-supplied checkpoint name stands for.
+
+        Resuming unpickles, so clients name files and the server decides
+        where they live: ``path`` is one bare name under
+        :attr:`checkpoint_dir`.  A separator, ``..``, an absolute path or
+        a symlink leading out of the directory is refused before anything
+        is opened.
+        """
+        name = (payload or {}).get("path")
+        if not name or not isinstance(name, str):
+            raise ApiError(400, "bad_request", "'path' must name a checkpoint file")
+        path = self.checkpoint_dir / name
+        if (
+            "\0" in name
+            or name == ".."
+            or Path(name).name != name
+            or path.resolve().parent != self.checkpoint_dir.resolve()
+        ):
+            raise ApiError(
+                400, "bad_request",
+                f"'path' must be a bare file name inside the server's "
+                f"checkpoint directory: {name!r}",
+            )
+        return path
+
     def resume_session(self, payload: Optional[dict]) -> dict:
         """POST /sessions/resume -- restore a checkpoint file as a new id."""
-        path = (payload or {}).get("path")
-        if not path:
-            raise ApiError(400, "bad_request", "resume needs a checkpoint 'path'")
+        path = self._checkpoint_path(payload)
         try:
             session = SimulationSession.resume(path)
         except FileNotFoundError:
-            raise ApiError(404, "not_found", f"no checkpoint at {path}")
+            raise ApiError(404, "not_found", f"no checkpoint named {path.name!r}")
         except CheckpointError as exc:
             raise ApiError(400, "bad_checkpoint", str(exc))
         handle = self._register(session)
@@ -294,12 +332,11 @@ class ServeController:
         }
 
     def checkpoint(self, sid: str, payload: Optional[dict] = None) -> dict:
-        path = (payload or {}).get("path")
-        if not path:
-            raise ApiError(400, "bad_request", "checkpoint needs a 'path'")
+        path = self._checkpoint_path(payload)
         handle = self._handle(sid)
         if handle.running_in_background:
             raise ApiError(409, "running", "pause the background run first")
+        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         with self._locked(handle):
             meta = self._session_call(handle.session.checkpoint, path)
         meta["id"] = sid
@@ -384,7 +421,7 @@ class ServeController:
             "status": "ok",
             "sessions": len(handles),
             "heartbeats": {
-                h.id: h.heartbeat_lines[-1] if h.heartbeat_lines else None
+                h.id: h.last_heartbeat[-1] if h.last_heartbeat else None
                 for h in handles
             },
         }

@@ -11,7 +11,7 @@ Routes (all bodies JSON):
 
 ====== ================================ =====================================
 POST   /sessions                        create (RunSpec-shaped body)
-POST   /sessions/resume                 restore a checkpoint file
+POST   /sessions/resume                 {"path": NAME} restore a checkpoint
 GET    /sessions                        list
 GET    /sessions/{id}                   inspect (?telemetry=1 for a snapshot)
 POST   /sessions/{id}/start             schedule the workload
@@ -19,7 +19,8 @@ POST   /sessions/{id}/step              {"n_ttis": N} or {"until_us": T}
 POST   /sessions/{id}/run               background run ({"chunk_ttis": N})
 POST   /sessions/{id}/pause             stop at the next chunk boundary
 POST   /sessions/{id}/finish            tear down -> result + fingerprint
-POST   /sessions/{id}/checkpoint        {"path": FILE}
+POST   /sessions/{id}/checkpoint        {"path": NAME} (a bare file name in
+                                        the server's checkpoint directory)
 POST   /sessions/{id}/reconfigure       epsilon/thresholds/boost/ric tuning
 GET    /sessions/{id}/ric               RIC control-loop report
 GET    /metrics                         live Prometheus exposition

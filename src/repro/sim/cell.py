@@ -157,7 +157,6 @@ class CellSimulation:
                 channel=self.channel.add_ue(i),
                 use_mlfq=self._use_mlfq,
                 deliver_sdu=self._deliver_sdu,
-                on_sdu_dropped=self._on_sdu_dropped,  # counted at the xNodeB
                 on_sdu_dequeued=self._on_sdu_dequeued,
             )
             for i in range(config.num_ues)
@@ -300,9 +299,6 @@ class CellSimulation:
         self.engine.schedule_in(
             self.config.server_delay_us, self.enb.ingress, ue_index, pkt
         )
-
-    def _on_sdu_dropped(self, sdu: RlcSdu) -> None:
-        pass  # counted at the xNodeB
 
     def _route_ack(self, ack: Packet) -> None:
         delay = self.config.ul_delay_us + self.config.server_delay_us

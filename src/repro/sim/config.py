@@ -43,7 +43,6 @@ class TrafficSpec:
     #: video knobs: DASH-style segment fetches per streaming UE.
     video_bitrate_bps: int = 2_500_000
     video_segment_s: float = 1.0
-    video_startup_segments: int = 2
 
 
 @dataclass(frozen=True)

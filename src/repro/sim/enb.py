@@ -25,9 +25,7 @@ import numpy as np
 from repro.mac.bsr import empty_report
 from repro.mac.harq import HarqEntity
 from repro.mac.kernels import SchedArrays
-from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
 from repro.mac.scheduler import MacScheduler
-from repro.mac.srjf import SrjfScheduler
 from repro.phy.channel import ChannelModel
 from repro.phy.tbs import transport_block_bits
 from repro.rlc.am import AmStatus, AmTransmitter
@@ -40,20 +38,6 @@ from repro.sim.ue import UeContext
 from repro.telemetry.flowtrace import FlowTracer
 from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
-
-
-_ORACLE_TYPES = (
-    SrjfScheduler,
-    PssScheduler,
-    CqaScheduler,
-    MlwdfScheduler,
-    ExpPfScheduler,
-)
-
-
-def _needs_oracle(scheduler: MacScheduler) -> bool:
-    inner = getattr(scheduler, "legacy", scheduler)
-    return isinstance(scheduler, _ORACLE_TYPES) or isinstance(inner, _ORACLE_TYPES)
 
 
 class XNodeB:
@@ -82,16 +66,18 @@ class XNodeB:
         self._cqi = channel.cqi_matrix()
         self._sched_states = [ue.sched for ue in self.ues]
         self._empty_reports = [empty_report(ue.index) for ue in self.ues]
-        self._needs_oracle = _needs_oracle(scheduler)
-        # The table a table-fed scheduler reads.  While it exists it is
-        # the source of truth for EWMA/last-served (the per-UE objects go
-        # stale until finalize()); the backlog scan below keeps activity,
-        # head levels and the SRJF oracle mirrored incrementally.  A
-        # scheduler that reads other per-UE state gets the objects.
-        self._arrays: SchedArrays | None = None
-        if scheduler.batched_capable:
-            self._arrays = SchedArrays(len(self.ues))
-            self._arrays.sync_from(self._sched_states)
+        # The clairvoyant baselines declare the oracle columns they read;
+        # nothing is refreshed for a scheduler that declares none.
+        self._oracle = bool(scheduler.oracle_columns)
+        self._qos_oracle = (
+            config.qos_oracle or "qos_hol_delay_us" in scheduler.oracle_columns
+        )
+        # The table every scheduler reads: the source of truth for
+        # EWMA/last-served (the per-UE objects go stale until finalize());
+        # the backlog scan below keeps activity, head levels and the
+        # oracle columns mirrored incrementally.
+        self._table = SchedArrays(len(self.ues))
+        self._table.sync_from(self._sched_states)
         #: Runtime parameter changes (Near-RT RIC controls) queued to be
         #: applied at the top of the next TTI, never mid-allocation.
         self._pending_controls: list[Callable[[], None]] = []
@@ -109,10 +95,6 @@ class XNodeB:
             self._harq = None
         #: Optional flow-lifecycle tracer (attach via attach_flow_tracer()).
         self._flowtrace: FlowTracer | None = None
-        qos_types = (PssScheduler, CqaScheduler, MlwdfScheduler, ExpPfScheduler)
-        self._qos_oracle = config.qos_oracle or isinstance(
-            getattr(scheduler, "legacy", scheduler), qos_types
-        ) or isinstance(scheduler, qos_types)
         self.ttis_run = 0
         self.tbs_lost = 0
         #: Optional per-TTI scheduling trace (attach via enable_trace()).
@@ -179,25 +161,6 @@ class XNodeB:
         """
         self._pending_controls.append(apply)
 
-    def invalidate_kernel_caches(self) -> None:
-        """Re-mirror per-UE report state into the scheduler's table.
-
-        Called after a runtime parameter change that can shift the per-UE
-        MLFQ head levels.  Only the report-derived fields (activity, head
-        level, SRJF remaining) are re-mirrored -- the EWMA/last-served
-        arrays are the *source of truth* and must not be overwritten
-        from the stale per-UE objects.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            return
-        for state in self._sched_states:
-            if state.active:
-                arrays.set_report(state.index, state.bsr.head_level)
-                arrays.set_remaining(state.index, state.remaining_flow_bytes)
-            else:
-                arrays.clear_report(state.index)
-
     def on_tti(self) -> None:
         """One scheduling interval."""
         if self._pending_controls:
@@ -206,7 +169,7 @@ class XNodeB:
                 apply()
         now = self.engine.now_us
         self.ttis_run += 1
-        arrays = self._arrays
+        table = self._table
         backlogged: list[int] = []
         for ue in self.ues:
             harq = self._harq[ue.index] if self._harq is not None else None
@@ -223,31 +186,27 @@ class XNodeB:
                     )
                 ue.sched.bsr = bsr
                 backlogged.append(ue.index)
-                if arrays is not None:
-                    arrays.set_report(ue.index, bsr.head_level)
+                table.set_report(ue.index, bsr.head_level)
                 if self._flowtrace is not None and ue.sched.backlog_since_us is None:
                     ue.sched.backlog_since_us = now
-                if self._needs_oracle:
+                if self._oracle:
                     ue.refresh_oracle(now, self._qos_oracle)
-                    if arrays is not None:
-                        arrays.set_remaining(ue.index, ue.sched.remaining_flow_bytes)
+                    table.set_oracle(ue.index, ue.sched)
             elif ue.sched.bsr.has_data:
                 ue.sched.bsr = self._empty_reports[ue.index]
                 ue.sched.backlog_since_us = None
-                if arrays is not None:
-                    arrays.clear_report(ue.index)
+                table.clear_report(ue.index)
         served_bits = np.zeros(len(self.ues))
         owner = None
         grant_bits = np.zeros(len(self.ues))
         if backlogged:
             with self._sec_schedule:
-                sched_ues = arrays if arrays is not None else self._sched_states
                 if self._lat_hist is not None:
                     t0 = perf_counter_ns()
-                    owner = self.scheduler.allocate(self._rates, sched_ues, now)
+                    owner = self.scheduler.allocate(self._rates, table, now)
                     self._lat_hist.observe((perf_counter_ns() - t0) / 1e3)
                 else:
-                    owner = self.scheduler.allocate(self._rates, sched_ues, now)
+                    owner = self.scheduler.allocate(self._rates, table, now)
             valid = owner >= 0
             if valid.any():
                 rb_idx = np.nonzero(valid)[0]
@@ -263,7 +222,7 @@ class XNodeB:
                             grant_bits, (0, len(self.ues) - grant_bits.shape[0])
                         )
                 else:
-                    table = self.channel.cqi_table
+                    cqi_table = self.channel.cqi_table
                     re_per_rb = self.config.grid.data_re_per_rb()
                     for ue_index in np.unique(owners):
                         owned = rb_idx[owners == ue_index]
@@ -272,7 +231,7 @@ class XNodeB:
                             self._rates[ue_index],
                             self._cqi[ue_index],
                             owned,
-                            table,
+                            cqi_table,
                             re_per_rb,
                         )
                 with self._sec_rlc:
@@ -297,8 +256,7 @@ class XNodeB:
 
     def finalize(self) -> None:
         """End-of-run hook: fold the table back into the UE objects."""
-        if self._arrays is not None:
-            self._arrays.sync_to(self._sched_states)
+        self._table.sync_to(self._sched_states)
 
     def _record_tti(
         self,
@@ -325,17 +283,8 @@ class XNodeB:
                 ),
             )
         self.metrics.on_tti(now, served_bits, backlogged)
-        arrays = self._arrays
-        self.scheduler.on_tti_end(
-            arrays if arrays is not None else self._sched_states,
-            served_bits,
-            self.config.tti_us,
-        )
-        if arrays is not None:
-            arrays.last_served_us[served_bits != 0] = now
-        else:
-            for ue_index in np.nonzero(served_bits)[0]:
-                self._sched_states[ue_index].last_served_us = now
+        self.scheduler.on_tti_end(self._table, served_bits, self.config.tti_us)
+        self._table.last_served_us[served_bits != 0] = now
 
     def _serve_ue(
         self, ue: UeContext, grant_bytes: int, served_bits: np.ndarray

@@ -54,7 +54,6 @@ class UeContext:
         channel: UeChannel,
         use_mlfq: bool,
         deliver_sdu: Callable[["UeContext", RlcSdu, int], None],
-        on_sdu_dropped: Callable[[RlcSdu], None],
         on_sdu_dequeued: Callable[[RlcSdu, int], None],
     ) -> None:
         self.index = index
@@ -80,7 +79,6 @@ class UeContext:
             capacity_sdus=config.rlc_capacity_sdus,
             overflow_policy=overflow_policy,
             promote_segments=config.promote_segments,
-            on_sdu_dropped=on_sdu_dropped,
             on_sdu_dequeued=on_sdu_dequeued,
             on_sdu_first_tx=self._number_sdu if delayed_sn else None,
             aqm=make_aqm(config, index),
@@ -88,11 +86,7 @@ class UeContext:
         self.rlc: Union[UmTransmitter, AmTransmitter, TmTransmitter]
         self.rlc_rx: Union[UmReceiver, AmReceiver, TmReceiver]
         if config.rlc_mode == "tm":
-            self.rlc = TmTransmitter(
-                index,
-                capacity_sdus=config.rlc_capacity_sdus,
-                on_sdu_dropped=on_sdu_dropped,
-            )
+            self.rlc = TmTransmitter(index, capacity_sdus=config.rlc_capacity_sdus)
             self.rlc_rx = TmReceiver(deliver=self._deliver)
         elif config.rlc_mode == "am":
             self.rlc = AmTransmitter(index, **rlc_kwargs)

@@ -86,14 +86,14 @@ class KpiCollector:
         level_bytes: Optional[list[int]] = None
         queued_bytes = 0
         backlogged = 0
+        has_queue = sim.config.rlc_mode != "tm"  # TM: one FIFO, no MLFQ levels
         for ue in sim.ues:
             queued_bytes += ue.rlc.buffered_bytes
             if ue.rlc.buffered_bytes > 0:
                 backlogged += 1
-            queue = getattr(ue.rlc, "queue", None)
-            if queue is None:
-                continue  # RLC TM: single FIFO, no MLFQ levels
-            per_level = queue.level_bytes()
+            if not has_queue:
+                continue
+            per_level = ue.rlc.queue.level_bytes()
             if level_bytes is None:
                 level_bytes = per_level
             else:

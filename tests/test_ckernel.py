@@ -20,20 +20,20 @@ from repro.sim.session import SimulationSession
 from tests.golden.regenerate import GOLDEN_DIR, run_case
 
 
-def test_default_session_runs_the_compiled_kernel(monkeypatch):
+def _kernel_calls_per_allocation(scheduler, entry_point, monkeypatch):
     lib = _ckernel.load()
     if lib is None:
         pytest.skip("no C compiler: the owner kernel cannot be built here")
     calls = {"kernel": 0, "allocate": 0}
-    kernel = lib.repro_epsilon_owner
+    kernel = getattr(lib, entry_point)
 
     def counting_kernel(*args):
         calls["kernel"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(lib, "repro_epsilon_owner", counting_kernel)
+    monkeypatch.setattr(lib, entry_point, counting_kernel)
     session = SimulationSession.from_config(
-        SimConfig.lte_default(num_ues=4, load=0.5, seed=7), "outran",
+        SimConfig.lte_default(num_ues=4, load=0.5, seed=7), scheduler,
         duration_s=0.3,
     )
     allocate = session.sim.scheduler.allocate
@@ -47,6 +47,15 @@ def test_default_session_runs_the_compiled_kernel(monkeypatch):
     session.start().finish()
     assert calls["allocate"] > 0
     assert calls["kernel"] >= calls["allocate"]
+
+
+def test_default_session_runs_the_compiled_kernel(monkeypatch):
+    _kernel_calls_per_allocation("outran", "repro_epsilon_owner", monkeypatch)
+
+
+def test_qos_session_runs_the_compiled_kernel(monkeypatch):
+    """Fed the xNodeB's table, PSS builds a C-ordered metric like PF does."""
+    _kernel_calls_per_allocation("pss", "repro_plain_owner", monkeypatch)
 
 
 def _missing_compiler(monkeypatch, tmp_path):

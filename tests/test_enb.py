@@ -123,3 +123,70 @@ class TestOracleWiring:
         sim.engine.run_until(40_000)
         sim.enb.on_tti()
         assert sim.ues[0].sched.qos_deadline_flows == 1
+
+    def test_wrappers_forward_the_inner_schedulers_oracle(self):
+        from repro.core.outran import OutranScheduler
+        from repro.mac.gbr import GbrReservingScheduler
+        from repro.mac.srjf import SrjfScheduler
+
+        assert make_sim("pf").scheduler.oracle_columns == ()
+        assert make_sim("outran").scheduler.oracle_columns == ()
+        wrapped = GbrReservingScheduler(OutranScheduler(SrjfScheduler()), {})
+        assert wrapped.oracle_columns == SrjfScheduler.oracle_columns
+        assert make_sim(wrapped).enb._oracle
+        assert not make_sim(wrapped).enb._qos_oracle
+        assert make_sim("pss").enb._qos_oracle
+
+
+class TestOneFeed:
+    """Every scheduler is fed the xNodeB's one table, built once per cell."""
+
+    @staticmethod
+    def gbr_outran():
+        from repro.core.outran import OutranScheduler
+        from repro.mac.gbr import GbrConfig, GbrReservingScheduler
+
+        return GbrReservingScheduler(OutranScheduler(), {0: GbrConfig(2e6)})
+
+    @pytest.mark.parametrize("scheduler", ["pss", "gbr[outran]"])
+    def test_no_table_is_built_inside_a_tti(self, scheduler, monkeypatch):
+        from repro.mac import kernels
+        from repro.runner import RunSpec
+        from repro.sim.session import SimulationSession
+
+        built = []
+        init = kernels.SchedArrays.__init__
+
+        def counting_init(self, num_ues):
+            built.append(num_ues)
+            init(self, num_ues)
+
+        monkeypatch.setattr(kernels.SchedArrays, "__init__", counting_init)
+        spec = RunSpec("lte", "pss", load=0.5, seed=7, num_ues=4, duration_s=0.3)
+        if scheduler == "pss":
+            session = spec.session()
+        else:
+            session = SimulationSession.from_config(
+                spec.to_config(), self.gbr_outran(), duration_s=0.3
+            )
+        assert built == [4]  # the XNodeB's, at construction
+        result = session.start().finish()
+        assert built == [4]
+        assert session.sim.enb.ttis_run > 0 and result.completed_flows > 0
+
+    def test_every_scheduler_still_takes_a_list_of_ue_states(self):
+        from repro.mac.bsr import BufferStatusReport
+        from repro.mac.scheduler import UeSchedState
+        from repro.sim.cell import SCHEDULER_NAMES, make_scheduler
+
+        cfg = SimConfig.lte_default(num_ues=3, seed=1)
+        rates = np.asfortranarray(np.arange(1.0, 16.0).reshape(3, 5))
+        for spec in (*SCHEDULER_NAMES, self.gbr_outran()):
+            sched = make_scheduler(spec, cfg)
+            ues = [UeSchedState(i, i) for i in range(3)]
+            for ue in ues[:2]:
+                ue.bsr = BufferStatusReport(ue.ue_id, total_bytes=500, head_level=0)
+            owner = sched.allocate(rates, ues, 1_000)
+            assert set(owner.tolist()) <= {0, 1}, sched.name
+            sched.on_tti_end(ues, np.array([8e3, 0.0, 0.0]), 1_000)
+            assert ues[0].ewma_bps > ues[1].ewma_bps, sched.name

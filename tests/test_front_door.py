@@ -135,3 +135,21 @@ def test_each_cli_flag_is_defined_once():
     repeated = {flag for flag, count in flags.items() if count > 1}
     assert repeated == {"--scheduler", "--json", "--jobs"}
     assert {"--cc", "--ecn-k", "--workload", "--rat"} <= set(flags)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_one_feed_into_the_mac():
+    """No scheduler-type flag, and the xNodeB knows no concrete scheduler."""
+    for path in SRC.rglob("*.py"):
+        assert "batched_capable" not in path.read_text(), path
+    enb = ast.parse((SRC / "sim" / "enb.py").read_text())
+    assert not {"repro.mac.qos", "repro.mac.srjf", "repro.core.outran"} & set(
+        _imported_modules(enb)
+    )

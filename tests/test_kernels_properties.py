@@ -28,8 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.inter_user import IDLE_LEVEL, reselect_users
-from repro.mac.kernels import SchedArrays, epsilon_owner, plain_owner
-from repro.mac.scheduler import MIN_EWMA_BPS, argmax_allocation
+from repro.mac.kernels import SchedArrays, as_table, epsilon_owner, plain_owner
+from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
+from repro.mac.scheduler import MIN_EWMA_BPS, UeSchedState, argmax_allocation
 
 SEED_SETTINGS = dict(derandomize=True, deadline=None, max_examples=120)
 
@@ -237,3 +238,76 @@ class TestUpdateEwma:
             value = keep * ewma[i] + scale * bits[i]
             expected = value if value > MIN_EWMA_BPS else MIN_EWMA_BPS
             assert arrays.ewma_bps[i] == expected
+
+
+# -- QoS weights: table columns vs the per-UE scalar formulas ---------------
+#
+# The reference below is the per-UE form the QoS family computed its
+# weights in before the schedulers read the table's oracle columns:
+# scalar Python floats, one UE at a time.  Same IEEE-754 operations per
+# element, so the comparison is exact.
+
+
+def scalar_qos_metric(sched, rates, ues):
+    ewma = np.array([ue.ewma_bps for ue in ues])
+    pf = rates / ewma[:, None]
+    deadline = [ue.qos_deadline_flows > 0 for ue in ues]
+    hol = [ue.qos_hol_delay_us for ue in ues]
+    if sched.name == "pss":
+        if not any(deadline):
+            return pf
+        bonus = pf.max() + 1.0 if np.isfinite(pf.max()) else 1.0
+        return pf + np.where(np.array(deadline)[:, None], bonus, 0.0)
+    if sched.name == "mlwdf":
+        weight = [1.0 + sched._alpha * h if d else 1.0
+                  for d, h in zip(deadline, hol)]
+    elif sched.name == "exppf":
+        weighted = np.array([sched._alpha * h if d else 0.0
+                             for d, h in zip(deadline, hol)])
+        avg = weighted.mean()
+        weight = np.exp(np.clip(
+            (weighted - avg) / (1.0 + math.sqrt(max(avg, 0.0))), -20, 20
+        ))
+    else:
+        half_budget = max(sched.delay_budget_us // 2, 1)
+        weight = [1.0 + (math.ceil(h / half_budget) if d else 0.0)
+                  for d, h in zip(deadline, hol)]
+    return pf * np.array(weight)[:, None]
+
+
+@st.composite
+def qos_problems(draw):
+    num_ues = draw(st.integers(min_value=1, max_value=10))
+    num_rbs = draw(st.integers(min_value=1, max_value=12))
+    rates = np.asarray(
+        draw(st.lists(st.floats(min_value=0.0, max_value=5e4, allow_nan=False),
+                      min_size=num_ues * num_rbs, max_size=num_ues * num_rbs)),
+    ).reshape(num_ues, num_rbs)
+    if draw(st.booleans()):  # the channel hands out F-ordered rates
+        rates = np.asfortranarray(rates)
+    ues = []
+    for i in range(num_ues):
+        ue = UeSchedState(i, i)
+        ue.ewma_bps = draw(st.floats(min_value=MIN_EWMA_BPS, max_value=1e10))
+        ue.qos_deadline_flows = draw(st.integers(min_value=0, max_value=3))
+        ue.qos_hol_delay_us = draw(
+            st.one_of(st.integers(min_value=0, max_value=200_000),
+                      st.integers(min_value=0, max_value=10**12))
+        )
+        ues.append(ue)
+    return rates, ues
+
+
+@pytest.mark.parametrize(
+    "make", [PssScheduler, CqaScheduler, MlwdfScheduler, ExpPfScheduler],
+    ids=lambda cls: cls.name,
+)
+@settings(**SEED_SETTINGS)
+@given(qos_problems(), st.sampled_from([1, 7, 50_000]))
+def test_qos_metric_equals_scalar_formula(make, problem, budget_us):
+    rates, ues = problem
+    sched = make(delay_budget_us=budget_us)
+    metric = sched.metric_matrix(rates, as_table(ues), 0)
+    assert metric.flags.c_contiguous and metric.dtype == np.float64
+    with np.errstate(over="ignore"):
+        assert np.array_equal(metric, scalar_qos_metric(sched, rates, ues))

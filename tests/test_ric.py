@@ -26,6 +26,7 @@ from repro.ric import (
 from repro.ric.xapp import XAPP_FACTORIES
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
+from repro.sim.session import SimulationSession
 from repro.traffic import NonStationaryLoad
 
 #: The tunable state of a default OutRAN cell (epsilon 0.2, the paper's
@@ -199,10 +200,36 @@ class TestE2Node:
         assert sim.priority_boost_period_us == 200_000
         for ue in sim.ues:
             assert ue.flow_table.config.thresholds == (10_000, 50_000, 500_000)
-            queue = getattr(ue.rlc, "queue", None)
-            if queue is not None:
-                assert queue.config.thresholds == (10_000, 50_000, 500_000)
+            assert ue.rlc.queue.config.thresholds == (10_000, 50_000, 500_000)
         assert node.controls_accepted == 1
+
+    def test_am_reports_per_level_backlog_and_takes_controls(self):
+        """The AM entity's Tx queue goes by the UM name: one `queue`."""
+        sim = _small_sim(rlc_mode="am", load=2.0)
+        node = CellE2Node(sim)
+        session = SimulationSession(sim, 0.3).start()
+        session.step(n_ttis=150)
+        kpi = node.indication().kpi
+        assert kpi.queued_bytes > 0
+        assert len(kpi.mlfq_level_bytes) == MlfqConfig().num_queues
+        assert sum(kpi.mlfq_level_bytes) == kpi.queued_bytes
+        assert node.control(_request(thresholds=(10_000, 50_000, 500_000))).accepted
+        session.step(n_ttis=1)
+        for ue in sim.ues:
+            assert ue.flow_table.config.thresholds == (10_000, 50_000, 500_000)
+            assert ue.rlc.queue.config.thresholds == (10_000, 50_000, 500_000)
+        session.finish()
+
+    def test_tm_has_no_levels_to_report_or_reconfigure(self):
+        sim = _small_sim(rlc_mode="tm", use_mlfq=True, load=2.0)
+        node = CellE2Node(sim)
+        session = SimulationSession(sim, 0.3).start()
+        assert node.control(_request(thresholds=(10_000, 50_000, 500_000))).accepted
+        session.step(n_ttis=150)
+        kpi = node.indication().kpi
+        assert kpi.queued_bytes > 0 and kpi.mlfq_level_bytes == ()
+        assert sim.ues[0].flow_table.config.thresholds == (10_000, 50_000, 500_000)
+        session.finish()
 
     def test_rejected_control_changes_nothing(self):
         sim = _small_sim()

@@ -117,10 +117,9 @@ class TestControllerValidation:
         assert exc.value.error == "guardrail_rejected"
         ctl.finish(sid)
 
-    def test_resume_missing_file_404(self):
-        err = api_error(
-            ServeController().resume_session, {"path": "/nonexistent.ckpt"}
-        )
+    def test_resume_missing_file_404(self, tmp_path):
+        ctl = ServeController(checkpoint_dir=tmp_path)
+        err = api_error(ctl.resume_session, {"path": "nonexistent.ckpt"})
         assert err.status == 404
 
 
@@ -155,11 +154,11 @@ class TestBackgroundRun:
         assert ctl.finish(sid)["fingerprint"] == offline_fingerprint()
 
     def test_checkpoint_mid_background_refused(self, tmp_path):
-        ctl = ServeController(chunk_ttis=50)
+        ctl = ServeController(chunk_ttis=50, checkpoint_dir=tmp_path)
         sid = ctl.create_session(dict(SPEC))["id"]
         ctl.start(sid)
         ctl.run(sid)
-        err = api_error(ctl.checkpoint, sid, {"path": str(tmp_path / "x.ckpt")})
+        err = api_error(ctl.checkpoint, sid, {"path": "x.ckpt"})
         assert err.status == 409
         ctl.pause(sid)
         ctl.finish(sid)
@@ -167,14 +166,14 @@ class TestBackgroundRun:
 
 class TestCheckpointOverApi:
     def test_checkpoint_and_resume_round_trip(self, tmp_path):
-        ctl = ServeController()
+        ctl = ServeController(checkpoint_dir=tmp_path / "ckpts")
         sid = ctl.create_session(dict(BARE))["id"]
         ctl.start(sid)
         ctl.step(sid, {"n_ttis": 150})
-        path = tmp_path / "api.ckpt"
-        meta = ctl.checkpoint(sid, {"path": str(path)})
+        meta = ctl.checkpoint(sid, {"path": "api.ckpt"})
         assert meta["now_us"] == 150_000
-        resumed = ctl.resume_session({"path": str(path)})
+        assert (tmp_path / "ckpts" / "api.ckpt").stat().st_size == meta["bytes"]
+        resumed = ctl.resume_session({"path": "api.ckpt"})
         assert resumed["resumed"] is True
         assert resumed["now_us"] == 150_000
         fp_original = ctl.finish(sid)["fingerprint"]
@@ -205,18 +204,27 @@ class TestMetricsAndTelemetry:
         assert desc["telemetry"]["counters"]
         ctl.finish(sid)
 
-    def test_heartbeat_lines_surface_in_healthz(self):
-        ctl = ServeController()
+    def test_heartbeat_lines_surface_in_healthz(self, tmp_path):
+        ctl = ServeController(checkpoint_dir=tmp_path)
         sid = ctl.create_session(dict(SPEC, heartbeat_s=0.1))["id"]
         ctl.start(sid)
         ctl.step(sid, {"n_ttis": 300})
-        assert ctl.healthz()["heartbeats"][sid]
+        first = ctl.healthz()["heartbeats"][sid]
+        assert first
+        # Only the latest line is kept (and a checkpoint carries no more).
+        ctl.step(sid, {"n_ttis": 300})
+        assert ctl.healthz()["heartbeats"][sid] != first
+        assert len(ctl._handles[sid].last_heartbeat) == 1
+        ctl.checkpoint(sid, {"path": "beating.ckpt"})
+        assert ctl.resume_session({"path": "beating.ckpt"})["now_us"] == 600_000
 
 
 class TestHttpEndToEnd:
     @pytest.fixture
-    def server(self):
-        server = ReproServer(ServeController(chunk_ttis=100))
+    def server(self, tmp_path):
+        server = ReproServer(
+            ServeController(chunk_ttis=100, checkpoint_dir=tmp_path / "ckpts")
+        )
         port = server.start_background()
         yield f"http://127.0.0.1:{port}"
         server.stop()
@@ -247,9 +255,10 @@ class TestHttpEndToEnd:
         assert st == 200 and out["now_us"] == 150_000
         st, meta = self.request(
             server, "POST", f"/sessions/{sid}/checkpoint",
-            {"path": str(tmp_path / "http.ckpt")},
+            {"path": "serve-smoke.ckpt"},
         )
         assert st == 200 and meta["now_us"] == 150_000
+        assert (tmp_path / "ckpts" / "serve-smoke.ckpt").is_file()
         st, metrics = self.request(server, "GET", "/metrics")
         assert st == 200 and "repro_session_now_us" in metrics
         st, done = self.request(server, "POST", f"/sessions/{sid}/finish")
@@ -258,7 +267,7 @@ class TestHttpEndToEnd:
         # resume the checkpoint as a second session: same bytes again
         st, resumed = self.request(
             server, "POST", "/sessions/resume",
-            {"path": str(tmp_path / "http.ckpt")},
+            {"path": "serve-smoke.ckpt"},
         )
         assert st == 200 and resumed["resumed"] is True
         st, done2 = self.request(
@@ -281,6 +290,36 @@ class TestHttpEndToEnd:
         assert self.request(server, "DELETE", "/sessions")[0] == 405
         st, health = self.request(server, "GET", "/healthz")
         assert st == 200 and health["status"] == "ok"
+
+    def test_checkpoint_names_cannot_leave_the_server_directory(
+        self, server, tmp_path
+    ):
+        """resume unpickles: only bare names under the server's directory."""
+        ckpts = tmp_path / "ckpts"
+        sid = self.request(server, "POST", "/sessions", dict(BARE))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        self.request(server, "POST", f"/sessions/{sid}/checkpoint", {"path": "ok.ckpt"})
+        # A real checkpoint outside the directory, and a symlink to it inside.
+        outside = tmp_path / "outside.ckpt"
+        outside.write_bytes((ckpts / "ok.ckpt").read_bytes())
+        (ckpts / "link.ckpt").symlink_to(outside)
+        (ckpts / "dangling.ckpt").symlink_to(tmp_path / "written-through-link")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        hostile = ["../outside.ckpt", "../x", "/etc/passwd", str(outside),
+                   "sub/x.ckpt", "..", ".", "", "link.ckpt", "dangling.ckpt", 7]
+        for name in hostile:
+            for route in ("/sessions/resume", f"/sessions/{sid}/checkpoint"):
+                st, body = self.request(server, "POST", route, {"path": name})
+                assert (st, body["error"]) == (400, "bad_request"), (route, name)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        assert outside.read_bytes() == (ckpts / "ok.ckpt").read_bytes()
+        # ... and the server is still there: the good name still resumes.
+        st, resumed = self.request(
+            server, "POST", "/sessions/resume", {"path": "ok.ckpt"}
+        )
+        assert st == 200 and resumed["resumed"] is True
+        st, listed = self.request(server, "GET", "/sessions")
+        assert st == 200 and len(listed["sessions"]) == 2
 
     @pytest.mark.parametrize("length", ["abc", "-5", str(2**40)])
     def test_hostile_content_length_is_a_400(self, server, length):

@@ -213,11 +213,15 @@ class TestCheckpointFormat:
 
     def test_previous_version_rejected(self, tmp_path):
         # v1 graphs predate the single execution path (SimConfig, XNodeB,
-        # TcpFlow and UmReceiver layouts differ): refuse, never half-load.
-        old = tmp_path / "v1.ckpt"
-        old.write_bytes(CHECKPOINT_MAGIC + b" 1\n" + pickle.dumps(object()))
-        with pytest.raises(CheckpointError, match="v1 not supported"):
-            SimulationSession.resume(old)
+        # TcpFlow and UmReceiver layouts differ), v2 graphs the single
+        # scheduler feed (XNodeB, SchedArrays): refuse, never half-load.
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.ckpt"
+            old.write_bytes(
+                CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
+            )
+            with pytest.raises(CheckpointError, match=f"v{version} not supported"):
+                SimulationSession.resume(old)
 
     def test_wrong_payload_type_rejected(self, tmp_path):
         bad = tmp_path / "dict.ckpt"
