@@ -23,15 +23,9 @@ Parallelism: ``REPRO_BENCH_JOBS=N`` makes the ``prefetch_*`` helpers
 :class:`~repro.runner.pool.SweepRunner` on N worker processes.  Seeds are
 explicit, so parallel and serial runs produce byte-identical figure text.
 
-Every in-process run is instrumented with the shared telemetry registry
-and phase profiler; ``record()`` writes a ``<name>.<mode>.telemetry.json``
-next to each figure's text output (telemetry never changes simulation
-results -- the test suite asserts this; prefetched runs execute
-uninstrumented in workers and contribute no counters).
-
-The overhead figures additionally feed ``record_bench()`` /
-``measure_overhead()``, which maintain the tracked perf trajectory in
-``BENCH_overhead.json`` at the repo root.
+Inline and prefetched runs are the same uninstrumented session, so a
+store entry is the same bytes whichever process wrote it.  Host time is
+not measured here: that is ``benchmarks/perf`` (see its README).
 """
 
 from __future__ import annotations
@@ -39,22 +33,15 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.runner import ResultStore, RunSpec, SweepRunner
 from repro.sim.metrics import SimResult
-from repro.telemetry import Profiler, TelemetryRegistry, snapshot_to_json
 
 QUICK = os.environ.get("REPRO_BENCH_FULL", "0") != "1"
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Tracked perf trajectory.  The overhead benchmarks (fig13/fig14) merge
-#: their wall-clock/TTI-rate/profile numbers into this one JSON at the
-#: repo root, so each commit's diff shows how the numbers moved.
-BENCH_PATH = Path(__file__).parent.parent / "BENCH_overhead.json"
 
 #: Default seeds/durations per mode (env overrides exist so CI smoke
 #: sweeps can run a real figure at toy scale).
@@ -83,10 +70,6 @@ def _make_store() -> Optional[ResultStore]:
 
 #: Persistent cross-process result store (None when disabled).
 STORE = _make_store()
-
-#: Shared across every harness run so the suite's telemetry pools.
-TELEMETRY = TelemetryRegistry()
-PROFILER = Profiler()
 
 
 def scale(quick_value, full_value):
@@ -137,13 +120,12 @@ def _nr_spec(
 
 
 def _fetch_or_run(spec: RunSpec) -> SimResult:
-    """Serve one spec from the store, else run it in-process (instrumented
-    with the suite telemetry) and persist the result."""
+    """Serve one spec from the store, else run it in-process and persist
+    the result."""
     key = spec.key()
     result = STORE.get(key) if STORE is not None else None
     if result is None:
-        session = spec.session(telemetry=TELEMETRY, profiler=PROFILER)
-        result = session.start().finish()
+        result = spec.session().start().finish()
         if STORE is not None:
             STORE.put(key, result)
     return result
@@ -192,7 +174,6 @@ def prefetch(specs: Sequence[RunSpec]) -> None:
     runner = SweepRunner(
         jobs=JOBS,
         store=STORE,
-        telemetry=TELEMETRY,
         progress=sys.stderr,
         progress_period_s=30.0,
     )
@@ -241,131 +222,20 @@ def prefetch_nr(
     )
 
 
-def record(name: str, text: str) -> str:
+def record(name: str, text: str, data: Optional[dict] = None) -> str:
     """Save a rendered figure table under results/ and return it.
 
-    Also dumps the telemetry accumulated so far (counters pooled across
-    every harness run this process has done, plus the phase-profile) as
-    ``<name>.<mode>.telemetry.json`` next to the text output.
+    ``data`` (the figure's simulated numbers, exact per seed) is written
+    as ``<name>.<mode>.json`` next to the text.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     mode = "quick" if QUICK else "full"
     (RESULTS_DIR / f"{name}.{mode}.txt").write_text(text + "\n")
-    snapshot = TELEMETRY.snapshot()
-    snapshot["profile"] = PROFILER.report()
-    snapshot_to_json(snapshot, RESULTS_DIR / f"{name}.{mode}.telemetry.json")
-    return text
-
-
-#: Timing repetitions for the tracked perf numbers.  Single-shot wall
-#: clocks on runs this short are noise-dominated (overhead percentages
-#: came out *negative* in past trajectory entries); every recorded
-#: number is now the median of >= 5 repetitions with the spread stored
-#: alongside it.
-BENCH_REPS = max(5, int(os.environ.get("REPRO_BENCH_REPS", "5")))
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _spread_pct(values: Sequence[float]) -> float:
-    """Full spread (max-min) relative to the median, in percent."""
-    med = _median(values)
-    if not med or med != med:
-        return float("nan")
-    return (max(values) - min(values)) / med * 100.0
-
-
-def measure_overhead(
-    scheduler: str,
-    load: float = 2.0,
-    num_ues: int = 20,
-    duration_s: float = 2.0,
-    seed: int = DEFAULT_SEED,
-    flow_trace: bool = False,
-    reps: Optional[int] = None,
-    **overrides,
-) -> dict:
-    """Time *uncached* LTE runs end-to-end for the perf trajectory.
-
-    Deliberately bypasses the store and uses a private profiler
-    per repetition: a cached result has no wall clock to measure, and
-    the shared ``PROFILER`` pools phase time across every figure in the
-    suite.  Runs ``reps`` (default :data:`BENCH_REPS`, >= 5) identical
-    repetitions and reports the median wall clock with its spread, so
-    the tracked overhead percentages compare medians instead of two
-    noise samples.  Returns the wall seconds, simulated TTIs and events
-    per wall second, and the per-phase profile split of the median
-    repetition -- the numbers :func:`record_bench` tracks in
-    ``BENCH_overhead.json``.
-    """
-    spec = _lte_spec(scheduler, load, num_ues, duration_s, seed, overrides)
-    reps = BENCH_REPS if reps is None else max(1, reps)
-    walls = []
-    samples = []
-    for _ in range(reps):
-        profiler = Profiler()
-        session = spec.session(
-            telemetry=TELEMETRY, profiler=profiler, flow_trace=flow_trace
+    if data is not None:
+        (RESULTS_DIR / f"{name}.{mode}.json").write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n"
         )
-        start = time.perf_counter()
-        result = session.start().finish()
-        wall_s = time.perf_counter() - start
-        walls.append(wall_s)
-        samples.append((wall_s, result, profiler))
-    # Report the repetition whose wall clock is closest to the median,
-    # so the per-phase split is a real, self-consistent measurement.
-    wall_med = _median(walls)
-    wall_s, result, profiler = min(
-        samples, key=lambda s: abs(s[0] - wall_med)
-    )
-    ttis = int(result.extra["ttis"])
-    events = int(result.extra["events"])
-    report = profiler.report()
-    return {
-        "scheduler": scheduler,
-        "num_ues": num_ues,
-        "duration_s": duration_s,
-        "flow_trace": flow_trace,
-        "flows_completed": len(result._c.records),
-        "wall_s": wall_s,
-        "wall_reps": reps,
-        "wall_spread_pct": _spread_pct(walls),
-        "ttis": ttis,
-        "ttis_per_s": ttis / wall_s if wall_s else float("nan"),
-        "events_per_s": events / wall_s if wall_s else float("nan"),
-        "profile_s": {
-            name: phase["seconds"]
-            for name, phase in report["phases"].items()
-        },
-        "profile_other_s": report["other_s"],
-    }
-
-
-def record_bench(name: str, payload: dict) -> dict:
-    """Merge one named entry into ``BENCH_overhead.json`` at the repo root.
-
-    The file is the tracked perf trajectory: each overhead benchmark
-    overwrites only its own entry, so a run of one figure never clobbers
-    the other's numbers and successive commits diff as that benchmark's
-    movement.
-    """
-    doc = {"schema": 1, "mode": "quick" if QUICK else "full", "entries": {}}
-    if BENCH_PATH.exists():
-        try:
-            previous = json.loads(BENCH_PATH.read_text())
-            if isinstance(previous.get("entries"), dict):
-                doc["entries"] = previous["entries"]
-        except ValueError:
-            pass  # corrupt trajectory file: start a fresh one
-    doc["entries"][name] = payload
-    BENCH_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return payload
+    return text
 
 
 def once(benchmark, fn):

@@ -1,43 +1,29 @@
-"""FCT vs ECN threshold K, and the cost of the pluggable-CC layer.
+"""FCT vs ECN threshold K: DCTCP senders under the incast workload.
 
-Two tracked entries in ``BENCH_overhead.json``:
+The cloud-dcn-ecn style sweep: DCTCP senders under the incast fan-in
+workload against the RLC buffer's marking threshold (drop-tail baseline,
+then K = 10 / 30 / 60 queued SDUs).  Records the short-flow FCT
+percentiles and the marking volume per K in
+``benchmarks/results/fct_vs_k.<mode>.json``; the expected qualitative
+trend is that a sane K relieves the incast victim queue that drop-tail
+lets fill, and that the trend reverses as K stops binding (K -> infinity
+degenerates to drop-tail).
 
-* ``fct_vs_k`` -- the cloud-dcn-ecn style sweep: DCTCP senders under the
-  incast fan-in workload against the RLC buffer's marking threshold
-  (drop-tail baseline, then K = 10 / 30 / 60 queued SDUs).  Records the
-  short-flow FCT percentiles and the marking volume per K; the expected
-  qualitative trend is that a sane K relieves the incast victim queue
-  that drop-tail lets fill, and that the trend reverses as K stops
-  binding (K -> infinity degenerates to drop-tail).
-
-* ``cc_overhead`` -- the refactor toll-gate: the extracted
-  ``CongestionControl`` delegation plus an attached-but-never-marking
-  RED marker may not cost more than 2% wall time over the same run with
-  drop-tail, and must stay byte-identical (fingerprint gate before any
-  timing is recorded).  DCTCP and BBR walls ride along for context.
+What the pluggable-CC layer and an idle marker cost in host time is
+``cc.self_s`` / ``cc.aqm_calls`` in ``benchmarks/perf``; that an idle
+marker changes no output byte is ``tests/test_cc.py``.
 
 Run standalone (``python benchmarks/bench_fct_vs_k.py --quick``) or via
 pytest-benchmark like every other figure script.  Full scale via
 ``REPRO_BENCH_FULL=1``.
 """
 
-import time
-
 import pytest
 
 from repro.analysis.tables import format_table
 from repro.runner import RunSpec
-from repro.sim.session import result_fingerprint
 
-from _harness import (
-    BENCH_REPS,
-    _median,
-    _spread_pct,
-    once,
-    record,
-    record_bench,
-    scale,
-)
+from _harness import once, record, scale
 
 BENCH_UES = scale(6, 20)
 BENCH_DURATION_S = scale(1.5, 5.0)
@@ -48,20 +34,15 @@ SEED = 42
 K_SWEEP = (None, 10, 30, 60)
 
 
-def _spec(workload="poisson", **overrides):
-    return RunSpec(
+def _run(k):
+    """One sweep point: RED step marking at ``k`` queued SDUs (None = drop-tail)."""
+    overrides = {"cc": "dctcp"}
+    if k is not None:
+        overrides.update(aqm="red", ecn_min_sdus=k, ecn_max_sdus=k)
+    session = RunSpec(
         "lte", "outran", load=LOAD, seed=SEED, num_ues=BENCH_UES,
-        duration_s=BENCH_DURATION_S, workload=workload, overrides=overrides,
-    )
-
-
-def _step_marking(k):
-    """Overrides for RED step marking at ``k`` queued SDUs (None = drop-tail)."""
-    return {} if k is None else dict(aqm="red", ecn_min_sdus=k, ecn_max_sdus=k)
-
-
-def _run(spec):
-    session = spec.session()
+        duration_s=BENCH_DURATION_S, workload="incast", overrides=overrides,
+    ).session()
     result = session.start().finish()
     marked = sum(getattr(ue.rlc, "sdus_marked", 0) for ue in session.sim.ues)
     return result, marked
@@ -71,7 +52,7 @@ def run_fct_vs_k() -> str:
     rows = []
     points = []
     for k in K_SWEEP:
-        result, marked = _run(_spec("incast", cc="dctcp", **_step_marking(k)))
+        result, marked = _run(k)
         point = {
             "ecn_k": k,
             "aqm": "droptail" if k is None else "red",
@@ -91,100 +72,18 @@ def run_fct_vs_k() -> str:
             str(point["sdus_marked"]),
             str(point["sdus_dropped"]),
         ])
-    record_bench(
-        "fct_vs_k",
-        {
-            "workload": {
-                "kind": "incast", "cc": "dctcp", "scheduler": "outran",
-                "load": LOAD, "num_ues": BENCH_UES,
-                "duration_s": BENCH_DURATION_S, "seed": SEED,
-            },
-            "points": points,
-        },
-    )
     table = format_table(
         ["threshold", "S avg ms", "S p95 ms", "avg ms", "marked", "dropped"],
         rows,
         title="Short-flow FCT vs ECN threshold K -- DCTCP senders, "
         "incast fan-in workload",
     )
-    return record("fct_vs_k", table)
-
-
-def _time_run(spec) -> tuple[float, str]:
-    session = spec.session()
-    start = time.perf_counter()
-    result = session.start().finish()
-    return time.perf_counter() - start, result_fingerprint(result)
-
-
-def run_cc_overhead() -> str:
-    #: Idle RED: attached marker with an unreachable step threshold, so
-    #: the whole AQM/ECN path executes without ever changing behaviour.
-    variants = {
-        "cubic/droptail": _spec(),
-        "cubic/idle-red": _spec(**_step_marking(100_000)),
-        "dctcp/droptail": _spec(cc="dctcp"),
-        "bbr/droptail": _spec(cc="bbr"),
-    }
-    walls = {name: [] for name in variants}
-    fingerprints = {name: set() for name in variants}
-    for _ in range(BENCH_REPS):
-        for name, spec in variants.items():
-            wall, fp = _time_run(spec)
-            walls[name].append(wall)
-            fingerprints[name].add(fp)
-    for name, fps in fingerprints.items():
-        if len(fps) != 1:
-            raise AssertionError(f"{name}: non-deterministic run: {sorted(fps)}")
-    # Identity gate: an idle marker must not change a single output byte,
-    # otherwise the overhead below compares different computations.
-    if fingerprints["cubic/droptail"] != fingerprints["cubic/idle-red"]:
-        raise AssertionError(
-            "idle RED marker changed simulation output vs drop-tail"
-        )
-    baseline = _median(walls["cubic/droptail"])
-    idle = _median(walls["cubic/idle-red"])
-    overhead_pct = (idle / baseline - 1) * 100 if baseline else float("nan")
-    record_bench(
-        "cc_overhead",
-        {
-            "workload": {
-                "scheduler": "outran", "load": LOAD, "num_ues": BENCH_UES,
-                "duration_s": BENCH_DURATION_S, "seed": SEED,
-            },
-            "reps": BENCH_REPS,
-            "cubic_droptail_wall_s": baseline,
-            "cubic_droptail_spread_pct": _spread_pct(walls["cubic/droptail"]),
-            "cubic_idle_red_wall_s": idle,
-            "cubic_idle_red_spread_pct": _spread_pct(walls["cubic/idle-red"]),
-            "dctcp_wall_s": _median(walls["dctcp/droptail"]),
-            "bbr_wall_s": _median(walls["bbr/droptail"]),
-            "ecn_off_overhead_pct": overhead_pct,
-            "fingerprint": fingerprints["cubic/droptail"].pop(),
-        },
-    )
-    table = format_table(
-        ["variant", "median wall s", "spread %"],
-        [
-            [name, f"{_median(w):.3f}", f"{_spread_pct(w):.1f}"]
-            for name, w in walls.items()
-        ],
-        title=f"Pluggable-CC overhead -- idle ECN path costs "
-        f"{overhead_pct:+.2f}% wall vs drop-tail (budget: <= 2%), "
-        "byte-identical output",
-    )
-    return record("cc_overhead", table)
+    return record("fct_vs_k", table, {"points": points})
 
 
 @pytest.mark.benchmark(group="cc")
 def test_fct_vs_k(benchmark):
     print("\n" + once(benchmark, run_fct_vs_k))
-
-
-@pytest.mark.benchmark(group="cc")
-def test_cc_overhead(benchmark):
-    print("\n" + once(benchmark, run_cc_overhead))
 
 
 if __name__ == "__main__":
@@ -197,4 +96,3 @@ if __name__ == "__main__":
     )
     cli.parse_args()
     print(run_fct_vs_k())
-    print(run_cc_overhead())

@@ -9,8 +9,8 @@ medium / good / excellent bands.
 import numpy as np
 import pytest
 
-from repro import CellSimulation, SimConfig
 from repro.analysis.tables import format_table
+from repro.runner import RunSpec
 from repro.traffic.distributions import LTE_CELLULAR, MIRAGE_MOBILE_APP
 
 from _harness import once, record
@@ -36,8 +36,7 @@ def run_fig02() -> str:
         rows,
         title="Figure 2a -- flow size distributions (paper: 90% < 35.9 KB)",
     )
-    cfg = SimConfig.lte_default(num_ues=100, seed=7)
-    sim = CellSimulation(cfg, scheduler="pf")
+    sim = RunSpec("lte", "pf", seed=7, num_ues=100).session().sim
     sinrs = np.array([ue.channel.mean_sinr_db() for ue in sim.ues])
     bands = [
         ("medium (<20 dB)", np.mean(sinrs < 20)),

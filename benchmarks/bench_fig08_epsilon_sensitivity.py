@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.tables import format_table
 from repro.core.outran import OutranScheduler
 from repro.mac.pf import ProportionalFairScheduler
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 
 from _harness import LTE_DURATION_S, LTE_UES, DEFAULT_SEED, once, record, run_lte
 
@@ -38,7 +38,9 @@ def run_fig08() -> str:
     for k in (2, 4):
         cfg = SimConfig.lte_default(num_ues=LTE_UES, load=LOAD, seed=DEFAULT_SEED)
         sched = OutranScheduler(ProportionalFairScheduler(), top_k=k)
-        res = CellSimulation(cfg, scheduler=sched).run(LTE_DURATION_S)
+        res = SimulationSession.from_config(
+            cfg, sched, duration_s=LTE_DURATION_S
+        ).start().finish()
         rows.append(
             [f"top-{k} (ablation)", f"{res.mean_se():.3f}",
              f"{res.mean_fairness():.3f}", f"{res.avg_fct_ms('S'):.1f}"]

@@ -5,7 +5,8 @@ base station; OutRAN's extra work (header inspection + flow-table
 update, ~150 ns per PDCP SDU in the paper) must not dent processing
 throughput.  Regenerated as micro-benchmarks of the per-packet ingress
 path and the flow-table memory footprint, plus the achieved saturated
-DL throughput with and without OutRAN.
+DL throughput with and without OutRAN.  What OutRAN's extra pass costs
+end to end is ``core.*_self_s`` in ``benchmarks/perf``.
 """
 
 import time
@@ -18,22 +19,10 @@ from repro.core.flow_table import FlowTable
 from repro.core.mlfq import MlfqConfig
 from repro.net.packet import FiveTuple
 
-from _harness import (
-    measure_overhead,
-    once,
-    record,
-    record_bench,
-    run_lte,
-    scale,
-)
+from _harness import once, record, run_lte
 
 FLOW_COUNTS = (1_000, 2_000, 4_000, 8_000)
 PACKETS_PER_MEASURE = 200_000
-
-#: Scale of the timed end-to-end runs feeding BENCH_overhead.json (kept
-#: small: they bypass the cache on purpose, so they always simulate).
-BENCH_UES = scale(10, 30)
-BENCH_DURATION_S = scale(1.0, 4.0)
 
 
 def _ingress_ns_per_packet(num_flows: int) -> tuple[float, int]:
@@ -80,55 +69,7 @@ def run_fig13() -> str:
         title="Figure 13b -- peak DL throughput unaffected "
         "(paper: <= 2.73% gap from theoretical max)",
     )
-    _record_trajectory(rows)
     return record("fig13_overhead_flows", micro + "\n\n" + thr)
-
-
-def _record_trajectory(micro_rows) -> None:
-    """Merge this figure's perf numbers into BENCH_overhead.json.
-
-    Tracks the per-SDU ingress micro-benchmark alongside timed, uncached
-    end-to-end runs: PF vs OutRAN (the paper's overhead claim) and
-    OutRAN with flow tracing on (this repo's own observability
-    overhead).  All wall clocks are medians of repeated runs (see
-    ``measure_overhead``), so the derived overhead percentages compare
-    medians rather than two noise samples.
-    """
-    baseline = measure_overhead(
-        "pf", num_ues=BENCH_UES, duration_s=BENCH_DURATION_S
-    )
-    outran = measure_overhead(
-        "outran", num_ues=BENCH_UES, duration_s=BENCH_DURATION_S
-    )
-    traced = measure_overhead(
-        "outran",
-        num_ues=BENCH_UES,
-        duration_s=BENCH_DURATION_S,
-        flow_trace=True,
-    )
-    record_bench(
-        "fig13_overhead_flows",
-        {
-            "ingress_ns_per_sdu": {
-                str(row[0]): float(row[1]) for row in micro_rows
-            },
-            "runs": {
-                "pf": baseline,
-                "outran": outran,
-                "outran_flow_trace": traced,
-            },
-            "outran_vs_pf_wall_pct": (
-                (outran["wall_s"] / baseline["wall_s"] - 1) * 100
-                if baseline["wall_s"]
-                else float("nan")
-            ),
-            "flow_trace_wall_pct": (
-                (traced["wall_s"] / outran["wall_s"] - 1) * 100
-                if outran["wall_s"]
-                else float("nan")
-            ),
-        },
-    )
 
 
 def _mbps(result) -> float:

@@ -18,15 +18,11 @@ from repro.mac.kernels import as_table
 from repro.mac.pf import ProportionalFairScheduler
 from repro.mac.scheduler import UeSchedState
 
-from _harness import measure_overhead, once, record, record_bench, run_lte, scale
+from _harness import once, record, run_lte
 
 RB_COUNTS = (25, 50, 75, 100)
 NUM_UES = 20
 TTIS = 2_000
-
-#: Scale of the timed end-to-end run feeding BENCH_overhead.json.
-BENCH_UES = scale(10, 20)
-BENCH_DURATION_S = scale(1.0, 3.0)
 
 
 def _make_state(num_rbs: int):
@@ -54,11 +50,9 @@ def _alloc_us_per_tti(scheduler, num_rbs: int) -> float:
 
 def run_fig14() -> str:
     rows = []
-    alloc_us: dict[str, dict[str, float]] = {}
     for num_rbs in RB_COUNTS:
         pf_us = _alloc_us_per_tti(ProportionalFairScheduler(), num_rbs)
         outran_us = _alloc_us_per_tti(OutranScheduler(), num_rbs)
-        alloc_us[str(num_rbs)] = {"pf": pf_us, "outran": outran_us}
         rows.append(
             [num_rbs, f"{pf_us:.1f}", f"{outran_us:.1f}",
              f"{(outran_us / pf_us - 1) * 100:+.0f}%"]
@@ -82,22 +76,6 @@ def run_fig14() -> str:
         thr_rows,
         title="Figure 14a -- throughput scales with the grid "
         "(no scheduler bottleneck)",
-    )
-    # Perf trajectory: the allocation micro plus one timed, uncached
-    # end-to-end run at the largest grid (100 RBs / 20 MHz).
-    record_bench(
-        "fig14_overhead_rbs",
-        {
-            "alloc_us_per_tti": alloc_us,
-            "runs": {
-                "outran_100rb": measure_overhead(
-                    "outran",
-                    num_ues=BENCH_UES,
-                    duration_s=BENCH_DURATION_S,
-                    bandwidth_mhz=20.0,
-                ),
-            },
-        },
     )
     return record("fig14_overhead_rbs", micro + "\n\n" + thr)
 

@@ -30,13 +30,15 @@ def run_fig18b() -> str:
             # Full OutRAN over the MT metric.
             from repro.core.outran import OutranScheduler
             from repro.mac.pf import MaxThroughputScheduler
-            from repro import CellSimulation, SimConfig
+            from repro import SimConfig, SimulationSession
             from _harness import DEFAULT_SEED, LTE_DURATION_S, LTE_UES
 
             cfg = SimConfig.lte_default(num_ues=LTE_UES, load=LOAD, seed=DEFAULT_SEED)
-            full = CellSimulation(
-                cfg, scheduler=OutranScheduler(MaxThroughputScheduler())
-            ).run(LTE_DURATION_S)
+            full = SimulationSession.from_config(
+                cfg,
+                OutranScheduler(MaxThroughputScheduler()),
+                duration_s=LTE_DURATION_S,
+            ).start().finish()
             label = "MT"
         else:
             legacy = run_lte("pf", load=LOAD, fairness_window_s=tf)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.sim.config import TrafficSpec
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 
 from _harness import DEFAULT_SEED, LTE_DURATION_S, LTE_UES, once, record, scale
 
@@ -37,7 +37,9 @@ def _run(scheduler, reset_period_s):
             incast_burst_flows=8,
         )
     )
-    return CellSimulation(cfg, scheduler=scheduler).run(LTE_DURATION_S)
+    return SimulationSession.from_config(
+        cfg, scheduler, duration_s=LTE_DURATION_S
+    ).start().finish()
 
 
 def run_fig18d() -> str:

@@ -12,8 +12,9 @@ closing the loop at runtime (:mod:`repro.ric`).  Two claims are checked:
   out of it (static stays bad; adaptive recovers most of the gap).
 
 Every run is deterministic (fixed simulation and schedule seeds), so the
-emitted table is reproducible byte-for-byte and the headline numbers are
-merged into the tracked ``BENCH_overhead.json`` trajectory.
+emitted table is reproducible byte-for-byte; the per-run numbers and the
+two headline gains are written next to it as
+``benchmarks/results/ric_adaptive.<mode>.json``.
 """
 
 import os
@@ -22,12 +23,12 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core.mlfq import MlfqConfig
-from repro.ric import CellE2Node, HillClimbXApp, NearRTRIC
-from repro.sim.cell import CellSimulation
+from repro.ric import HillClimbXApp
 from repro.sim.config import SimConfig
+from repro.sim.session import SimulationSession
 from repro.traffic import NonStationaryLoad
 
-from _harness import improvement_pct, once, record, record_bench, scale
+from _harness import improvement_pct, once, record, scale
 
 #: The scale at which the static/adaptive gap is demonstrable and fast
 #: (~5 s wall per run).  Env overrides exist so the CI smoke job can
@@ -50,26 +51,24 @@ def _run(xapp=None, epsilon=0.2, thresholds=None):
             num_queues=len(thresholds) + 1, thresholds=thresholds
         )
     cfg = SimConfig.lte_default(num_ues=RIC_UES, seed=RIC_SEED, **overrides)
-    sim = CellSimulation(cfg, scheduler=f"outran:{epsilon}")
     schedule = NonStationaryLoad.burst(
         low=0.55, high=1.4, settle=0.8, phase_s=RIC_PHASE_S, seed=SCHEDULE_SEED
     )
-    schedule.provide_to(sim)
-    ric = None
+    session = SimulationSession.from_config(
+        cfg, f"outran:{epsilon}", duration_s=schedule.total_duration_s
+    )
+    schedule.provide_to(session.sim)
     if xapp is not None:
-        ric = NearRTRIC(CellE2Node(sim), period_us=REPORT_PERIOD_US)
-        ric.load_xapps([xapp])
-        ric.start()
-    result = sim.run(schedule.total_duration_s)
+        session.attach_ric(xapps=[xapp], period_us=REPORT_PERIOD_US)
+    result = session.start().finish()
     stats = {
         "p95_fct_ms": result.pctl_fct_ms(95),
         "mean_fct_ms": result.avg_fct_ms(),
         "short_p95_fct_ms": result.pctl_fct_ms(95, bucket="S"),
         "flows": result.completed_flows,
     }
-    if ric is not None:
-        report = ric.report()
-        ric.stop()
+    if xapp is not None:
+        report = session.ric_report()
         stats["final_params"] = report["final_params"]
         stats["controls_accepted"] = report["controls_accepted"]
         stats["controls_rejected"] = report["controls_rejected"]
@@ -116,12 +115,10 @@ def run_ric_adaptive() -> str:
             f"{REPORT_PERIOD_US // 1000} ms reporting)"
         ),
     )
-    record_bench(
+    return record(
         "ric_adaptive",
+        table,
         {
-            "num_ues": RIC_UES,
-            "phase_s": RIC_PHASE_S,
-            "report_period_us": REPORT_PERIOD_US,
             "runs": runs,
             "adaptive_vs_static_default_pct": improvement_pct(
                 runs["static default"]["p95_fct_ms"],
@@ -133,7 +130,6 @@ def run_ric_adaptive() -> str:
             ),
         },
     )
-    return record("ric_adaptive", table)
 
 
 @pytest.mark.benchmark(group="ric")

@@ -11,7 +11,7 @@ ASCII RB-allocation map from the per-TTI trace.
 Run:  python examples/allocation_trace.py
 """
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.traffic.generator import FlowSpec
 
 SHORT_START_US = 800_000
@@ -26,9 +26,11 @@ def run(scheduler):
         FlowSpec(flow_id=2, ue_index=1, size_bytes=20_000_000, start_us=0),
         FlowSpec(flow_id=0, ue_index=0, size_bytes=9_000, start_us=SHORT_START_US),
     ]
-    sim = CellSimulation(cfg, scheduler=scheduler, flows=flows)
-    trace = sim.enb.enable_trace()
-    res = sim.run(duration_s=2.0)
+    session = SimulationSession.from_config(
+        cfg, scheduler, duration_s=2.0, flows=flows
+    )
+    trace = session.sim.enb.enable_trace()
+    res = session.start().finish()
     short = next(r for r in res.records if r.flow_id == 0)
     return trace, short
 

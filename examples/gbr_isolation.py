@@ -11,7 +11,7 @@ short-flow gains.
 Run:  python examples/gbr_isolation.py
 """
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.core.outran import OutranScheduler
 from repro.mac.gbr import GbrConfig, GbrReservingScheduler
 from repro.mac.pf import ProportionalFairScheduler
@@ -23,12 +23,15 @@ BEARER_FLOW = 77_000
 
 def run(label, scheduler):
     cfg = SimConfig.lte_default(num_ues=10, load=1.1, seed=9)
-    sim = CellSimulation(cfg, scheduler=scheduler)
+    session = SimulationSession.from_config(
+        cfg, scheduler, duration_s=6.0, drain_s=0.5
+    )
+    sim = session.sim
     bearer = FlowSpec(
         flow_id=BEARER_FLOW, ue_index=0, size_bytes=30_000_000, start_us=0
     )
     sim._provided_flows = sim._make_flows(6.0) + [bearer]
-    res = sim.run(duration_s=6.0, drain_s=0.5)
+    res = session.start().finish()
     achieved = sim._runtimes[BEARER_FLOW].receiver.bytes_received * 8 / 6.0
     print(
         f"{label:<28} bearer {achieved / 1e6:5.2f} Mbps "

@@ -8,7 +8,7 @@ tail in check once the cell is loaded.
 Run:  python examples/nr_numerology.py
 """
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.analysis.tables import format_table
 
 
@@ -20,9 +20,9 @@ def main() -> None:
                 config = SimConfig.nr_default(
                     mu=mu, num_ues=12, load=0.8, seed=3, mec=mec
                 )
-                result = CellSimulation(config, scheduler=scheduler).run(
-                    duration_s=4.0
-                )
+                result = SimulationSession.from_config(
+                    config, scheduler, duration_s=4.0
+                ).start().finish()
                 rows.append(
                     [
                         "MEC" if mec else "remote",

@@ -22,7 +22,7 @@ Run:  python examples/persistent_connections.py
 
 import numpy as np
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.net.packet import FiveTuple
 from repro.sim.ue import FLOW_IDLE_TIMEOUT_US
 from repro.traffic.generator import FlowSpec
@@ -47,9 +47,10 @@ def run(connection, gap_us):
                 connection=connection,
             )
         )
-    sim = CellSimulation(cfg, scheduler="outran", flows=flows)
     duration = (500_000 + NUM_CHUNKS * gap_us) / 1e6 + 1
-    res = sim.run(duration_s=duration)
+    res = SimulationSession.from_config(
+        cfg, "outran", duration_s=duration, flows=flows
+    ).start().finish()
     fcts = [r.fct_ms for r in sorted(res.records, key=lambda r: r.flow_id)
             if r.flow_id < NUM_CHUNKS]
     return fcts

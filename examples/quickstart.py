@@ -8,7 +8,7 @@ print the flow-completion-time summary each produces.
 Run:  python examples/quickstart.py
 """
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 
 
 def main() -> None:
@@ -17,9 +17,11 @@ def main() -> None:
         # traffic at 85% cell load.  The same seed means both schedulers
         # face the *identical* workload and channel realization.
         config = SimConfig.lte_default(num_ues=20, load=0.85, seed=7)
-        sim = CellSimulation(config, scheduler=scheduler)
-        print(f"cell capacity estimate: {sim.capacity_bps() / 1e6:.1f} Mbps")
-        result = sim.run(duration_s=8.0)
+        session = SimulationSession.from_config(config, scheduler, duration_s=8.0)
+        print(
+            f"cell capacity estimate: {session.sim.capacity_bps() / 1e6:.1f} Mbps"
+        )
+        result = session.start().finish()
         print(result.fct_summary())
         print()
 

@@ -9,7 +9,7 @@ and long flow completion times vs spectral efficiency vs user fairness.
 Run:  python examples/scheduler_comparison.py
 """
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.analysis.tables import format_table
 
 SCHEDULERS = (
@@ -22,7 +22,9 @@ def main() -> None:
     rows = []
     for scheduler in SCHEDULERS:
         config = SimConfig.lte_default(num_ues=40, load=0.9, seed=21)
-        result = CellSimulation(config, scheduler=scheduler).run(duration_s=8.0)
+        result = SimulationSession.from_config(
+            config, scheduler, duration_s=8.0
+        ).start().finish()
         rows.append(
             [
                 scheduler,

@@ -12,7 +12,7 @@ Run:  python examples/threshold_tuning.py
 
 import numpy as np
 
-from repro import CellSimulation, SimConfig
+from repro import SimConfig, SimulationSession
 from repro.core.mlfq import MlfqConfig
 from repro.core.thresholds import (
     geometric_thresholds,
@@ -45,7 +45,9 @@ def main() -> None:
             num_ues=30, load=LOAD, seed=5,
             mlfq=MlfqConfig(num_queues=4, thresholds=tuple(thresholds)),
         )
-        result = CellSimulation(config, scheduler="outran").run(duration_s=6.0)
+        result = SimulationSession.from_config(
+            config, "outran", duration_s=6.0
+        ).start().finish()
         print(f"  {name:<12} {result.avg_fct_ms('S'):6.1f} ms")
 
 

@@ -16,9 +16,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.mac.scheduler import MacScheduler
-from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
+from repro.sim.session import SimulationSession
 from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 
@@ -87,41 +87,38 @@ class MultiCellSimulation:
                 "MultiCellSimulation needs a scheduler *name* so each cell "
                 "gets its own instance"
             )
+        self.scheduler = scheduler
         # One registry/profiler across all cells: counters and phase
         # timings accumulate into a pooled deployment-wide view.
         self.telemetry = coerce_registry(telemetry)
         self.profiler = coerce_profiler(profiler)
-        self.cells = [
-            CellSimulation(
-                config.with_overrides(seed=config.seed + 1000 * cell),
-                scheduler=scheduler,
-                telemetry=self.telemetry,
-                profiler=self.profiler,
-            )
-            for cell in range(num_cells)
-        ]
 
-    def sessions(self, duration_s: float, drain_s: float = 2.0) -> list:
-        """One :class:`~repro.sim.session.SimulationSession` per cell.
+    def sessions(
+        self, duration_s: float, drain_s: float = 2.0
+    ) -> list[SimulationSession]:
+        """One new :class:`~repro.sim.session.SimulationSession` per cell.
 
         Cells are independent event engines, so a driver may interleave
         ``step()`` calls across them in any order (e.g. round-robin in
         sim-time slices for a live multi-cell dashboard, or a periodic
         inter-cell exchange step) without changing any cell's outcome.
         """
-        from repro.sim.session import SimulationSession
-
         return [
-            SimulationSession(cell, duration_s=duration_s, drain_s=drain_s)
-            for cell in self.cells
+            SimulationSession.from_config(
+                self.config.with_overrides(seed=self.config.seed + 1000 * cell),
+                self.scheduler,
+                duration_s=duration_s,
+                drain_s=drain_s,
+                telemetry=self.telemetry,
+                profiler=self.profiler,
+            )
+            for cell in range(self.num_cells)
         ]
 
     def run(self, duration_s: float, drain_s: float = 2.0) -> PooledResult:
         """Run every cell (via per-cell sessions) and pool the results."""
-        results = []
-        for session in self.sessions(duration_s, drain_s=drain_s):
-            session.start()
-            results.append(session.finish())
+        sessions = self.sessions(duration_s, drain_s=drain_s)
+        results = [session.start().finish() for session in sessions]
         return PooledResult(
-            results, telemetry=self.cells[-1].telemetry_snapshot()
+            results, telemetry=sessions[-1].sim.telemetry_snapshot()
         )

@@ -8,9 +8,9 @@ confidence interval per metric (t with n-1 degrees of freedom, not the
 normal 1.96 -- replication counts are small, and the normal quantile
 understates the interval by ~2.2x at n=3).
 
-``jobs > 1`` fans the replications out across worker processes through
-:class:`~repro.runner.pool.SweepRunner`; seeds are explicit, so the
-report is identical to a serial run.
+The replications run through :class:`~repro.runner.pool.SweepRunner`,
+in this process for ``jobs == 1`` and on worker processes for more;
+seeds are explicit, so the report is the same either way.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.mac.scheduler import MacScheduler
-from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
 
@@ -88,13 +87,6 @@ def summarize(name: str, values: list[float]) -> MetricSummary:
     return MetricSummary(name, mean, t_critical_95(len(clean) - 1) * sem, tuple(values))
 
 
-def _replication_configs(config: SimConfig, replications: int) -> list[SimConfig]:
-    return [
-        config.with_overrides(seed=config.seed + 101 * rep)
-        for rep in range(replications)
-    ]
-
-
 def run_replications(
     config: SimConfig,
     scheduler: Union[str, MacScheduler],
@@ -106,8 +98,11 @@ def run_replications(
     """Run ``replications`` seeds and summarize the chosen metrics.
 
     ``jobs > 1`` executes the replications on a process pool; the seeds
-    (and therefore the report) are identical either way.
+    (and therefore the report) are identical either way.  No persistent
+    store: arbitrary in-memory configs have no stable content hash.
     """
+    from repro.runner import ConfigTask, SweepRunner, run_config_task
+
     if replications < 1:
         raise ValueError(f"need at least one replication: {replications}")
     if not isinstance(scheduler, str):
@@ -116,17 +111,22 @@ def run_replications(
             "fresh instance"
         )
     extractors = metrics if metrics is not None else DEFAULT_METRICS
-    configs = _replication_configs(config, replications)
-    if jobs > 1:
-        results = _run_parallel(configs, scheduler, duration_s, jobs)
-    else:
-        results = [
-            CellSimulation(cfg, scheduler=scheduler).run(duration_s)
-            for cfg in configs
-        ]
+    tasks = [
+        ConfigTask(
+            config=config.with_overrides(seed=config.seed + 101 * rep),
+            scheduler=scheduler,
+            duration_s=duration_s,
+            index=rep,
+        )
+        for rep in range(replications)
+    ]
+    outcome = SweepRunner(
+        jobs=jobs, store=None, worker=run_config_task
+    ).execute(tasks)
+    outcome.raise_on_failure()
     values: dict[str, list[float]] = {name: [] for name in extractors}
     scheduler_name = scheduler
-    for result in results:
+    for result in outcome.in_order(tasks):
         scheduler_name = result.scheduler_name
         for name, fn in extractors.items():
             values[name].append(fn(result))
@@ -135,21 +135,3 @@ def run_replications(
         replications=replications,
         metrics={name: summarize(name, vals) for name, vals in values.items()},
     )
-
-
-def _run_parallel(
-    configs: list[SimConfig], scheduler: str, duration_s: float, jobs: int
-) -> list[SimResult]:
-    """Fan replications out over the sweep runner (no persistent store:
-    arbitrary in-memory configs have no stable content hash)."""
-    from repro.runner import ConfigTask, SweepRunner, run_config_task
-
-    tasks = [
-        ConfigTask(config=cfg, scheduler=scheduler, duration_s=duration_s, index=i)
-        for i, cfg in enumerate(configs)
-    ]
-    outcome = SweepRunner(
-        jobs=jobs, store=None, worker=run_config_task
-    ).execute(tasks)
-    outcome.raise_on_failure()
-    return outcome.in_order(tasks)

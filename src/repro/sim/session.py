@@ -103,8 +103,9 @@ class SimulationSession:
     ) -> "SimulationSession":
         """Build the simulation and the session in one call.
 
-        ``sim_kwargs`` pass through to :class:`~repro.sim.cell.
-        CellSimulation` (``telemetry=``, ``profiler=``, ``flow_trace=``).
+        This is the one place a :class:`~repro.sim.cell.CellSimulation`
+        is constructed; ``sim_kwargs`` pass through to it (``flows=``,
+        ``telemetry=``, ``profiler=``, ``flow_trace=``).
         """
         from repro.sim.cell import CellSimulation
 

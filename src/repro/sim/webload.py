@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.cell import CellSimulation
+from repro.sim.session import SimulationSession
 from repro.traffic.generator import FlowSpec
 from repro.traffic.webpage import Webpage, page_flow_sizes, page_waves
 
@@ -125,7 +126,10 @@ def measure_plt(
         traffic=TrafficSpec(distribution="websearch", load=background_load)
     )
     duration_s = num_loads * interval_s
-    sim = CellSimulation(cfg, scheduler=scheduler)
+    session = SimulationSession.from_config(
+        cfg, scheduler, duration_s=duration_s, drain_s=4.0
+    )
+    sim = session.sim
     if browsing_ue_bulk:
         # Sized to stay active the entire run even if it got the whole
         # cell to itself.
@@ -135,9 +139,9 @@ def measure_plt(
         )
         sim.engine.schedule_at(0, sim.start_flow, bulk)
     rng = np.random.default_rng(seed + 77)
-    sessions = []
+    loads = []
     for i in range(num_loads):
-        sessions.append(
+        loads.append(
             PageLoadSession(
                 sim,
                 page,
@@ -147,5 +151,5 @@ def measure_plt(
                 flow_id_base=PAGE_FLOW_ID_BASE + i * 10_000,
             )
         )
-    sim.run(duration_s=duration_s, drain_s=4.0)
-    return [s.plt_ms for s in sessions if s.complete]
+    session.start().finish()
+    return [load.plt_ms for load in loads if load.complete]

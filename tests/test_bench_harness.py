@@ -1,14 +1,17 @@
-"""Tests for the benchmark harness's result cache (the persistent store).
+"""Tests for the benchmark harness: the persistent store and ``record()``.
 
 The harness reads its configuration from the environment at import time,
 so each test imports a fresh copy under a controlled environment.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.sim.session import result_fingerprint
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 
@@ -99,3 +102,40 @@ class TestPrefetch:
         parallel.prefetch_lte(("pf",), (0.5,))
         assert parallel.run_lte("pf", load=0.5).fcts_ms().tolist() == expect
         assert parallel.STORE.hits == 1
+
+    def test_inline_and_worker_store_entries_are_the_same_bytes(
+        self, harness, tmp_path
+    ):
+        """The store is content-addressed: what an entry holds may not
+        depend on which process wrote it, or on what that process ran
+        before."""
+        inline = harness(REPRO_BENCH_JOBS="1")
+        inline.run_lte("outran", load=0.5)  # an earlier run, same process
+        inline.run_lte("pf", load=0.5)
+        inline_entry = inline.run_lte("pf", load=0.5)
+        assert inline.STORE.hits == 1
+        workers = harness(
+            REPRO_BENCH_JOBS="2", REPRO_BENCH_STORE=str(tmp_path / "workers")
+        )
+        workers.prefetch_lte(("pf",), (0.5,))
+        worker_entry = workers.run_lte("pf", load=0.5)
+        assert workers.STORE.hits == 1 and workers.STORE.writes == 0
+        assert inline_entry.telemetry is None and worker_entry.telemetry is None
+        assert result_fingerprint(inline_entry) == result_fingerprint(worker_entry)
+
+
+def test_record_writes_the_text_and_json_only_when_given_data(
+    harness, tmp_path, monkeypatch
+):
+    mod = harness()
+    monkeypatch.setattr(mod, "RESULTS_DIR", tmp_path / "results")
+    mode = "quick" if mod.QUICK else "full"
+    assert mod.record("plain", "a table") == "a table"
+    mod.record("with_data", "a table", {"points": [1, 2]})
+    assert sorted(p.name for p in mod.RESULTS_DIR.iterdir()) == [
+        f"plain.{mode}.txt", f"with_data.{mode}.json", f"with_data.{mode}.txt",
+    ]
+    assert (mod.RESULTS_DIR / f"plain.{mode}.txt").read_text() == "a table\n"
+    assert json.loads(
+        (mod.RESULTS_DIR / f"with_data.{mode}.json").read_text()
+    ) == {"points": [1, 2]}

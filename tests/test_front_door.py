@@ -3,10 +3,11 @@
 The transcripts under ``tests/golden/cli/`` were frozen before the CLI,
 the sweep workers, ``repro serve`` and the benchmark harness were routed
 through ``RunSpec.session``; every command line must still print and
-write the same bytes.  The ``ast`` walks keep the door single: nothing
-outside ``repro/sim/`` builds a ``CellSimulation`` by hand, nothing in
-the package depends on the CLI module, and a scenario flag is defined
-once however many commands take it.
+write the same bytes.  The ``ast`` walks keep the door single: only
+``repro/sim/session.py`` builds a ``CellSimulation`` -- not the rest of
+the package, not a figure bench, not an example -- nothing in the
+package depends on the CLI module, and a scenario flag is defined once
+however many commands take it.
 """
 
 import ast
@@ -21,7 +22,8 @@ from repro.runner import RunSpec
 from repro.sim.session import result_fingerprint_payload
 from tests.golden.cli.regenerate import CASES, CLI_DIR, STORED, run_case
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def stored(filename):
@@ -87,11 +89,16 @@ def _trees():
 
 
 def test_cell_simulation_is_built_only_inside_repro_sim():
+    launchers = [
+        *sorted(SRC.rglob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("bench_*.py")),
+        *sorted((ROOT / "examples").glob("*.py")),
+    ]
     offenders = [
-        f"{rel}:{node.lineno}"
-        for rel, tree in _trees()
-        if rel.parts[0] != "sim"
-        for node in ast.walk(tree)
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in launchers
+        if path != SRC / "sim" / "session.py"
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None))
         == "CellSimulation"

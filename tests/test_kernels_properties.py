@@ -17,7 +17,7 @@ oracle exactly on the same inputs -- with the compiled C loops behind
 the dispatchers, and with the library absent (the ``owner_kernel``
 fixture runs every test both ways).
 
-Kernel contract (documented in docs/BACKENDS.md): metrics are never
+Kernel contract (documented in docs/ARCHITECTURE.md): metrics are never
 NaN, and are finite or -inf.  Strategies honour it.
 """
 
