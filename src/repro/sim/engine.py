@@ -43,8 +43,14 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event so that the engine skips it when popped."""
+        """Mark the event so that the engine skips it when popped.
+
+        The tombstone lets go of its callback: a cancelled RTO must not
+        keep a finished sender alive until its slot in the heap comes up.
+        """
         self.cancelled = True
+        self.fn = None
+        self.args = ()
 
     def __lt__(self, other: "Event") -> bool:
         if self.time_us != other.time_us:

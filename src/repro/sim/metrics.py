@@ -17,8 +17,9 @@ The paper's metrics (section 6):
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -96,8 +97,11 @@ class MetricsCollector:
         self.records: list[FctRecord] = []
         self.se_samples: list[tuple[int, float]] = []
         self.fairness_samples: list[tuple[int, float]] = []
-        self.queue_delays: list[tuple[int, int]] = []  # (flow_id, delay_us)
-        self.rtt_samples_us: list[float] = []
+        # One sample per dequeued SDU / per finished sender: typed columns
+        # (16 B and 8 B a sample), read through queue_delays().
+        self._queue_delay_flow_ids = array("q")
+        self._queue_delay_us = array("q")
+        self.rtt_samples_us = array("d")
         self._window_ue_bits = np.zeros(num_ues)
         self.total_ue_bits = np.zeros(num_ues)
         self._ever_backlogged: set[int] = set()
@@ -155,7 +159,12 @@ class MetricsCollector:
         self.records.append(record)
 
     def on_queue_delay(self, flow_id: int, delay_us: int) -> None:
-        self.queue_delays.append((flow_id, delay_us))
+        self._queue_delay_flow_ids.append(flow_id)
+        self._queue_delay_us.append(delay_us)
+
+    def queue_delays(self) -> Iterator[tuple[int, int]]:
+        """``(flow_id, delay_us)`` of every dequeued SDU, in dequeue order."""
+        return zip(self._queue_delay_flow_ids, self._queue_delay_us)
 
     def on_rtt_sample(self, srtt_us: float) -> None:
         self.rtt_samples_us.append(srtt_us)
@@ -274,7 +283,7 @@ class SimResult:
         """Mean RLC queueing delay, optionally per flow-size bucket."""
         values = [
             delay / 1e3
-            for flow_id, delay in self._c.queue_delays
+            for flow_id, delay in self._c.queue_delays()
             if bucket is None
             or size_bucket(self._flow_sizes.get(flow_id, 0)) == bucket
         ]

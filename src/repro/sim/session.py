@@ -38,7 +38,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import pickle
+from pathlib import Path
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -51,7 +53,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class SessionError(RuntimeError):
@@ -257,26 +259,36 @@ class SimulationSession:
 
         Only a ``running`` session between steps checkpoints -- exactly
         the states from which a resume can continue event-for-event.
+        The graph is pickled straight into a ``.tmp.<pid>`` sibling that
+        replaces ``path`` once complete, so a failure half-way (or a
+        killed process) leaves a previous checkpoint at ``path`` intact.
         Returns metadata (bytes written, simulated position).
         """
         self._require("running")
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # unpicklable completion hook, open file...
-            raise CheckpointError(
-                f"session state does not pickle: {exc!r}; dynamic-workload "
-                "completion hooks and custom emit callbacks must be "
-                "picklable (bound methods or functools.partial, not "
-                "closures) to checkpoint"
-            ) from exc
-        header = b"%s %d\n" % (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+            with open(tmp, "wb") as fh:
+                fh.write(b"%s %d\n" % (CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
+                try:
+                    pickle.dump(self, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                except OSError:
+                    raise  # the disk, not the graph
+                except Exception as exc:  # unpicklable completion hook, open file...
+                    raise CheckpointError(
+                        f"session state does not pickle: {exc!r}; "
+                        "dynamic-workload completion hooks and custom emit "
+                        "callbacks must be picklable (bound methods or "
+                        "functools.partial, not closures) to checkpoint"
+                    ) from exc
+                size = fh.tell()
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         self._checkpoints += 1
         return {
             "path": str(path),
-            "bytes": len(header) + len(payload),
+            "bytes": size,
             "now_us": self.now_us,
             "version": CHECKPOINT_VERSION,
         }
@@ -458,7 +470,7 @@ def result_fingerprint_payload(result: SimResult) -> dict:
         "flows_started": c.flows_started,
         "se_samples": [[t, repr(v)] for t, v in c.se_samples],
         "fairness_samples": [[t, repr(v)] for t, v in c.fairness_samples],
-        "queue_delays": c.queue_delays,
+        "queue_delays": list(c.queue_delays()),
         "rtt_samples_us": [repr(v) for v in c.rtt_samples_us],
         "total_bits": c.total_bits,
         "total_ue_bits": [repr(v) for v in c.total_ue_bits.tolist()],

@@ -98,6 +98,9 @@ class UeContext:
                 reassembly_window_us=config.reassembly_window_us,
             )
         self.sched = UeSchedState(index, index)
+        #: TCP receivers of this UE's flows, until the flow retires (its
+        #: sender saw the last ACK); ``active_runtimes`` already lets go
+        #: at the FCT instant.
         self.receivers: dict[int, "TcpReceiver"] = {}
         self.active_runtimes: dict[int, FlowRuntime] = {}
 

@@ -57,6 +57,7 @@ The event stream also exports as Chrome trace-event JSON
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -82,6 +83,38 @@ _COMPONENT_TRACK = {
     "harq": "harq",
     "air": "air",
 }
+
+#: An event is a row of five integers ``(ts_us, ue, kind, a, b)``.  For
+#: an instant, ``kind`` indexes this table of (track, name over a and b);
+#: names and tracks are only built by :meth:`FlowTracer.to_chrome_trace`.
+_INSTANTS = (
+    ("tcp", "retx seq={0}"),
+    ("tcp", "RTO"),
+    ("tcp", "fast-retransmit"),
+    ("rlc", "drop seq={0}"),
+    ("rlc", "AM retx sn={0}"),
+    ("mac", "grant {0}b wait={1}us"),
+    ("harq", "TB lost ({0}B)"),
+    ("harq", "retx failed"),
+    ("harq", "retx ok"),
+    ("pdcp", "decipher failure"),
+)
+(
+    _TCP_RETX,
+    _TCP_RTO,
+    _TCP_FAST_RETRANSMIT,
+    _RLC_DROP,
+    _RLC_AM_RETX,
+    _MAC_GRANT,
+    _HARQ_TB_LOST,
+    _HARQ_RETX_FAILED,
+    _HARQ_RETX_OK,
+    _PDCP_DECIPHER_FAILURE,
+) = range(len(_INSTANTS))
+#: A span's kind is ``_SPAN`` plus its index in :data:`COMPONENTS`; ``a``
+#: is the flow's position in the breakdown list and ``b`` the duration.
+_SPAN = len(_INSTANTS)
+_ROW = 5
 
 
 @dataclass(frozen=True)
@@ -226,9 +259,9 @@ class FlowTracer:
         self._flows: dict[int, _FlowTrace] = {}
         self._legs: dict[int, _Leg] = {}  # packet_id -> leg (live flows only)
         self._breakdowns: list[FlowBreakdown] = []
-        #: (ts_us, ue_index, track, name, phase, dur_us) instant/span rows
-        #: feeding the Chrome trace export.
-        self._events: list[tuple] = []
+        #: Instant/span rows feeding the Chrome trace export, ``_ROW``
+        #: integers each (40 B an event, no per-event objects).
+        self._events = array("q")
         #: Completions whose completing leg was missing a crossing stamp
         #: (should be zero; a non-zero count flags an instrumentation gap).
         self.incomplete_flows = 0
@@ -249,17 +282,17 @@ class FlowTracer:
         self._legs[packet.packet_id] = leg
         if packet.is_retx:
             flow.tcp_retx += 1
-            self._instant(now_us, flow.ue_index, "tcp", f"retx seq={packet.seq}")
+            self._emit(now_us, flow.ue_index, _TCP_RETX, packet.seq)
 
     def on_tcp_rto(self, flow_id: int, now_us: int) -> None:
         flow = self._flows.get(flow_id)
         if flow is not None and not flow.completed:
-            self._instant(now_us, flow.ue_index, "tcp", "RTO")
+            self._emit(now_us, flow.ue_index, _TCP_RTO)
 
     def on_tcp_recovery(self, flow_id: int, now_us: int) -> None:
         flow = self._flows.get(flow_id)
         if flow is not None and not flow.completed:
-            self._instant(now_us, flow.ue_index, "tcp", "fast-retransmit")
+            self._emit(now_us, flow.ue_index, _TCP_FAST_RETRANSMIT)
 
     # -- xNodeB ingress / PDCP ------------------------------------------
 
@@ -288,7 +321,7 @@ class FlowTracer:
         flow.rlc_drops += 1
         self._legs.pop(packet.packet_id, None)
         flow.legs.pop(packet.packet_id, None)
-        self._instant(now_us, flow.ue_index, "rlc", f"drop seq={packet.seq}")
+        self._emit(now_us, flow.ue_index, _RLC_DROP, packet.seq)
 
     def on_rlc_first_tx(self, sdu: "RlcSdu", now_us: int) -> None:
         leg = self._legs.get(sdu.packet.packet_id)
@@ -301,20 +334,17 @@ class FlowTracer:
             leg.last_tx_us = now_us
 
     def on_rlc_am_retx(self, ue_id: int, sn: int, now_us: int) -> None:
-        self._instant(now_us, ue_id, "rlc", f"AM retx sn={sn}")
+        self._emit(now_us, ue_id, _RLC_AM_RETX, sn)
 
     # -- MAC / HARQ ------------------------------------------------------
 
     def on_mac_grant(
         self, ue_index: int, grant_bits: int, wait_us: int, now_us: int
     ) -> None:
-        self._instant(
-            now_us, ue_index, "mac",
-            f"grant {grant_bits}b wait={wait_us}us",
-        )
+        self._emit(now_us, ue_index, _MAC_GRANT, grant_bits, wait_us)
 
     def on_harq_failure(self, ue_id: int, tb_bytes: int, now_us: int) -> None:
-        self._instant(now_us, ue_id, "harq", f"TB lost ({tb_bytes}B)")
+        self._emit(now_us, ue_id, _HARQ_TB_LOST, tb_bytes)
 
     def on_harq_attempt(
         self, ue_id: int, flow_ids: Iterable[int], ok: bool, now_us: int
@@ -323,14 +353,12 @@ class FlowTracer:
             flow = self._flows.get(flow_id)
             if flow is not None and not flow.completed:
                 flow.harq_retx += 1
-        self._instant(
-            now_us, ue_id, "harq", "retx ok" if ok else "retx failed"
-        )
+        self._emit(now_us, ue_id, _HARQ_RETX_OK if ok else _HARQ_RETX_FAILED)
 
     # -- delivery / completion ------------------------------------------
 
     def on_pdcp_decipher_failure(self, ue_index: int, now_us: int) -> None:
-        self._instant(now_us, ue_index, "pdcp", "decipher failure")
+        self._emit(now_us, ue_index, _PDCP_DECIPHER_FAILURE)
 
     def on_delivery(self, packet: "Packet", now_us: int) -> None:
         """A deciphered packet reached the UE's TCP receiver."""
@@ -398,30 +426,30 @@ class FlowTracer:
 
     @property
     def event_count(self) -> int:
-        return len(self._events)
+        return len(self._events) // _ROW
 
     def memory_events(self) -> int:
         """Rough live-state size (events + per-packet legs), for health
         lines on long runs."""
-        return len(self._events) + len(self._legs)
+        return self.event_count + len(self._legs)
 
     # -- Chrome trace-event export ---------------------------------------
 
-    def _instant(self, ts_us: int, ue_index: int, track: str, name: str) -> None:
+    def _emit(
+        self, ts_us: int, ue_index: int, kind: int, a: int = 0, b: int = 0
+    ) -> None:
         if self.keep_events:
-            self._events.append((ts_us, ue_index, track, name, "i", 0))
+            self._events.extend((ts_us, ue_index, kind, a, b))
 
     def _emit_flow_spans(self, b: FlowBreakdown) -> None:
-        if not self.keep_events:
-            return
-        label = f"flow {b.flow_id} {b.bucket} {b.size_bytes}B"
+        """Span rows of the breakdown just appended to ``_breakdowns``."""
+        index = len(self._breakdowns) - 1
+        durations = b.components()
         cursor = b.start_us
-        for component, dur in b.components().items():
+        for kind, component in enumerate(COMPONENTS, start=_SPAN):
+            dur = durations[component]
             if dur > 0:
-                self._events.append(
-                    (cursor, b.ue_index, _COMPONENT_TRACK[component],
-                     f"{label} {component}", "X", dur)
-                )
+                self._emit(cursor, b.ue_index, kind, index, dur)
             cursor += dur
 
     def to_chrome_trace(self) -> dict:
@@ -435,8 +463,8 @@ class FlowTracer:
         """
         track_index = {name: i for i, name in enumerate(LAYER_TRACKS)}
         events: list[dict] = []
-        ues = sorted({ue for _, ue, _, _, _, _ in self._events})
-        for ue in ues:
+        columns = [self._events[i::_ROW] for i in range(_ROW)]
+        for ue in sorted(set(columns[1])):
             events.append(
                 {
                     "name": "process_name",
@@ -456,19 +484,31 @@ class FlowTracer:
                         "args": {"name": track},
                     }
                 )
-        for ts_us, ue, track, name, phase, dur_us in self._events:
+        for ts_us, ue, kind, a, b in zip(*columns):
+            instant = kind < _SPAN
+            if instant:
+                track, name = _INSTANTS[kind]
+                name = name.format(a, b)
+            else:
+                component = COMPONENTS[kind - _SPAN]
+                track = _COMPONENT_TRACK[component]
+                flow = self._breakdowns[a]
+                name = (
+                    f"flow {flow.flow_id} {flow.bucket} {flow.size_bytes}B "
+                    f"{component}"
+                )
             event = {
                 "name": name,
                 "cat": track,
-                "ph": phase,
+                "ph": "i" if instant else "X",
                 "ts": ts_us,
                 "pid": ue,
                 "tid": track_index[track],
             }
-            if phase == "X":
-                event["dur"] = dur_us
-            else:
+            if instant:
                 event["s"] = "t"  # thread-scoped instant
+            else:
+                event["dur"] = b
             events.append(event)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 

@@ -27,6 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
+#: Samples drawn per step of the Monte-Carlo mean (a few hundred KB of
+#: transient arrays instead of 6 MB for the whole draw).
+_MEAN_CHUNK = 8_192
+
 
 class EmpiricalDistribution:
     """Inverse-transform sampler over a piecewise log-linear CDF."""
@@ -103,9 +107,18 @@ class EmpiricalDistribution:
         return self.quantiles(u)
 
     def mean(self, samples: int = 200_000, seed: int = 12345) -> float:
-        """Monte-Carlo mean flow size in bytes (deterministic seed)."""
+        """Monte-Carlo mean flow size in bytes (deterministic seed).
+
+        Summed chunk by chunk from one generator, so the draw never
+        holds ``samples`` values at once.  Sizes are integers and the
+        total is far below 2**53, so the sum -- and hence the mean -- is
+        exact whatever the chunking.
+        """
         rng = np.random.default_rng(seed)
-        return float(self.sample(rng, samples).mean())
+        total = 0
+        for start in range(0, samples, _MEAN_CHUNK):
+            total += int(self.sample(rng, min(_MEAN_CHUNK, samples - start)).sum())
+        return total / samples
 
 
 #: Huang et al. [41] LTE downlink TCP flows.  Anchors: median ~2.9 KB,

@@ -205,24 +205,38 @@ class TestBbr:
 # Sender integration
 
 
+def run_keeping_senders(sim, duration_s):
+    """Run ``sim``; return every sender it created.
+
+    A flow retires together with its sender, so the finished ones are
+    caught as they finish and the rest read off the live flows.
+    """
+    senders = []
+    retire = sim._on_sender_done
+
+    def keep(sender, now_us):
+        senders.append(sender)
+        retire(sender, now_us)
+
+    sim._on_sender_done = keep
+    sim.run(duration_s)
+    senders += [rt.sender for rt in sim._runtimes.values()]
+    assert len(senders) == sim.metrics.flows_started
+    return senders
+
+
 class TestSenderIntegration:
     def test_senders_carry_configured_cc(self):
-        sim = make_sim(cc="dctcp")
-        sim.run(0.1)
-        senders = [rt.sender for rt in sim._runtimes.values()]
+        senders = run_keeping_senders(make_sim(cc="dctcp"), 0.1)
         assert senders
         assert all(isinstance(s.cc, DctcpCC) for s in senders)
 
     def test_ece_routes_to_on_ecn(self):
         sim = make_sim(cc="dctcp", aqm="red", ecn_min_sdus=1, ecn_max_sdus=1)
-        sim.run(DURATION_S)
+        senders = run_keeping_senders(sim, DURATION_S)
         marked = sum(getattr(ue.rlc, "sdus_marked", 0) for ue in sim.ues)
         assert marked > 0
-        cuts = sum(
-            rt.sender.cc.ecn_cuts
-            for rt in sim._runtimes.values()
-            if isinstance(rt.sender.cc, DctcpCC)
-        )
+        cuts = sum(s.cc.ecn_cuts for s in senders if isinstance(s.cc, DctcpCC))
         assert cuts > 0
 
     def test_ecn_telemetry_counters(self):

@@ -109,6 +109,15 @@ class TestProvidedFlows:
         # One-way: 10 ms wire + ~5 ms radio; no queueing competition.
         assert res.avg_fct_ms() < 30.0
 
+    def test_flow_id_of_a_retired_flow_stays_taken(self):
+        """An id is used up for the run, not only while its flow lives."""
+        spec = FlowSpec(flow_id=0, ue_index=0, size_bytes=2_000, start_us=0)
+        sim, res = run("pf", flows=[spec])
+        assert res.completed_flows == 1
+        assert 0 not in sim._runtimes  # finished and retired
+        with pytest.raises(ValueError, match="flow id 0 already in use"):
+            sim.start_flow(spec)
+
 
 class TestRlcAmMode:
     def test_am_mode_completes_flows(self):

@@ -11,6 +11,7 @@ Load-bearing invariants:
   chrome://tracing compatible).
 """
 
+import hashlib
 import json
 import warnings
 
@@ -151,6 +152,36 @@ class TestChromeTraceExport:
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
         assert threads <= set(LAYER_TRACKS)
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (
+                SimConfig.lte_default(num_ues=6, load=0.5, seed=7),
+                "74785b2ca377bb4889d08571657065ca0c51530c13b12e246a4ff3b05847d5a2",
+            ),
+            (
+                SimConfig.nr_default(
+                    mu=1, num_ues=6, load=0.5, seed=7,
+                    rlc_mode="am", radio_bler=0.1,
+                ),
+                "1a999031509e87f79fc085e0ec9208111cdbce0a59cdc65d9b29c4438f355519",
+            ),
+        ],
+        ids=["lte-um", "nr-am-lossy"],
+    )
+    def test_perfetto_export_is_pinned(self, config, digest):
+        """The CI observability-smoke run's export, byte for byte.
+
+        Recorded from the tuple-per-event tracer the commit before its
+        events became integer columns.  Between them the two runs emit
+        every instant kind and every span component except ``pdcp``
+        (always 0 us), in 4 212 and 29 569 trace events.
+        """
+        sim = CellSimulation(config, scheduler="outran", flow_trace=True)
+        sim.run(2.0)
+        doc = json.dumps(sim.flow_trace.to_chrome_trace(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     def test_span_durations_sum_to_fct(self):
         sim, _ = run_traced()

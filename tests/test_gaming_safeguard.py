@@ -44,11 +44,13 @@ def _served_bytes(scheduler):
     for ue in sim.ues:
         ue.channel.mobility = StaticMobility(80.0)
         ue.channel.shadowing_db = 0.0
-    sim.run(duration_s=DURATION_S, drain_s=0.0)
-    honest = sim._runtimes[0].receiver.bytes_received
-    gamer = sum(
-        sim._runtimes[1 + i].receiver.bytes_received for i in range(PIECES)
-    )
+    result = sim.run(duration_s=DURATION_S, drain_s=0.0)
+    # A completed flow received its size; the others are still live.
+    received = {r.flow_id: r.size_bytes for r in result.records}
+    for flow_id, runtime in sim._runtimes.items():
+        received.setdefault(flow_id, runtime.receiver.bytes_received)
+    honest = received[0]
+    gamer = sum(received[1 + i] for i in range(PIECES))
     return honest, gamer
 
 

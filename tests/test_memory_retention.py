@@ -1,0 +1,169 @@
+"""A run's memory follows its live state, not its history.
+
+The paper's overhead claim (section 7, Fig. 13) is 41 B of OutRAN state
+per flow and flat memory from 1 k to 8 k flows; these tests hold the
+simulator around it to the same shape.  A finished flow may leave behind
+its ``FctRecord``, its flow-table entry and a few typed samples -- not
+its TCP endpoints -- and per-packet history is bytes in typed columns,
+not one Python object per packet.
+"""
+
+import gc
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from repro import CellSimulation, SimConfig
+from repro.net.packet import FiveTuple, Packet
+from repro.rlc.am import AmReceiver
+from repro.rlc.pdu import RlcPdu, RlcSdu, SduSegment
+from repro.sim.metrics import MetricsCollector
+from repro.sim.session import result_fingerprint
+from repro.telemetry.flowtrace import FlowTracer
+
+DRAIN_S = 0.3
+
+
+def retained_by(build):
+    """(bytes ``build()`` allocated and its return value keeps alive, that value)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained, kept
+
+
+def traced_run(config, duration_s):
+    """(bytes still allocated after ``finish()``, result, sim)."""
+
+    def build():
+        sim = CellSimulation(config, scheduler="outran")
+        return sim.run(duration_s, drain_s=DRAIN_S), sim
+
+    retained, (result, sim) = retained_by(build)
+    return retained, result, sim
+
+
+def rpc(config):
+    """Many small, similar flows: the per-flow figure is not at the mercy
+    of which elephants a short run happens to draw."""
+    return config.with_overrides(traffic=replace(config.traffic, kind="rpc"))
+
+
+@pytest.mark.parametrize(
+    "config,duration_s",
+    [
+        # Parent commit: 3.4 KB and 3.9 KB per finished flow (5.7 / 6.5 KB
+        # on the heavy-tailed default workload, whose flows carry ~40
+        # queue-delay samples each); now 0.9 and 1.0 KB.
+        (rpc(SimConfig.lte_default(num_ues=4, load=0.5, seed=1)), 0.1),
+        (
+            rpc(
+                SimConfig.nr_default(
+                    mu=1, num_ues=4, load=0.1, seed=1,
+                    rlc_mode="am", radio_bler=0.1,
+                )
+            ),
+            0.1,
+        ),
+    ],
+    ids=["lte-um", "nr-am-lossy"],
+)
+def test_finished_flows_retire(config, duration_s):
+    """One config at two durations: what the extra finished flows keep."""
+    traced_run(config, 0.02)  # lazy imports and caches are not retention
+    short_bytes, short, _ = traced_run(config, duration_s)
+    long_bytes, long, sim = traced_run(config, 3 * duration_s)
+    extra_flows = long.completed_flows - short.completed_flows
+    assert extra_flows >= 150
+    assert (long_bytes - short_bytes) / extra_flows <= 1_500
+
+    # Only flows whose sender is still waiting for ACKs keep endpoints.
+    assert all(not rt.sender.done for rt in sim._runtimes.values())
+    assert len(sim._runtimes) <= long.censored_flows + 5
+    for ue in sim.ues:
+        assert set(ue.receivers) <= set(sim._runtimes)
+    # ...while every flow ever started still blocks its id and has a size.
+    assert len(sim._flow_sizes) == sim.metrics.flows_started
+
+
+@pytest.mark.parametrize(
+    "config,duration_s",
+    [
+        (SimConfig.lte_default(num_ues=4, load=0.8, seed=3, radio_bler=0.1), 0.6),
+        (
+            SimConfig.nr_default(
+                mu=1, num_ues=4, load=0.5, seed=3, rlc_mode="am", radio_bler=0.1
+            ),
+            0.3,
+        ),
+    ],
+    ids=["lte-um-lossy", "nr-am-lossy"],
+)
+def test_retirement_is_invisible_in_the_result(config, duration_s):
+    """Same fingerprint -- engine event count included -- as a run that
+    retires nothing, on runs where duplicates do reach the UE after their
+    flow retired (the receiver of the unretired run ACKs them itself)."""
+
+    def run(retire):
+        sim = CellSimulation(config, scheduler="outran")
+        late = []
+        if retire:
+            route = sim._route_late_ack
+            sim._route_late_ack = lambda flow_id: (late.append(flow_id), route(flow_id))
+        else:
+            def sample_rtt_only(sender, now_us):
+                if sender.srtt_us is not None:
+                    sim.metrics.on_rtt_sample(sender.srtt_us)
+
+            sim._on_sender_done = sample_rtt_only
+        result = sim.run(duration_s, drain_s=0.5)
+        assert (len(sim._runtimes) < sim.metrics.flows_started) == retire
+        return result_fingerprint(result), len(late)
+
+    retired, late_duplicates = run(retire=True)
+    kept, _ = run(retire=False)
+    assert late_duplicates > 0
+    assert retired == kept
+
+
+def _queue_delays(n):
+    metrics = MetricsCollector(num_ues=1, bandwidth_hz=1e7, tti_us=1000)
+    for i in range(n):
+        metrics.on_queue_delay(1_000 + i % 7, 5_000 + i)
+    return metrics
+
+
+def _mac_grants(n):
+    tracer = FlowTracer()
+    for i in range(n):
+        tracer.on_mac_grant(i % 5, 12_000 + i, 3_000 + i, 1_000 * i)
+    return tracer
+
+
+def _am_in_order(n):
+    rx = AmReceiver(deliver=lambda sdu, now_us: None)
+    packet = Packet(FiveTuple(1, 2, 443, 5000), 0, 0, 1_000)
+    for sn in range(n):
+        sdu = RlcSdu(packet)
+        rx.receive_pdu(RlcPdu([SduSegment(sdu, 0, sdu.size)], sn=sn), 1_000 * sn)
+    assert rx.sdus_delivered == n and rx.missing_sns() == ()
+    return rx
+
+
+@pytest.mark.parametrize(
+    "record,bytes_per_item",
+    # Measured 17, 41 and 0 B an item; 129, 202 and 269 B at the parent commit.
+    [(_queue_delays, 20), (_mac_grants, 48), (_am_in_order, 1)],
+    ids=["queue-delay", "flowtrace-event", "am-receiver-sn"],
+)
+def test_per_packet_history_is_bytes_not_objects(record, bytes_per_item):
+    n = 20_000
+    record(100)
+    retained, _ = retained_by(lambda: record(n))
+    assert retained / n <= bytes_per_item

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mlfq import MlfqConfig
 from repro.net.packet import FiveTuple, Packet
-from repro.rlc.am import AmReceiver, AmTransmitter
+from repro.rlc.am import AmReceiver, AmStatus, AmTransmitter
 from repro.rlc.pdu import RLC_HEADER_BYTES, RlcPdu
 from repro.rlc.um import UmReceiver, UmTransmitter
 
@@ -142,3 +142,81 @@ def test_property_am_delivers_despite_losses(seed, loss, num_sdus):
         assert sorted(delivered) == list(range(num_sdus))
     else:
         assert set(delivered) <= set(range(num_sdus))
+
+
+class RememberEverythingAmReceiver:
+    """Reference: the AM receiver with a set of every SN and SDU id seen."""
+
+    def __init__(self, t_status_prohibit_us):
+        self.prohibit_us = t_status_prohibit_us
+        self.sns, self.done, self.partial = set(), set(), {}
+        self.delivered, self.last_status_us = [], None
+
+    def receive_pdu(self, pdu, now_us):
+        self.sns.add(pdu.sn)
+        for seg in pdu.segments:
+            sdu_id = seg.sdu.sdu_id
+            if sdu_id in self.done:
+                continue
+            self.partial[sdu_id] = self.partial.get(sdu_id, 0) + seg.length
+            if self.partial[sdu_id] >= seg.sdu.size:
+                del self.partial[sdu_id]
+                self.done.add(sdu_id)
+                self.delivered.append(sdu_id)
+        last = self.last_status_us
+        if last is not None and now_us - last < self.prohibit_us:
+            return None
+        self.last_status_us = now_us
+        top = max(self.sns)
+        return AmStatus(
+            top + 1, tuple(sn for sn in range(top) if sn not in self.sns)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    loss=st.floats(0.0, 0.5),
+    duplication=st.floats(0.0, 0.3),
+    holdback=st.floats(0.0, 0.6),
+    num_sdus=st.integers(1, 20),
+    t_status_prohibit_us=st.sampled_from([0, 2_500]),
+)
+def test_property_am_receive_window_equals_remembering_everything(
+    seed, loss, duplication, holdback, num_sdus, t_status_prohibit_us
+):
+    """The windowed receiver answers every PDU with the status, and
+    delivers the SDUs, of a receiver that forgets nothing -- under loss,
+    duplication, reordering and the retransmissions they provoke -- while
+    remembering only the SNs received above the first gap."""
+    rng = np.random.default_rng(seed)
+    delivered = []
+    rx = AmReceiver(
+        deliver=lambda sdu, now: delivered.append(sdu.sdu_id),
+        t_status_prohibit_us=t_status_prohibit_us,
+    )
+    reference = RememberEverythingAmReceiver(t_status_prohibit_us)
+    tx = AmTransmitter(0, poll_pdu=1, t_poll_retransmit_us=5_000)
+    for i in range(num_sdus):
+        tx.write_sdu(Packet(FT, i, 0, int(rng.integers(40, 2500))), 0, now_us=0)
+    held = []  # PDUs the channel holds back: they arrive late, reordered
+    now = 0
+    for _ in range(300):
+        now += 1_000
+        arriving = []
+        for item in tx.build_transmissions(int(rng.integers(200, 4000)), now):
+            if not isinstance(item, RlcPdu) or rng.random() < loss:
+                continue
+            for _ in range(2 if rng.random() < duplication else 1):
+                (held if rng.random() < holdback else arriving).append(item)
+        if held and rng.random() < 0.5:
+            rng.shuffle(held)
+            arriving += [held.pop() for _ in range(int(rng.integers(1, len(held) + 1)))]
+        for pdu in arriving:
+            status = rx.receive_pdu(pdu, now)
+            assert status == reference.receive_pdu(pdu, now)
+            assert len(rx._received_sns) <= max(rx._highest_sn - rx._rx_next, 0)
+            assert all(sn > rx._rx_next for sn in rx._received_sns)
+            if status is not None:
+                tx.receive_status(status, now)
+    assert delivered == reference.delivered

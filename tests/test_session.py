@@ -214,8 +214,10 @@ class TestCheckpointFormat:
     def test_previous_version_rejected(self, tmp_path):
         # v1 graphs predate the single execution path (SimConfig, XNodeB,
         # TcpFlow and UmReceiver layouts differ), v2 graphs the single
-        # scheduler feed (XNodeB, SchedArrays): refuse, never half-load.
-        for version in (1, 2):
+        # scheduler feed (XNodeB, SchedArrays), v3 graphs flow retirement
+        # and the typed columns (CellSimulation, MetricsCollector,
+        # AmReceiver, FlowTracer): refuse, never half-load.
+        for version in (1, 2, 3):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
@@ -237,6 +239,27 @@ class TestCheckpointFormat:
         session.sim._unpicklable = lambda: None
         with pytest.raises(CheckpointError, match="does not pickle"):
             session.checkpoint(tmp_path / "x.ckpt")
+
+    def test_failed_checkpoint_keeps_the_previous_one(self, tmp_path):
+        """The graph streams into a sibling that only replaces ``path``
+        when complete: a failure half-way costs nothing already saved."""
+        baseline = result_fingerprint(one_shot())
+        path = tmp_path / "s.ckpt"
+        session = SimulationSession(make_sim(), DURATION_S).start()
+        session.step(n_ttis=137)
+        session.checkpoint(path)
+        saved = path.read_bytes()
+        session.step(n_ttis=50)
+        # An unpicklable completion hook, reached after the engine, the
+        # UEs and the xNodeB are already in the stream.
+        session.sim._completion_hooks[-1] = lambda now_us: None
+        with pytest.raises(CheckpointError, match="does not pickle"):
+            session.checkpoint(path)
+        assert path.read_bytes() == saved
+        assert list(tmp_path.iterdir()) == [path]  # no temp file behind
+        resumed = SimulationSession.resume(path)
+        assert resumed.now_us == 137 * session.sim.config.tti_us
+        assert result_fingerprint(resumed.finish()) == baseline
 
 
 class TestGoldenCheckpoint:

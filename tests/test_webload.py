@@ -50,15 +50,14 @@ class TestPageLoadSession:
         session = PageLoadSession(
             sim, page, 0, 50_000, np.random.default_rng(1), PAGE_FLOW_ID_BASE
         )
-        sim.run(duration_s=6.0)
+        result = sim.run(duration_s=6.0)
         assert session.complete
-        runtimes = [
-            sim._runtimes[PAGE_FLOW_ID_BASE + i] for i in range(page.num_flows)
-        ]
+        records = {r.flow_id: r for r in result.records}
+        flows = [records[PAGE_FLOW_ID_BASE + i] for i in range(page.num_flows)]
         # Flow 0 is the root; flows of later waves start strictly later.
-        root_done = runtimes[0].receiver.completed_us
-        for rt in runtimes[1:]:
-            assert rt.start_us >= root_done
+        root_done = flows[0].end_us
+        for record in flows[1:]:
+            assert record.start_us >= root_done
 
     def test_incomplete_page_reports_nan(self):
         sim = make_sim()
