@@ -46,6 +46,10 @@ class Packet:
     ``payload_bytes`` its length; ``ack_seq`` is the cumulative ACK carried
     by a reverse-direction packet.  ``wire_bytes`` (headers + payload) is
     what queues and the air interface account.
+
+    ``sent_us`` .. ``last_tx_us`` are the crossing stamps of this copy's
+    journey down the stack (see :mod:`repro.telemetry.flowtrace`, which
+    writes the last four and keeps no per-packet state of its own).
     """
 
     __slots__ = (
@@ -56,10 +60,12 @@ class Packet:
         "payload_bytes",
         "is_ack",
         "ack_seq",
-        "sacked",
         "sack_blocks",
         "sent_us",
+        "ingress_us",
         "enqueued_us",
+        "first_tx_us",
+        "last_tx_us",
         "is_retx",
         "ecn_ce",
         "ece",
@@ -84,10 +90,12 @@ class Packet:
         self.payload_bytes = payload_bytes
         self.is_ack = is_ack
         self.ack_seq = ack_seq
-        self.sacked = False
         self.sack_blocks: tuple = ()
         self.sent_us: Optional[int] = None
+        self.ingress_us: Optional[int] = None
         self.enqueued_us: Optional[int] = None
+        self.first_tx_us: Optional[int] = None
+        self.last_tx_us: Optional[int] = None
         self.is_retx = is_retx
         #: CE codepoint: set by an AQM when the data packet found a
         #: congested queue (RFC 3168).

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
-from repro.sim.session import SimulationSession
+from repro.sim.session import CheckpointError, SimulationSession
 from repro.runner.spec import RunSpec
 from repro.runner.store import ResultStore
 
@@ -68,9 +68,9 @@ def execute_spec(
     if checkpoint_path.exists():
         try:
             session = SimulationSession.resume(checkpoint_path)
-        except Exception:
-            # A torn checkpoint (worker killed mid-write) must never kill
-            # the retry: fall back to a fresh run.
+        except (CheckpointError, OSError):
+            # A torn or outdated checkpoint must never kill the retry:
+            # fall back to a fresh run.
             checkpoint_path.unlink(missing_ok=True)
     if session is None:
         session = spec.session().start()

@@ -610,9 +610,7 @@ class CellSimulation:
         if self.enb.trace is not None:
             heartbeat.add_source("trace_mb", self._trace_mb)
         if self.flow_trace is not None:
-            heartbeat.add_source(
-                "flowtrace_events", self.flow_trace.memory_events
-            )
+            heartbeat.add_source("flowtrace_events", self._flowtrace_events)
         self._heartbeat = heartbeat
         return heartbeat
 
@@ -625,6 +623,9 @@ class CellSimulation:
     def _trace_mb(self) -> float:
         trace = self.enb.trace
         return trace.memory_bytes() / 1e6 if trace is not None else 0.0
+
+    def _flowtrace_events(self) -> int:
+        return self.flow_trace.event_count
 
     def telemetry_snapshot(self) -> Optional[dict]:
         """Registry snapshot plus profiler breakdown (None when disabled)."""

@@ -31,7 +31,7 @@ from repro.phy.tbs import transport_block_bits
 from repro.rlc.am import AmStatus, AmTransmitter
 from repro.rlc.pdu import RlcPdu
 from repro.sim.config import SimConfig
-from repro.sim.engine import EventEngine
+from repro.sim.engine import US_PER_SEC, EventEngine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import UeContext
@@ -96,6 +96,7 @@ class XNodeB:
         #: Optional flow-lifecycle tracer (attach via attach_flow_tracer()).
         self._flowtrace: FlowTracer | None = None
         self.ttis_run = 0
+        self._ttis_per_second = US_PER_SEC // config.tti_us
         self.tbs_lost = 0
         #: Optional per-TTI scheduling trace (attach via enable_trace()).
         self.trace: SchedulingTrace | None = None
@@ -169,6 +170,11 @@ class XNodeB:
                 apply()
         now = self.engine.now_us
         self.ttis_run += 1
+        if self.ttis_run % self._ttis_per_second == 0:
+            # Section 4.2 expiry: a long-lived cell must not keep a record
+            # for every five-tuple it ever saw.
+            for ue in self.ues:
+                ue.flow_table.expire_idle(now)
         table = self._table
         backlogged: list[int] = []
         for ue in self.ues:

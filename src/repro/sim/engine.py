@@ -30,32 +30,23 @@ def microseconds(t_s: float) -> int:
     return int(round(t_s * US_PER_SEC))
 
 
-class Event:
-    """Handle for a scheduled callback; supports O(1) cancellation."""
+class Event(list):
+    """Heap entry and cancellation handle in one: ``[time_us, seq, fn, args]``.
 
-    __slots__ = ("time_us", "seq", "fn", "args", "cancelled")
+    A list that defines no ordering of its own, so ``heapq`` compares
+    entries in C; ``seq`` is unique, so the comparison never reaches ``fn``.
+    """
 
-    def __init__(self, time_us: int, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time_us = time_us
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    __slots__ = ()
 
     def cancel(self) -> None:
-        """Mark the event so that the engine skips it when popped.
+        """Turn the entry into a tombstone the engine skips when popped.
 
         The tombstone lets go of its callback: a cancelled RTO must not
         keep a finished sender alive until its slot in the heap comes up.
         """
-        self.cancelled = True
-        self.fn = None
-        self.args = ()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time_us != other.time_us:
-            return self.time_us < other.time_us
-        return self.seq < other.seq
+        self[2] = None
+        self[3] = ()
 
 
 class EventEngine:
@@ -84,7 +75,7 @@ class EventEngine:
             raise ValueError(
                 f"cannot schedule into the past: {time_us} < now {self.now_us}"
             )
-        event = Event(time_us, next(self._seq), fn, args)
+        event = Event((time_us, next(self._seq), fn, args))
         heapq.heappush(self._queue, event)
         return event
 
@@ -103,15 +94,14 @@ class EventEngine:
         self._running = True
         queue = self._queue
         while queue and self._running:
-            event = queue[0]
-            if event.time_us > end_us:
+            if queue[0][0] > end_us:
                 break
-            heapq.heappop(queue)
-            if event.cancelled:
+            time_us, _, fn, args = heapq.heappop(queue)
+            if fn is None:
                 continue
-            self.now_us = event.time_us
+            self.now_us = time_us
             self.events_processed += 1
-            event.fn(*event.args)
+            fn(*args)
         if self.now_us < end_us:
             self.now_us = end_us
         self._running = False
@@ -121,12 +111,12 @@ class EventEngine:
         self._running = True
         queue = self._queue
         while queue and self._running:
-            event = heapq.heappop(queue)
-            if event.cancelled:
+            time_us, _, fn, args = heapq.heappop(queue)
+            if fn is None:
                 continue
-            self.now_us = event.time_us
+            self.now_us = time_us
             self.events_processed += 1
-            event.fn(*event.args)
+            fn(*args)
         self._running = False
 
     def stop(self) -> None:

@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class SessionError(RuntimeError):
@@ -310,7 +310,14 @@ class SimulationSession:
                     f"{path}: checkpoint format v{version} not supported "
                     f"(this build reads v{CHECKPOINT_VERSION})"
                 )
-            session = pickle.load(fh)
+            try:
+                session = pickle.load(fh)
+            except OSError:
+                raise  # the disk, not the payload
+            except Exception as exc:  # truncated, torn or overwritten file
+                raise CheckpointError(
+                    f"{path}: damaged payload ({exc!r})"
+                ) from exc
         if not isinstance(session, cls):
             raise CheckpointError(
                 f"{path}: checkpoint holds {type(session).__name__}, "

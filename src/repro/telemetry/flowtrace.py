@@ -12,20 +12,21 @@ Span model
 ----------
 
 Every TCP transmission creates a fresh :class:`~repro.net.packet.Packet`,
-so one *leg* (one copy of one segment crossing the stack) is keyed by
-``packet_id``.  The leg collects the crossing timestamps::
+so one *leg* (one copy of one segment crossing the stack) is that packet,
+and the crossing timestamps ride on it -- the tracer keeps nothing per
+packet::
 
-    tx_us         the sender put the copy on the wire (TCP layer done)
+    sent_us       the sender put the copy on the wire (TCP layer done)
     ingress_us    the copy reached the xNodeB (core transport done)
-    enqueue_us    PDCP inspection finished, SDU entered the RLC queue
+    enqueued_us   PDCP inspection finished, SDU entered the RLC queue
     first_tx_us   the SDU's first byte entered an RLC PDU (MAC grant won)
     last_tx_us    the SDU's final byte entered an RLC PDU
-    delivered_us  the reassembled, deciphered packet reached the UE's TCP
 
 A flow completes when the receiver's ``rcv_nxt`` passes the flow size;
-the delivery that triggers completion identifies the *completing leg*,
-and the breakdown is that leg's journey (all integer microseconds, so
-the components sum to the FCT **exactly**):
+the delivery that triggers completion identifies the *completing leg*
+(its stamps are copied into the flow's record at every delivery), and the
+breakdown is that leg's journey (all integer microseconds, so the
+components sum to the FCT **exactly**):
 
 ==============  ====================================================
 ``tcp_us``      flow start -> final TCP transmission of the
@@ -177,43 +178,6 @@ class FlowBreakdown:
         }
 
 
-class _Leg:
-    """One copy of one TCP segment crossing the stack (see module doc)."""
-
-    __slots__ = (
-        "packet_id",
-        "seq",
-        "is_retx",
-        "tx_us",
-        "ingress_us",
-        "enqueue_us",
-        "first_tx_us",
-        "last_tx_us",
-        "delivered_us",
-    )
-
-    def __init__(self, packet_id: int, seq: int, is_retx: bool, tx_us: int):
-        self.packet_id = packet_id
-        self.seq = seq
-        self.is_retx = is_retx
-        self.tx_us = tx_us
-        self.ingress_us: Optional[int] = None
-        self.enqueue_us: Optional[int] = None
-        self.first_tx_us: Optional[int] = None
-        self.last_tx_us: Optional[int] = None
-        self.delivered_us: Optional[int] = None
-
-    @property
-    def complete(self) -> bool:
-        return None not in (
-            self.ingress_us,
-            self.enqueue_us,
-            self.first_tx_us,
-            self.last_tx_us,
-            self.delivered_us,
-        )
-
-
 class _FlowTrace:
     """Mutable per-flow tracing state."""
 
@@ -222,7 +186,6 @@ class _FlowTrace:
         "ue_index",
         "size_bytes",
         "start_us",
-        "legs",
         "last_delivered",
         "tcp_retx",
         "rlc_drops",
@@ -235,8 +198,8 @@ class _FlowTrace:
         self.ue_index = ue_index
         self.size_bytes = size_bytes
         self.start_us = start_us
-        self.legs: dict[int, _Leg] = {}  # packet_id -> leg
-        self.last_delivered: Optional[_Leg] = None
+        #: Crossing stamps of the packet delivered last, in stack order.
+        self.last_delivered: Optional[tuple] = None
         self.tcp_retx = 0
         self.rlc_drops = 0
         self.harq_retx = 0
@@ -257,12 +220,11 @@ class FlowTracer:
         self.air_delay_us = air_delay_us
         self.keep_events = keep_events
         self._flows: dict[int, _FlowTrace] = {}
-        self._legs: dict[int, _Leg] = {}  # packet_id -> leg (live flows only)
         self._breakdowns: list[FlowBreakdown] = []
         #: Instant/span rows feeding the Chrome trace export, ``_ROW``
         #: integers each (40 B an event, no per-event objects).
         self._events = array("q")
-        #: Completions whose completing leg was missing a crossing stamp
+        #: Completions whose completing packet was missing a crossing stamp
         #: (should be zero; a non-zero count flags an instrumentation gap).
         self.incomplete_flows = 0
 
@@ -277,9 +239,6 @@ class FlowTracer:
         flow = self._flows.get(flow_id)
         if flow is None or flow.completed:
             return
-        leg = _Leg(packet.packet_id, packet.seq, packet.is_retx, now_us)
-        flow.legs[packet.packet_id] = leg
-        self._legs[packet.packet_id] = leg
         if packet.is_retx:
             flow.tcp_retx += 1
             self._emit(now_us, flow.ue_index, _TCP_RETX, packet.seq)
@@ -297,41 +256,33 @@ class FlowTracer:
     # -- xNodeB ingress / PDCP ------------------------------------------
 
     def on_enb_ingress(self, packet: "Packet", now_us: int) -> None:
-        leg = self._legs.get(packet.packet_id)
-        if leg is not None:
-            leg.ingress_us = now_us
+        packet.ingress_us = now_us
 
     def on_pdcp_ingress(self, packet: "Packet", level: int, now_us: int) -> None:
         """PDCP header inspection done; ``level`` is the MLFQ verdict."""
-        # The leg-level timestamp of record is the RLC enqueue; this hook
-        # exists so the PDCP entity is a first-class emit point (and so a
-        # future non-zero PDCP processing model is captured automatically).
+        # The timestamp of record is the RLC enqueue; this hook exists so
+        # the PDCP entity is a first-class emit point (and so a future
+        # non-zero PDCP processing model is captured automatically).
 
     # -- RLC -------------------------------------------------------------
 
     def on_rlc_enqueue(self, sdu: "RlcSdu", now_us: int) -> None:
-        leg = self._legs.get(sdu.packet.packet_id)
-        if leg is not None:
-            leg.enqueue_us = now_us
+        sdu.packet.enqueued_us = now_us
 
     def on_rlc_drop(self, packet: "Packet", now_us: int) -> None:
         flow = self._flows.get(packet.flow_id)
         if flow is None:
             return
         flow.rlc_drops += 1
-        self._legs.pop(packet.packet_id, None)
-        flow.legs.pop(packet.packet_id, None)
         self._emit(now_us, flow.ue_index, _RLC_DROP, packet.seq)
 
     def on_rlc_first_tx(self, sdu: "RlcSdu", now_us: int) -> None:
-        leg = self._legs.get(sdu.packet.packet_id)
-        if leg is not None and leg.first_tx_us is None:
-            leg.first_tx_us = now_us
+        packet = sdu.packet
+        if packet.first_tx_us is None:
+            packet.first_tx_us = now_us
 
     def on_rlc_last_tx(self, sdu: "RlcSdu", now_us: int) -> None:
-        leg = self._legs.get(sdu.packet.packet_id)
-        if leg is not None:
-            leg.last_tx_us = now_us
+        sdu.packet.last_tx_us = now_us
 
     def on_rlc_am_retx(self, ue_id: int, sn: int, now_us: int) -> None:
         self._emit(now_us, ue_id, _RLC_AM_RETX, sn)
@@ -362,13 +313,15 @@ class FlowTracer:
 
     def on_delivery(self, packet: "Packet", now_us: int) -> None:
         """A deciphered packet reached the UE's TCP receiver."""
-        leg = self._legs.get(packet.packet_id)
-        if leg is None:
-            return
-        leg.delivered_us = now_us
         flow = self._flows.get(packet.flow_id)
-        if flow is not None:
-            flow.last_delivered = leg
+        if flow is not None and not flow.completed:
+            flow.last_delivered = (
+                packet.sent_us,
+                packet.ingress_us,
+                packet.enqueued_us,
+                packet.first_tx_us,
+                packet.last_tx_us,
+            )
 
     def on_flow_complete(self, flow_id: int, now_us: int) -> None:
         """The flow's last byte arrived: freeze the breakdown."""
@@ -382,18 +335,14 @@ class FlowTracer:
         else:
             self._breakdowns.append(breakdown)
             self._emit_flow_spans(breakdown)
-        # Per-packet legs are only needed until completion: prune them so
-        # a long run's tracer memory is O(completed flows + live packets).
-        for packet_id in flow.legs:
-            self._legs.pop(packet_id, None)
-        flow.legs = {}
         flow.last_delivered = None
 
     def _decompose(self, flow: _FlowTrace, end_us: int) -> Optional[FlowBreakdown]:
-        leg = flow.last_delivered
-        if leg is None or not leg.complete:
+        stamps = flow.last_delivered
+        if stamps is None or None in stamps:
             return None
-        residual = end_us - leg.last_tx_us
+        sent_us, ingress_us, enqueued_us, first_tx_us, last_tx_us = stamps
+        residual = end_us - last_tx_us
         air_us = min(self.air_delay_us, residual)
         return FlowBreakdown(
             flow_id=flow.flow_id,
@@ -401,11 +350,11 @@ class FlowTracer:
             size_bytes=flow.size_bytes,
             start_us=flow.start_us,
             end_us=end_us,
-            tcp_us=leg.tx_us - flow.start_us,
-            core_us=leg.ingress_us - leg.tx_us,
-            pdcp_us=leg.enqueue_us - leg.ingress_us,
-            mac_wait_us=leg.first_tx_us - leg.enqueue_us,
-            rlc_us=leg.last_tx_us - leg.first_tx_us,
+            tcp_us=sent_us - flow.start_us,
+            core_us=ingress_us - sent_us,
+            pdcp_us=enqueued_us - ingress_us,
+            mac_wait_us=first_tx_us - enqueued_us,
+            rlc_us=last_tx_us - first_tx_us,
             harq_us=residual - air_us,
             air_us=air_us,
             tcp_retx=flow.tcp_retx,
@@ -427,11 +376,6 @@ class FlowTracer:
     @property
     def event_count(self) -> int:
         return len(self._events) // _ROW
-
-    def memory_events(self) -> int:
-        """Rough live-state size (events + per-packet legs), for health
-        lines on long runs."""
-        return self.event_count + len(self._legs)
 
     # -- Chrome trace-event export ---------------------------------------
 

@@ -1,5 +1,9 @@
 """Tests for the discrete-event engine."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +182,96 @@ def test_property_fire_order_matches_sorted_times(times):
         engine.schedule_at(t, lambda t=t: fired.append(t))
     engine.run()
     assert fired == sorted(times)
+
+
+class _Recorder:
+    """Picklable callback target: what fired, and when."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.fired = []
+
+    def fire(self, tag):
+        self.fired.append((self.engine.now_us, tag))
+
+
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["at", "in", "run"]), st.integers(0, 40)),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.tuples(st.just("pickle"), st.just(0)),
+)
+
+
+@given(st.lists(_OPS, max_size=80))
+def test_property_interleaved_schedule_cancel_run(ops):
+    """Events fire in exactly ``(time_us, seq)`` order, a cancelled handle
+    never fires, and ``pending()`` counts tombstones until their slot
+    comes up -- also when the engine is pickled mid-sequence and the
+    handles the caller holds come back with it."""
+    engine = EventEngine()
+    recorder = _Recorder(engine)
+    handles = []
+    # Model, one row per scheduled entry (its index is its seq):
+    # [time_us, cancelled, popped].
+    model = []
+    expected = []
+    for op, value in ops:
+        if op in ("at", "in"):
+            time_us = engine.now_us + value
+            if op == "at":
+                handle = engine.schedule_at(time_us, recorder.fire, len(model))
+            else:
+                handle = engine.schedule_in(value, recorder.fire, len(model))
+            handles.append(handle)
+            model.append([time_us, False, False])
+        elif op == "cancel" and handles:
+            tag = value % len(handles)
+            handles[tag].cancel()
+            model[tag][1] = True
+        elif op == "run":
+            end_us = engine.now_us + value
+            engine.run_until(end_us)
+            due = sorted(
+                (row[0], tag) for tag, row in enumerate(model)
+                if not row[2] and row[0] <= end_us
+            )
+            for time_us, tag in due:
+                model[tag][2] = True
+                if not model[tag][1]:
+                    expected.append((time_us, tag))
+            assert engine.now_us == end_us
+        elif op == "pickle":
+            engine, recorder, handles = pickle.loads(
+                pickle.dumps((engine, recorder, handles), pickle.HIGHEST_PROTOCOL)
+            )
+        assert recorder.fired == expected
+        assert engine.pending() == sum(not row[2] for row in model)
+    engine.run()
+    expected += sorted(
+        (row[0], tag) for tag, row in enumerate(model) if not row[1] and not row[2]
+    )
+    assert recorder.fired == expected
+    assert engine.events_processed == len(expected)
+    assert engine.pending() == 0
+
+
+def test_cancelled_handle_lets_go_of_fn_and_args():
+    """A tombstone waits in the heap for its slot; what it would have
+    called must not wait with it (a re-armed RTO pins a finished sender
+    otherwise)."""
+
+    class Target:
+        def fire(self, arg):
+            raise AssertionError("cancelled")
+
+    engine = EventEngine()
+    target, arg = Target(), Target()
+    refs = [weakref.ref(target), weakref.ref(arg)]
+    handle = engine.schedule_at(100, target.fire, arg)
+    handle.cancel()
+    del target, arg
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert engine.pending() == 1
+    engine.run()
+    assert engine.pending() == 0 and engine.events_processed == 0

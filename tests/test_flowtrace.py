@@ -14,6 +14,7 @@ Load-bearing invariants:
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,12 @@ from repro.analysis.breakdown import (
 )
 from repro.cli import main
 from repro.telemetry import COMPONENTS, FlowTracer, coerce_flow_tracer
-from repro.telemetry.flowtrace import LAYER_TRACKS
+from repro.telemetry.flowtrace import (
+    _RLC_DROP,
+    _TCP_RETX,
+    LAYER_TRACKS,
+    FlowBreakdown,
+)
 
 
 def run_traced(scheduler="outran", seed=3, duration_s=1.0, **overrides):
@@ -81,21 +87,196 @@ class TestDecomposition:
         assert d["bucket"] in ("S", "M", "L")
         json.dumps(d)  # JSON-serializable as-is
 
-    def test_legs_pruned_after_completion(self):
+
+class _Leg:
+    """One copy of one TCP segment crossing the stack, in tracer-owned state."""
+
+    def __init__(self, tx_us):
+        self.tx_us = tx_us
+        self.ingress_us = self.enqueue_us = None
+        self.first_tx_us = self.last_tx_us = self.delivered_us = None
+
+    @property
+    def complete(self):
+        return None not in (
+            self.ingress_us, self.enqueue_us, self.first_tx_us,
+            self.last_tx_us, self.delivered_us,
+        )
+
+
+class LegKeepingTracer(FlowTracer):
+    """The tracer as it was before the stamps moved onto ``Packet``.
+
+    Test-only reference: one ``_Leg`` per TCP segment of a live flow,
+    keyed by ``packet_id``, created at ``on_tcp_tx``, dropped with an RLC
+    drop and pruned when the flow completes.  It reads no stamp from the
+    packet, so it checks the stamping tracer from independent state.
+    """
+
+    def __init__(self, air_delay_us=0):
+        super().__init__(air_delay_us=air_delay_us)
+        self._legs = {}  # packet_id -> leg (live flows only)
+        self._flow_legs = {}  # flow_id -> {packet_id: leg}
+        self._last = {}  # flow_id -> leg delivered last
+        self.legs_created = 0
+
+    def on_flow_start(self, spec, now_us):
+        super().on_flow_start(spec, now_us)
+        self._flow_legs[spec.flow_id] = {}
+
+    def on_tcp_tx(self, flow_id, packet, now_us):
+        flow = self._flows.get(flow_id)
+        if flow is None or flow.completed:
+            return
+        leg = _Leg(now_us)
+        self.legs_created += 1
+        self._flow_legs[flow_id][packet.packet_id] = leg
+        self._legs[packet.packet_id] = leg
+        if packet.is_retx:
+            flow.tcp_retx += 1
+            self._emit(now_us, flow.ue_index, _TCP_RETX, packet.seq)
+
+    def on_enb_ingress(self, packet, now_us):
+        leg = self._legs.get(packet.packet_id)
+        if leg is not None:
+            leg.ingress_us = now_us
+
+    def on_rlc_enqueue(self, sdu, now_us):
+        leg = self._legs.get(sdu.packet.packet_id)
+        if leg is not None:
+            leg.enqueue_us = now_us
+
+    def on_rlc_drop(self, packet, now_us):
+        flow = self._flows.get(packet.flow_id)
+        if flow is None:
+            return
+        flow.rlc_drops += 1
+        self._legs.pop(packet.packet_id, None)
+        self._flow_legs[packet.flow_id].pop(packet.packet_id, None)
+        self._emit(now_us, flow.ue_index, _RLC_DROP, packet.seq)
+
+    def on_rlc_first_tx(self, sdu, now_us):
+        leg = self._legs.get(sdu.packet.packet_id)
+        if leg is not None and leg.first_tx_us is None:
+            leg.first_tx_us = now_us
+
+    def on_rlc_last_tx(self, sdu, now_us):
+        leg = self._legs.get(sdu.packet.packet_id)
+        if leg is not None:
+            leg.last_tx_us = now_us
+
+    def on_delivery(self, packet, now_us):
+        leg = self._legs.get(packet.packet_id)
+        if leg is None:
+            return
+        leg.delivered_us = now_us
+        if packet.flow_id in self._flows:
+            self._last[packet.flow_id] = leg
+
+    def on_flow_complete(self, flow_id, now_us):
+        flow = self._flows.get(flow_id)
+        if flow is None or flow.completed:
+            return
+        flow.completed = True
+        leg = self._last.pop(flow_id, None)
+        if leg is None or not leg.complete:
+            self.incomplete_flows += 1
+        else:
+            residual = now_us - leg.last_tx_us
+            air_us = min(self.air_delay_us, residual)
+            self._breakdowns.append(
+                FlowBreakdown(
+                    flow_id=flow.flow_id,
+                    ue_index=flow.ue_index,
+                    size_bytes=flow.size_bytes,
+                    start_us=flow.start_us,
+                    end_us=now_us,
+                    tcp_us=leg.tx_us - flow.start_us,
+                    core_us=leg.ingress_us - leg.tx_us,
+                    pdcp_us=leg.enqueue_us - leg.ingress_us,
+                    mac_wait_us=leg.first_tx_us - leg.enqueue_us,
+                    rlc_us=leg.last_tx_us - leg.first_tx_us,
+                    harq_us=residual - air_us,
+                    air_us=air_us,
+                    tcp_retx=flow.tcp_retx,
+                    rlc_drops=flow.rlc_drops,
+                    harq_retx=flow.harq_retx,
+                )
+            )
+            self._emit_flow_spans(self._breakdowns[-1])
+        for packet_id in self._flow_legs.pop(flow_id):
+            self._legs.pop(packet_id, None)
+
+
+def _incast_dctcp(seed):
+    cfg = SimConfig.lte_default(
+        num_ues=12, load=0.8, seed=seed,
+        cc="dctcp", aqm="red", ecn_min_sdus=30, ecn_max_sdus=30,
+    )
+    return cfg.with_overrides(traffic=replace(cfg.traffic, kind="incast_fanin"))
+
+
+class TestAgainstLegKeepingReference:
+    """Stamps on the packet decompose every flow exactly as per-packet
+    legs inside the tracer did (two runs of one seed; the simulator is
+    deterministic, so the tracers see the same hook calls)."""
+
+    @pytest.mark.parametrize(
+        "config,duration_s,exercised",
+        [
+            (
+                SimConfig.lte_default(
+                    num_ues=4, load=1.5, seed=9, radio_bler=0.1,
+                    rlc_capacity_sdus=24,
+                ),
+                1.0,
+                ("rlc_drops", "tcp_retx"),
+            ),
+            (
+                # HARQ and AM both retransmit one shared SDU: the same
+                # packet can reach the UE's PDCP more than once.
+                SimConfig.nr_default(
+                    mu=1, num_ues=6, load=0.5, seed=7,
+                    rlc_mode="am", radio_bler=0.1,
+                ),
+                1.0,
+                ("harq_retx",),
+            ),
+            (_incast_dctcp(3), 3.0, ("tcp_retx", "rlc_drops")),
+        ],
+        ids=["lte-um-lossy", "nr-am-lossy", "incast-dctcp-red"],
+    )
+    def test_same_breakdowns_and_export(self, config, duration_s, exercised):
+        def run(tracer):
+            sim = CellSimulation(config, scheduler="outran", flow_trace=tracer)
+            result = sim.run(duration_s)
+            return sim.flow_trace, result
+
+        reference, ref_result = run(LegKeepingTracer(config.air_delay_us))
+        tracer, result = run(True)
+        assert type(tracer) is FlowTracer
+        assert reference.legs_created > 10 * len(reference.breakdowns()) > 0
+        for counter in exercised:
+            assert sum(getattr(b, counter) for b in reference.breakdowns()) > 0
+        assert tracer.breakdowns() == reference.breakdowns()
+        assert tracer.incomplete_flows == reference.incomplete_flows == 0
+        assert tracer.to_chrome_trace() == reference.to_chrome_trace()
+        assert result.flow_breakdowns == ref_result.flow_breakdowns
+
+    def test_nothing_is_keyed_by_packet(self):
+        """Every container the tracer owns is per flow or per event."""
         sim, result = run_traced()
         tracer = sim.flow_trace
-        # Per-packet legs are dropped once their flow decomposes: tracer
-        # memory is O(completed flows + packets of still-active flows),
-        # not total packets sent.
         assert result.completed_flows > 0
-        completed = {b.flow_id for b in tracer.breakdowns()}
-        for flow_id in completed:
-            flow = tracer._flows[flow_id]
-            assert flow.completed and not flow.legs
-        live_legs = sum(
-            len(f.legs) for f in tracer._flows.values() if not f.completed
+        assert set(vars(tracer)) == {
+            "air_delay_us", "keep_events", "_flows", "_breakdowns",
+            "_events", "incomplete_flows",
+        }
+        assert len(tracer._flows) == sim.metrics.flows_started
+        assert all(
+            flow.last_delivered is None
+            for flow in tracer._flows.values() if flow.completed
         )
-        assert len(tracer._legs) == live_legs
 
 
 class TestDeterminism:

@@ -15,12 +15,15 @@ from dataclasses import replace
 import pytest
 
 from repro import CellSimulation, SimConfig
+from repro.core.flow_table import FlowTable
 from repro.net.packet import FiveTuple, Packet
 from repro.rlc.am import AmReceiver
 from repro.rlc.pdu import RlcPdu, RlcSdu, SduSegment
 from repro.sim.metrics import MetricsCollector
-from repro.sim.session import result_fingerprint
+from repro.sim.session import SimulationSession, result_fingerprint
+from repro.telemetry import flowtrace
 from repro.telemetry.flowtrace import FlowTracer
+from repro.traffic.generator import FlowSpec
 
 DRAIN_S = 0.3
 
@@ -130,6 +133,79 @@ def test_retirement_is_invisible_in_the_result(config, duration_s):
     kept, _ = run(retire=False)
     assert late_duplicates > 0
     assert retired == kept
+
+
+def test_tracer_keeps_nothing_per_packet():
+    """One 5 MB flow in flight: while it goes from 1 MB to 4 MB sent (over
+    2 000 segments) the tracer allocates nothing that stays but its event
+    rows.  At the parent commit every segment left a leg object and two
+    dict entries behind until the flow completed."""
+    config = SimConfig.lte_default(
+        num_ues=1, load=0.1, seed=1, rlc_capacity_sdus=4_000
+    )
+    session = SimulationSession.from_config(
+        config, "outran", duration_s=6.0, drain_s=0.0,
+        flows=[FlowSpec(0, 0, 5_000_000, 0)], flow_trace=True,
+    ).start()
+    session.step(n_ttis=1)  # the flow starts with the first event
+    sender = session.sim._runtimes[0].sender
+    tracer = session.sim.flow_trace
+
+    def send_until(sent_bytes):
+        while sender.max_sent < sent_bytes:
+            assert not session.done
+            session.step(n_ttis=20)
+
+    send_until(1_000_000)
+    segments = sender.packets_sent
+    gc.collect()
+    tracemalloc.start()
+    try:
+        send_until(4_000_000)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert sender.packets_sent - segments > 2_000 and not sender.done
+    kept = snapshot.filter_traces(
+        [tracemalloc.Filter(True, flowtrace.__file__)]
+    ).statistics("filename")
+    # The event column (reallocated as it grows, 40 B a row plus the
+    # array's over-allocation) and the last delivery's stamps.
+    assert sum(stat.count for stat in kept) <= 2
+    assert sum(stat.size for stat in kept) <= 50 * tracer.event_count + 256
+
+
+def test_idle_flow_table_entries_expire(monkeypatch):
+    """Section 4.2 expiry runs in a cell, not only in unit tests: after
+    12 s the tables hold fewer records than five-tuples seen, and the run
+    is the one a table that forgets nothing gives -- ``observe`` restarts
+    a record idle past the timeout, so dropping it first changes nothing.
+    Twenty connections, eight of which come back after 10.6 s of silence,
+    four of those past their first demotion threshold."""
+    starts = [100_000 + 45_000 * i for i in range(20)]
+    starts += [start_us + 10_600_000 for start_us in starts[:8]]
+    flows = [
+        FlowSpec(
+            flow_id, flow_id % 2, 60_000 if flow_id % 4 < 2 else 4_000,
+            start_us, connection=flow_id % 20,
+        )
+        for flow_id, start_us in enumerate(starts)
+    ]
+    config = SimConfig.lte_default(num_ues=2, load=0.1, seed=4)
+
+    def run():
+        sim = CellSimulation(config, scheduler="outran", flows=flows)
+        result = sim.run(11.5, drain_s=0.5)
+        return result, sum(len(ue.flow_table) for ue in sim.ues)
+
+    swept, entries = run()
+    assert swept.completed_flows == len(flows)
+    assert entries == 8 < 20
+    monkeypatch.setattr(FlowTable, "expire_idle", lambda self, now_us: 0)
+    kept, all_entries = run()
+    assert all_entries == 20
+    assert result_fingerprint(swept) == result_fingerprint(kept)
 
 
 def _queue_delays(n):

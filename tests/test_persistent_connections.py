@@ -14,7 +14,9 @@ from repro.sim.ue import FLOW_IDLE_TIMEOUT_US
 from repro.traffic.generator import FlowSpec
 
 
-def run_streams(gap_us, num_streams=8, stream_bytes=30_000, **cfg_kwargs):
+def run_streams(
+    gap_us, num_streams=8, stream_bytes=30_000, duration_s=None, **cfg_kwargs
+):
     """One UE fetches ``num_streams`` responses over one connection."""
     cfg = SimConfig.lte_default(num_ues=2, seed=4, **cfg_kwargs)
     flows = [
@@ -28,8 +30,9 @@ def run_streams(gap_us, num_streams=8, stream_bytes=30_000, **cfg_kwargs):
         for i in range(num_streams)
     ]
     sim = CellSimulation(cfg, scheduler="outran", flows=flows)
-    duration = (1_000 + num_streams * gap_us) / 1e6 + 1.0
-    res = sim.run(duration_s=duration)
+    if duration_s is None:
+        duration_s = (1_000 + num_streams * gap_us) / 1e6 + 1.0
+    res = sim.run(duration_s=duration_s)
     return sim, res
 
 
@@ -60,10 +63,14 @@ class TestMitigations:
     def test_idle_timeout_resets_reused_tuple(self):
         """A quiet persistent connection starts fresh on the next burst."""
         gap = FLOW_IDLE_TIMEOUT_US + 1_000_000
-        sim, res = run_streams(gap_us=gap, num_streams=2)
+        # Stop 3 s after the second stream: the cell sweeps records idle
+        # past the timeout, so a longer run would end with an empty table.
+        sim, res = run_streams(gap_us=gap, num_streams=2, duration_s=gap / 1e6 + 1.0)
+        assert res.completed_flows == 2
         table = sim.ues[0].flow_table
         (entry,) = table._flows.values()
         # Only the second stream's bytes remain counted.
+        assert entry.created_us >= gap
         assert entry.sent_bytes <= 30_000 + 2_000
 
     def test_priority_reset_bounds_demotion(self):

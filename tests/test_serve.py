@@ -321,6 +321,27 @@ class TestHttpEndToEnd:
         st, listed = self.request(server, "GET", "/sessions")
         assert st == 200 and len(listed["sessions"]) == 2
 
+    def test_damaged_checkpoint_is_a_400(self, server, tmp_path):
+        """A file cut short (killed writer, full disk) is the client's bad
+        checkpoint, not a server fault -- and the session list is unharmed."""
+        sid = self.request(server, "POST", "/sessions", dict(BARE))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        self.request(server, "POST", f"/sessions/{sid}/step", {"n_ttis": 100})
+        self.request(server, "POST", f"/sessions/{sid}/checkpoint", {"path": "ok.ckpt"})
+        raw = (tmp_path / "ckpts" / "ok.ckpt").read_bytes()
+        (tmp_path / "ckpts" / "half.ckpt").write_bytes(raw[: len(raw) // 2])
+        st, body = self.request(
+            server, "POST", "/sessions/resume", {"path": "half.ckpt"}
+        )
+        assert (st, body["error"]) == (400, "bad_checkpoint")
+        assert "damaged payload" in body["detail"]
+        st, listed = self.request(server, "GET", "/sessions")
+        assert st == 200 and len(listed["sessions"]) == 1
+        st, resumed = self.request(
+            server, "POST", "/sessions/resume", {"path": "ok.ckpt"}
+        )
+        assert st == 200 and resumed["resumed"] is True
+
     @pytest.mark.parametrize("length", ["abc", "-5", str(2**40)])
     def test_hostile_content_length_is_a_400(self, server, length):
         host, port = server.removeprefix("http://").split(":")

@@ -216,14 +216,38 @@ class TestCheckpointFormat:
         # TcpFlow and UmReceiver layouts differ), v2 graphs the single
         # scheduler feed (XNodeB, SchedArrays), v3 graphs flow retirement
         # and the typed columns (CellSimulation, MetricsCollector,
-        # AmReceiver, FlowTracer): refuse, never half-load.
-        for version in (1, 2, 3):
+        # AmReceiver, FlowTracer), v4 graphs the list-cell Event and the
+        # crossing stamps on Packet: refuse, never half-load.
+        for version in (1, 2, 3, 4):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
             )
             with pytest.raises(CheckpointError, match=f"v{version} not supported"):
                 SimulationSession.resume(old)
+
+    def test_damaged_payload_rejected(self, tmp_path):
+        """Half a file, a header with nothing behind it, a header followed
+        by something else: a structured error, never pickle's own."""
+        session = SimulationSession(make_sim(), DURATION_S).start()
+        session.step(n_ttis=100)
+        good = tmp_path / "s.ckpt"
+        session.checkpoint(good)
+        raw = good.read_bytes()
+        header = raw[: raw.index(b"\n") + 1]
+        damaged = {
+            "half": raw[: len(raw) // 2],
+            "header-only": header,
+            "garbage": header + b"\x00not a pickle" * 40,
+        }
+        for name, data in damaged.items():
+            bad = tmp_path / f"{name}.ckpt"
+            bad.write_bytes(data)
+            with pytest.raises(CheckpointError, match="damaged payload"):
+                SimulationSession.resume(bad)
+        assert result_fingerprint(
+            SimulationSession.resume(good).finish()
+        ) == result_fingerprint(session.finish())
 
     def test_wrong_payload_type_rejected(self, tmp_path):
         bad = tmp_path / "dict.ckpt"
@@ -371,6 +395,7 @@ class TestWorkerCheckpointing:
         monkeypatch.setenv(CKPT_TTIS_ENV, "400")
         ckpt = _checkpoint_path(str(tmp_path), self.SPEC.key())
         ckpt.parent.mkdir(parents=True)
-        ckpt.write_bytes(b"REPROCKPT 1\ntruncated-mid-write")
-        result = execute_spec(self.SPEC, checkpoint_path=ckpt)
-        assert result_fingerprint(result) == baseline
+        for header in (b"REPROCKPT 1\n", b"REPROCKPT %d\n" % CHECKPOINT_VERSION):
+            ckpt.write_bytes(header + b"truncated-mid-write")
+            result = execute_spec(self.SPEC, checkpoint_path=ckpt)
+            assert result_fingerprint(result) == baseline
