@@ -31,7 +31,7 @@ from repro.mac.pf import (
 from repro.mac.srjf import SrjfScheduler
 from repro.mac.qos import CqaScheduler, PssScheduler
 from repro.sim.multicell import MultiCellSimulation, PooledResult
-from repro.telemetry import Profiler, TelemetryRegistry
+from repro.telemetry import TelemetryRegistry
 
 __version__ = "1.0.0"
 
@@ -52,5 +52,4 @@ __all__ = [
     "MultiCellSimulation",
     "PooledResult",
     "TelemetryRegistry",
-    "Profiler",
 ]

@@ -6,7 +6,7 @@ Examples::
     python -m repro run --rat nr --mu 3 --mec --scheduler pf --json out.json
     python -m repro run --cc dctcp --ecn-k 30 --workload incast
     python -m repro run --compare pf outran srjf --load 0.9 --jobs 3
-    python -m repro run --scheduler outran --telemetry out.json --profile
+    python -m repro run --scheduler outran --telemetry out.json --heartbeat 1
     python -m repro run --scheduler outran --ric --ric-xapp hillclimb \\
         --ric-period 100 --ric-report ric.json
     python -m repro explain --scheduler pf outran --load 0.9 --duration 4
@@ -147,12 +147,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "format to PATH (implies telemetry collection)",
     )
     telemetry.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile wall-clock time per phase (schedule/rlc/phy/tcp/"
-        "bookkeeping) and print the breakdown",
-    )
-    telemetry.add_argument(
         "--trace",
         metavar="PATH",
         help="record the per-TTI scheduling trace and save it as .npz",
@@ -222,19 +216,6 @@ def _per_scheduler_path(base: str, scheduler: str, multi: bool) -> str:
     path = Path(base)
     safe = scheduler.replace(":", "_").replace("/", "_")
     return str(path.with_name(f"{path.stem}.{safe}{path.suffix}"))
-
-
-def _print_profile(result: SimResult, scheduler: str) -> None:
-    profile = (result.telemetry or {}).get("profile")
-    if not profile:
-        return
-    print(f"profile [{scheduler}]: total {profile['total_s']:.2f}s wall")
-    for phase, stats in profile["phases"].items():
-        print(
-            f"  {phase:>12}: {stats['seconds']:8.3f}s  "
-            f"({stats['entries']} entries)"
-        )
-    print(f"  {'other':>12}: {profile['other_s']:8.3f}s")
 
 
 def _print_workload_metrics(result: SimResult, workload: str) -> None:
@@ -327,7 +308,6 @@ def _run_one(args: argparse.Namespace, scheduler: str, multi: bool) -> SimResult
     """One in-process run with whatever observability the flags ask for."""
     session = _spec_from_args(args, scheduler).session(
         telemetry=bool(args.telemetry or args.prometheus),
-        profiler=args.profile,
         flow_trace=bool(args.flow_trace),
     )
     sim = session.sim
@@ -364,8 +344,6 @@ def _run_one(args: argparse.Namespace, scheduler: str, multi: bool) -> SimResult
         print(snapshot_to_json(result.telemetry))
     if args.prometheus:
         snapshot_to_prometheus(result.telemetry, out_path(args.prometheus))
-    if args.profile:
-        _print_profile(result, scheduler)
     return result
 
 
@@ -380,7 +358,6 @@ def run_main(args: argparse.Namespace) -> int:
             for flag, value in (
                 ("--telemetry", args.telemetry),
                 ("--prometheus", args.prometheus),
-                ("--profile", args.profile),
                 ("--trace", args.trace),
                 ("--heartbeat", args.heartbeat),
                 ("--flow-trace", args.flow_trace),

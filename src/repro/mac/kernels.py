@@ -1,12 +1,12 @@
 """The per-TTI scheduling table and the compiled owner kernels.
 
-* :class:`SchedArrays` -- the array-backed table of the per-UE
-  :class:`~repro.mac.scheduler.UeSchedState` fields the schedulers read
-  (EWMA throughput, activity, head MLFQ level, last-served time, and the
-  SRJF and QoS oracle columns): the one thing every scheduler is fed.
-  The xNodeB maintains it incrementally inside the backlog scan it
-  already performs, so an allocation does no per-UE Python work; callers
-  that hold a plain sequence of ``UeSchedState`` (unit tests,
+* :class:`SchedArrays` -- the per-UE MAC state of a cell as seven
+  arrays (EWMA throughput, activity, head MLFQ level, last-served time,
+  and the SRJF and QoS oracle columns): the one thing every scheduler is
+  fed, and the only copy a running cell keeps.  The xNodeB writes it
+  inside the backlog scan it already performs, so an allocation does no
+  per-UE Python work; callers that hold a plain sequence of
+  :class:`~repro.mac.scheduler.UeSchedState` (unit tests,
   micro-benchmarks) get one gathered by :func:`as_table`.
 
 * :func:`plain_owner` / :func:`epsilon_owner` -- the per-RB argmax, with
@@ -44,9 +44,9 @@ __all__ = ["SchedArrays", "as_table", "plain_owner", "epsilon_owner"]
 class SchedArrays:
     """Array-backed per-UE scheduling state: the table schedulers read.
 
-    Holds exactly the fields the schedulers read.  The xNodeB keeps the
-    arrays in sync inside the backlog scan it already performs every
-    TTI, so ``allocate`` does zero per-UE Python work.
+    Holds exactly the fields the schedulers read.  The xNodeB writes the
+    arrays inside the backlog scan it already performs every TTI, so
+    ``allocate`` does zero per-UE Python work.
     """
 
     __slots__ = (
@@ -90,14 +90,15 @@ class SchedArrays:
         self.active[index] = False
         self.head_levels[index] = IDLE_LEVEL
 
-    def set_oracle(self, index: int, state) -> None:
-        """Mirror the clairvoyant fields of one ``UeSchedState``."""
-        remaining = state.remaining_flow_bytes
+    def set_oracle(
+        self, index: int, remaining: Optional[int], qos_flows: int, qos_hol_us: int
+    ) -> None:
+        """Write the clairvoyant columns of UE ``index``."""
         self.remaining_flow[index] = np.inf if remaining is None else remaining
-        self.qos_deadline_flows[index] = state.qos_deadline_flows
-        self.qos_hol_delay_us[index] = state.qos_hol_delay_us
+        self.qos_deadline_flows[index] = qos_flows
+        self.qos_hol_delay_us[index] = qos_hol_us
 
-    # -- synchronisation with the scalar per-UE objects -------------------
+    # -- the list API: a sequence of ``UeSchedState`` in, EWMA back out ----
 
     def sync_from(self, ues: Sequence) -> None:
         """Load the arrays from a sequence of ``UeSchedState`` objects.
@@ -121,11 +122,9 @@ class SchedArrays:
         self.qos_hol_delay_us[:] = [ue.qos_hol_delay_us for ue in ues]
 
     def sync_to(self, ues: Sequence) -> None:
-        """Write the array state back into the per-UE objects.
+        """Write EWMA and last-served back into the per-UE objects.
 
-        The xNodeB calls it once at the end of a run so post-run
-        consumers (tests, telemetry) read the per-UE view; ``on_tti_end``
-        calls it for a caller that passed the per-UE objects.
+        ``on_tti_end`` calls it for a caller that passed the objects.
         """
         for i, ue in enumerate(ues):
             ue.ewma_bps = float(self.ewma_bps[i])

@@ -7,10 +7,13 @@ to the user with the best *per-RB metric* ``m_{u,b}(t)``, giving
 per-RB argmax.  OutRAN overrides :meth:`MacScheduler.allocate` to add its
 second, relaxed pass (see :mod:`repro.core.outran`).
 
-``UeSchedState`` is the per-UE view the MAC keeps: EWMA throughput for the
-PF metric (smoothed over the *fairness window* Tf), the latest buffer
-status report, and the clairvoyant remaining-flow-size hook that only the
-SRJF baseline is allowed to read.
+``UeSchedState`` is the list form of one row of the table a scheduler
+reads: EWMA throughput for the PF metric (smoothed over the *fairness
+window* Tf), the latest buffer status report, and the clairvoyant
+remaining-flow-size hook that only the SRJF baseline is allowed to read.
+A running cell keeps none (its per-UE MAC state is the xNodeB's
+:class:`~repro.mac.kernels.SchedArrays`); ``as_table`` gathers a
+sequence of them for a caller without an xNodeB.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ MIN_EWMA_BPS = 1e5
 
 
 class UeSchedState:
-    """Per-UE scheduling state maintained by the MAC."""
+    """One UE's scheduling state: the list API of ``as_table``, and the
+    scalar reference of the EWMA the table updates in place."""
 
     __slots__ = (
         "index",
@@ -40,11 +44,9 @@ class UeSchedState:
         "ewma_bps",
         "bsr",
         "last_served_us",
-        "total_served_bits",
         "remaining_flow_bytes",
         "qos_deadline_flows",
         "qos_hol_delay_us",
-        "backlog_since_us",
     )
 
     def __init__(self, index: int, ue_id: int) -> None:
@@ -53,7 +55,6 @@ class UeSchedState:
         self.ewma_bps = MIN_EWMA_BPS
         self.bsr: BufferStatusReport = empty_report(ue_id)
         self.last_served_us = 0
-        self.total_served_bits = 0
         #: Clairvoyant hook: remaining bytes of this UE's shortest active
         #: flow.  Only SRJF may use it (the paper's oracle baseline).
         self.remaining_flow_bytes: Optional[int] = None
@@ -61,11 +62,6 @@ class UeSchedState:
         #: and the head-of-line delay of the oldest one (PSS/CQA only).
         self.qos_deadline_flows = 0
         self.qos_hol_delay_us = 0
-        #: When the UE's current backlog episode began (or the time of its
-        #: last grant within it).  Maintained by the xNodeB only while a
-        #: flow tracer is attached -- nothing in the scheduling path reads
-        #: it, so tracing cannot change allocation decisions.
-        self.backlog_since_us: Optional[int] = None
 
     @property
     def active(self) -> bool:

@@ -418,7 +418,6 @@ class TcpReceiver:
         self.on_complete = on_complete
         self.rcv_nxt = 0
         self._out_of_order: dict[int, int] = {}  # seq -> end_seq
-        self.sack_enabled = True
         self.completed_us: Optional[int] = None
         self.packets_received = 0
         self.bytes_received = 0
@@ -453,8 +452,7 @@ class TcpReceiver:
             is_ack=True,
             ack_seq=self.rcv_nxt,
         )
-        if self.sack_enabled:
-            ack.sack_blocks = self.sack_blocks()
+        ack.sack_blocks = self.sack_blocks()
         # Echo a CE mark back to the sender (RFC 3168 ECE).  The model is
         # per-ACK echo, which is what DCTCP wants (no delayed-ACK state
         # machine here: every data packet produces its own ACK).

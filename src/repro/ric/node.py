@@ -4,8 +4,8 @@
 the E2 message types.  Reads (``indication``) are pure; writes
 (``control``) are validated against the :class:`~repro.ric.guardrails.
 Guardrails` and, when accepted, queued on the xNodeB to be applied at the
-*next TTI boundary* (mid-TTI mutation could desynchronise the xNodeB's
-array-backed scheduler table from the per-UE objects).
+*next TTI boundary* (a TTI is scheduled under one set of parameters,
+from the scan that writes the xNodeB's scheduler table to the grants).
 """
 
 from __future__ import annotations

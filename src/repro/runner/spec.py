@@ -147,7 +147,7 @@ class RunSpec:
         Every front end -- ``repro run``/``explain``, sweep workers,
         ``repro serve``, the benchmarks -- launches through here;
         ``sim_kwargs`` are :class:`~repro.sim.cell.CellSimulation`'s
-        ``telemetry=``, ``profiler=`` and ``flow_trace=``.
+        ``telemetry=`` and ``flow_trace=``.
         """
         return SimulationSession.from_config(
             self.to_config(),

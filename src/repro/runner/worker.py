@@ -11,8 +11,8 @@ store root is given the worker persists the result *before* returning,
 so a completed run survives even if the parent dies right after -- the
 store, not the pipe, is the checkpoint.
 
-Workers run the simulation *uninstrumented* (no telemetry registry, no
-profiler): observability never changes simulation results (asserted by
+Workers run the simulation *uninstrumented* (no telemetry registry):
+observability never changes simulation results (asserted by
 the test suite), so store-served and freshly-simulated runs are
 interchangeable byte-for-byte in figure output.
 """

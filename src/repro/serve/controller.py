@@ -134,14 +134,13 @@ class ServeController:
         the same declarative schema the sweep runner hashes -- so a serve
         session and an offline run of the same JSON are the same
         simulation.  Serve options: ``drain_s``, ``telemetry``,
-        ``profile``, ``flow_trace``, ``heartbeat_s``, ``ric``
+        ``flow_trace``, ``heartbeat_s``, ``ric``
         (``{"xapps": [...], "period_ms": ...}``).
         """
         payload = dict(payload or {})
         spec_kwargs = {k: payload.pop(k) for k in list(payload) if k in _SPEC_FIELDS}
         drain_s = payload.pop("drain_s", 2.0)
         telemetry = bool(payload.pop("telemetry", True))
-        profile = bool(payload.pop("profile", False))
         flow_trace = bool(payload.pop("flow_trace", False))
         heartbeat_s = payload.pop("heartbeat_s", None)
         ric = payload.pop("ric", None)
@@ -157,7 +156,6 @@ class ServeController:
             session = spec.session(
                 drain_s=float(drain_s),
                 telemetry=telemetry,
-                profiler=profile,
                 flow_trace=flow_trace,
             )
         except (TypeError, ValueError) as exc:

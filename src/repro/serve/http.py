@@ -76,25 +76,32 @@ class ReproServer:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
+                # readline() raises ValueError for a line above the
+                # StreamReader limit (64 KiB): like a bad Content-Length,
+                # what follows it cannot be framed.
                 try:
+                    request_line = await reader.readline()
+                    if not request_line:
+                        break
                     method, target, _version = (
                         request_line.decode("latin-1").strip().split(" ", 2)
                     )
                 except ValueError:
-                    await self._respond(writer, 400, {"error": "bad_request",
-                                                      "detail": "malformed request line"})
+                    await self._respond(
+                        writer, 400,
+                        {"error": "bad_request",
+                         "detail": "malformed or over-long request line"},
+                        keep_alive=False,
+                    )
                     break
                 headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
                 try:
+                    while True:
+                        line = await reader.readline()
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
                     length = int(headers.get("content-length") or 0)
                 except ValueError:
                     length = -1
@@ -104,8 +111,8 @@ class ReproServer:
                     await self._respond(
                         writer, 400,
                         {"error": "bad_request",
-                         "detail": "Content-Length must be an integer in "
-                         f"[0, {MAX_BODY_BYTES}]"},
+                         "detail": "over-long header line, or Content-Length "
+                         f"not an integer in [0, {MAX_BODY_BYTES}]"},
                         keep_alive=False,
                     )
                     break
@@ -138,6 +145,9 @@ class ReproServer:
                 body = json.loads(raw)
             except ValueError:
                 return 400, {"error": "bad_request", "detail": "body is not JSON"}, None
+            if not isinstance(body, dict):
+                return 400, {"error": "bad_request",
+                             "detail": "body must be a JSON object"}, None
         else:
             body = None
 

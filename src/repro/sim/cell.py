@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from time import perf_counter_ns
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -44,7 +43,6 @@ from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import FlowRuntime, UeContext
 from repro.telemetry.flowtrace import FlowTracer, coerce_flow_tracer
 from repro.telemetry.heartbeat import Heartbeat
-from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 from repro.traffic.generator import FlowSpec
 from repro.traffic.workloads import make_generator
@@ -122,7 +120,6 @@ class CellSimulation:
         scheduler: Union[str, MacScheduler] = "pf",
         flows: Optional[Sequence[FlowSpec]] = None,
         telemetry: Union[TelemetryRegistry, bool, None] = None,
-        profiler: Union[Profiler, bool, None] = None,
         flow_trace: Union[FlowTracer, bool, None] = None,
     ) -> None:
         self.config = config
@@ -130,15 +127,11 @@ class CellSimulation:
         #: Telemetry registry (``True`` creates a fresh one; the default is
         #: the shared no-op registry, so instrumentation costs nothing).
         self.telemetry = coerce_registry(telemetry)
-        #: Wall-clock phase profiler (``True`` creates a fresh one).
-        self.profiler = coerce_profiler(profiler)
         #: Per-flow lifecycle tracer (``True`` creates a fresh one; the
         #: default None leaves every emit point behind an ``is not None``
         #: guard, so untraced runs execute the identical instruction
         #: stream).
         self.flow_trace = coerce_flow_tracer(flow_trace, config.air_delay_us)
-        self._sec_tcp = self.profiler.section("tcp")
-        self._sec_phy = self.profiler.section("phy")
         self._heartbeat: Optional[Heartbeat] = None
         self._run_wall_ns = 0
         self.scheduler = make_scheduler(scheduler, config)
@@ -173,7 +166,6 @@ class CellSimulation:
             self.metrics,
             np.random.default_rng(config.seed + 2),
             telemetry=self.telemetry,
-            profiler=self.profiler,
         )
         #: Endpoints of the flows whose sender has not finished; a flow
         #: retires (``_on_sender_done``) into ``_retired_tcp`` below.
@@ -193,14 +185,10 @@ class CellSimulation:
         self._duration_s: Optional[float] = None
         self._completion_hooks: dict[int, Callable[[int], None]] = {}
         if self.flow_trace is not None:
-            self._wire_flow_trace()
-
-    def _wire_flow_trace(self) -> None:
-        """Point every layer's emit hooks at the attached tracer."""
-        tracer = self.flow_trace
-        for ue in self.ues:
-            ue.attach_flow_tracer(tracer)
-        self.enb.attach_flow_tracer(tracer)
+            # Point every layer's emit hooks at the attached tracer.
+            for ue in self.ues:
+                ue.attach_flow_tracer(self.flow_trace)
+            self.enb.attach_flow_tracer(self.flow_trace)
 
     # -- capacity ----------------------------------------------------------
 
@@ -258,10 +246,6 @@ class CellSimulation:
     # -- flow plumbing -----------------------------------------------------------
 
     def _start_flow(self, spec: FlowSpec) -> None:
-        with self._sec_tcp:
-            self._start_flow_inner(spec)
-
-    def _start_flow_inner(self, spec: FlowSpec) -> None:
         ue = self.ues[spec.ue_index]
         if self.flow_trace is not None:
             self.flow_trace.on_flow_start(spec, self.engine.now_us)
@@ -338,8 +322,7 @@ class CellSimulation:
     ) -> None:
         runtime = self._runtimes.get(flow_id)
         if runtime is not None:  # None: the flow retired while the ACK flew
-            with self._sec_tcp:
-                runtime.sender.on_ack(ack_seq, sack_blocks, ece)
+            runtime.sender.on_ack(ack_seq, sack_blocks, ece)
 
     def start_flow(
         self,
@@ -486,9 +469,6 @@ class CellSimulation:
             self._reset_task = None
         if self._heartbeat is not None:
             self._heartbeat.stop()
-        # Fold the array-backed scheduler state back into the per-UE
-        # objects before anything reads them.
-        self.enb.finalize()
         self._harvest_counters()
         self._harvest_telemetry()
         self._harvested = True
@@ -514,9 +494,8 @@ class CellSimulation:
         )
 
     def _on_cqi_update(self) -> None:
-        with self._sec_phy:
-            self.channel.update_all(self.engine.now_s)
-            self.enb.refresh_rates()
+        self.channel.update_all(self.engine.now_s)
+        self.enb.refresh_rates()
 
     def _on_priority_reset(self) -> None:
         for ue in self.ues:
@@ -568,21 +547,6 @@ class CellSimulation:
         """Record per-TTI scheduling decisions (see ``repro.sim.trace``)."""
         return self.enb.enable_trace()
 
-    def enable_flow_trace(self) -> FlowTracer:
-        """Attach a flow-lifecycle tracer (see ``repro.telemetry.flowtrace``).
-
-        Call before :meth:`run`.  The tracer records span events as each
-        flow crosses TCP/PDCP/RLC/MAC/HARQ/air, decomposes every completed
-        flow's FCT into per-layer components
-        (:meth:`~repro.telemetry.flowtrace.FlowTracer.breakdowns`), and
-        exports a Chrome trace-event document
-        (:meth:`~repro.telemetry.flowtrace.FlowTracer.save_chrome_trace`).
-        """
-        if self.flow_trace is None:
-            self.flow_trace = FlowTracer(air_delay_us=self.config.air_delay_us)
-            self._wire_flow_trace()
-        return self.flow_trace
-
     def attach_heartbeat(
         self,
         period_s: float = 1.0,
@@ -628,13 +592,10 @@ class CellSimulation:
         return self.flow_trace.event_count
 
     def telemetry_snapshot(self) -> Optional[dict]:
-        """Registry snapshot plus profiler breakdown (None when disabled)."""
-        if not self.telemetry.enabled and not self.profiler.enabled:
+        """Registry snapshot (None when telemetry is disabled)."""
+        if not self.telemetry.enabled:
             return None
-        snapshot = self.telemetry.snapshot()
-        if self.profiler.enabled:
-            snapshot["profile"] = self.profiler.report()
-        return snapshot
+        return self.telemetry.snapshot()
 
     def live_telemetry_snapshot(self) -> dict:
         """Registry-shaped snapshot of the *current* state (mid-run safe).
@@ -655,8 +616,6 @@ class CellSimulation:
             # Live-instrumented metrics (per-TTI latency histograms) exist
             # only in the attached registry; overlay them.
             snapshot["histograms"].update(self.telemetry.snapshot()["histograms"])
-        if self.profiler.enabled:
-            snapshot["profile"] = self.profiler.report()
         return snapshot
 
     def _harvest_telemetry(self, reg: Optional[TelemetryRegistry] = None) -> None:

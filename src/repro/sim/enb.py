@@ -2,9 +2,9 @@
 
 Every TTI the :class:`XNodeB`:
 
-1. refreshes the per-UE buffer status reports (including OutRAN's MLFQ
-   priority attribute) and the oracle fields the clairvoyant baselines
-   read,
+1. writes each UE's row of the scheduling table from its buffer status
+   report (activity and OutRAN's MLFQ priority attribute) and the
+   oracle columns the clairvoyant baselines read,
 2. asks the configured MAC scheduler to allocate the RB grid against the
    latest CQI-derived rate matrix,
 3. converts each UE's RB share into a byte grant, lets the RLC entity
@@ -16,19 +16,18 @@ Every TTI the :class:`XNodeB`:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter_ns
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.mac.bsr import empty_report
+from repro.mac.bsr import IDLE_LEVEL
 from repro.mac.harq import HarqEntity
 from repro.mac.kernels import SchedArrays
 from repro.mac.scheduler import MacScheduler
 from repro.phy.channel import ChannelModel
 from repro.phy.tbs import transport_block_bits
-from repro.rlc.am import AmStatus, AmTransmitter
+from repro.rlc.am import AmStatus
 from repro.rlc.pdu import RlcPdu
 from repro.sim.config import SimConfig
 from repro.sim.engine import US_PER_SEC, EventEngine
@@ -36,7 +35,6 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import UeContext
 from repro.telemetry.flowtrace import FlowTracer
-from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 
 
@@ -53,7 +51,6 @@ class XNodeB:
         metrics: MetricsCollector,
         rng: np.random.Generator,
         telemetry: Optional[TelemetryRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self.config = config
         self.scheduler = scheduler
@@ -64,20 +61,21 @@ class XNodeB:
         self._rng = rng
         self._rates = channel.rate_matrix_bits()
         self._cqi = channel.cqi_matrix()
-        self._sched_states = [ue.sched for ue in self.ues]
-        self._empty_reports = [empty_report(ue.index) for ue in self.ues]
         # The clairvoyant baselines declare the oracle columns they read;
         # nothing is refreshed for a scheduler that declares none.
         self._oracle = bool(scheduler.oracle_columns)
         self._qos_oracle = (
             config.qos_oracle or "qos_hol_delay_us" in scheduler.oracle_columns
         )
-        # The table every scheduler reads: the source of truth for
-        # EWMA/last-served (the per-UE objects go stale until finalize());
-        # the backlog scan below keeps activity, head levels and the
-        # oracle columns mirrored incrementally.
+        # The per-UE MAC state of the cell, and the table every scheduler
+        # reads: the backlog scan below writes activity, head levels and
+        # the oracle columns, the end of the TTI EWMA and last-served.
         self._table = SchedArrays(len(self.ues))
-        self._table.sync_from(self._sched_states)
+        #: When each UE's current backlog episode began (or the time of its
+        #: last grant within it).  Maintained only while a flow tracer is
+        #: attached -- nothing in the scheduling path reads it, so tracing
+        #: cannot change allocation decisions.
+        self._backlog_since_us: list[Optional[int]] = [None] * len(self.ues)
         #: Runtime parameter changes (Near-RT RIC controls) queued to be
         #: applied at the top of the next TTI, never mid-allocation.
         self._pending_controls: list[Callable[[], None]] = []
@@ -101,10 +99,6 @@ class XNodeB:
         #: Optional per-TTI scheduling trace (attach via enable_trace()).
         self.trace: SchedulingTrace | None = None
         self._tel = coerce_registry(telemetry)
-        self._prof = coerce_profiler(profiler)
-        self._sec_schedule = self._prof.section("schedule")
-        self._sec_rlc = self._prof.section("rlc")
-        self._sec_bookkeeping = self._prof.section("bookkeeping")
         # Decision-latency histogram only when telemetry is live (the two
         # perf_counter_ns stamps per TTI are skipped entirely otherwise).
         self._lat_hist = (
@@ -177,42 +171,35 @@ class XNodeB:
                 ue.flow_table.expire_idle(now)
         table = self._table
         backlogged: list[int] = []
+        since_us = self._backlog_since_us
         for ue in self.ues:
-            harq = self._harq[ue.index] if self._harq is not None else None
-            harq_bytes = harq.pending_bytes if harq is not None else 0
+            i = ue.index
+            harq_bytes = self._harq[i].pending_bytes if self._harq is not None else 0
             if ue.has_backlog() or harq_bytes:
-                bsr = ue.rlc.buffer_status(now)
+                head_level = ue.rlc.buffer_status(now).head_level
                 if harq_bytes:
                     # HARQ retransmissions outrank new data: advertise them
                     # like RLC retx backlog at the top priority.
-                    bsr = replace(
-                        bsr,
-                        retx_bytes=bsr.retx_bytes + harq_bytes,
-                        head_level=0 if bsr.head_level is None else min(bsr.head_level, 0),
-                    )
-                ue.sched.bsr = bsr
-                backlogged.append(ue.index)
-                table.set_report(ue.index, bsr.head_level)
-                if self._flowtrace is not None and ue.sched.backlog_since_us is None:
-                    ue.sched.backlog_since_us = now
+                    head_level = 0 if head_level is None else min(head_level, 0)
+                backlogged.append(i)
+                table.set_report(i, head_level)
+                if self._flowtrace is not None and since_us[i] is None:
+                    since_us[i] = now
                 if self._oracle:
-                    ue.refresh_oracle(now, self._qos_oracle)
-                    table.set_oracle(ue.index, ue.sched)
-            elif ue.sched.bsr.has_data:
-                ue.sched.bsr = self._empty_reports[ue.index]
-                ue.sched.backlog_since_us = None
-                table.clear_report(ue.index)
+                    table.set_oracle(i, *ue.refresh_oracle(now, self._qos_oracle))
+            elif table.active[i]:
+                table.clear_report(i)
+                since_us[i] = None
         served_bits = np.zeros(len(self.ues))
         owner = None
         grant_bits = np.zeros(len(self.ues))
         if backlogged:
-            with self._sec_schedule:
-                if self._lat_hist is not None:
-                    t0 = perf_counter_ns()
-                    owner = self.scheduler.allocate(self._rates, table, now)
-                    self._lat_hist.observe((perf_counter_ns() - t0) / 1e3)
-                else:
-                    owner = self.scheduler.allocate(self._rates, table, now)
+            if self._lat_hist is not None:
+                t0 = perf_counter_ns()
+                owner = self.scheduler.allocate(self._rates, table, now)
+                self._lat_hist.observe((perf_counter_ns() - t0) / 1e3)
+            else:
+                owner = self.scheduler.allocate(self._rates, table, now)
             valid = owner >= 0
             if valid.any():
                 rb_idx = np.nonzero(valid)[0]
@@ -223,10 +210,6 @@ class XNodeB:
                         weights=self._rates[owners, rb_idx],
                         minlength=len(self.ues),
                     ).astype(float)
-                    if grant_bits.shape[0] < len(self.ues):
-                        grant_bits = np.pad(
-                            grant_bits, (0, len(self.ues) - grant_bits.shape[0])
-                        )
                 else:
                     cqi_table = self.channel.cqi_table
                     re_per_rb = self.config.grid.data_re_per_rb()
@@ -240,39 +223,22 @@ class XNodeB:
                             cqi_table,
                             re_per_rb,
                         )
-                with self._sec_rlc:
-                    for ue_index in np.nonzero(grant_bits)[0]:
-                        if self._flowtrace is not None:
-                            sched = self._sched_states[ue_index]
-                            since = sched.backlog_since_us
-                            self._flowtrace.on_mac_grant(
-                                int(ue_index),
-                                int(grant_bits[ue_index]),
-                                now - since if since is not None else 0,
-                                now,
-                            )
-                            sched.backlog_since_us = now
-                        self._serve_ue(
-                            self.ues[ue_index],
-                            int(grant_bits[ue_index]) // 8,
-                            served_bits,
+                for ue_index in np.nonzero(grant_bits)[0]:
+                    if self._flowtrace is not None:
+                        since = since_us[ue_index]
+                        self._flowtrace.on_mac_grant(
+                            int(ue_index),
+                            int(grant_bits[ue_index]),
+                            now - since if since is not None else 0,
+                            now,
                         )
-        with self._sec_bookkeeping:
-            self._record_tti(now, owner, grant_bits, served_bits, backlogged)
-
-    def finalize(self) -> None:
-        """End-of-run hook: fold the table back into the UE objects."""
-        self._table.sync_to(self._sched_states)
-
-    def _record_tti(
-        self,
-        now: int,
-        owner: Optional[np.ndarray],
-        grant_bits: np.ndarray,
-        served_bits: np.ndarray,
-        backlogged: list[int],
-    ) -> None:
-        """Post-allocation accounting: trace, metrics, scheduler EWMA."""
+                        since_us[ue_index] = now
+                    self._serve_ue(
+                        self.ues[ue_index],
+                        int(grant_bits[ue_index]) // 8,
+                        served_bits,
+                    )
+        # Post-allocation accounting: trace, metrics, scheduler EWMA.
         if self.trace is not None:
             self.trace.record(
                 now,
@@ -280,17 +246,13 @@ class XNodeB:
                 else np.full(self.config.grid.num_rbs, -1, dtype=np.int64),
                 grant_bits.astype(np.int64),
                 np.array([ue.rlc.buffered_bytes for ue in self.ues]),
-                np.array(
-                    [
-                        -1 if ue.sched.bsr.head_level is None else ue.sched.bsr.head_level
-                        for ue in self.ues
-                    ],
-                    dtype=np.int8,
-                ),
+                # Not a mask on ``active``: an AM UE with only Retx/Ctrl
+                # backlog is active and has no head level.
+                np.where(table.head_levels == IDLE_LEVEL, -1, table.head_levels),
             )
         self.metrics.on_tti(now, served_bits, backlogged)
-        self.scheduler.on_tti_end(self._table, served_bits, self.config.tti_us)
-        self._table.last_served_us[served_bits != 0] = now
+        self.scheduler.on_tti_end(table, served_bits, self.config.tti_us)
+        table.last_served_us[served_bits != 0] = now
 
     def _serve_ue(
         self, ue: UeContext, grant_bytes: int, served_bits: np.ndarray
@@ -347,19 +309,17 @@ class XNodeB:
             self.tbs_lost += 1
             return  # UM: reassembly window cleans up; AM: status/poll recovers
         now = self.engine.now_us
-        with self._sec_rlc:
-            for item in items:
-                if isinstance(item, RlcPdu):
-                    status = ue.rlc_rx.receive_pdu(item, now)
-                    if status is not None and ue.is_am:
-                        self.engine.schedule_in(
-                            self.config.ul_delay_us, self._deliver_status, ue, status
-                        )
-                # eNB->UE AmStatus control PDUs are absorbed by the UE.
+        for item in items:
+            if isinstance(item, RlcPdu):
+                status = ue.rlc_rx.receive_pdu(item, now)
+                if status is not None and ue.is_am:
+                    self.engine.schedule_in(
+                        self.config.ul_delay_us, self._deliver_status, ue, status
+                    )
+            # eNB->UE AmStatus control PDUs are absorbed by the UE.
 
     def _deliver_status(self, ue: UeContext, status: AmStatus) -> None:
-        with self._sec_rlc:
-            ue.rlc.receive_status(status, self.engine.now_us)
+        ue.rlc.receive_status(status, self.engine.now_us)
 
     # -- telemetry -------------------------------------------------------------
 

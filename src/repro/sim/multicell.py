@@ -19,7 +19,6 @@ from repro.mac.scheduler import MacScheduler
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
 from repro.sim.session import SimulationSession
-from repro.telemetry.profiler import Profiler, coerce_profiler
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 
 
@@ -74,7 +73,6 @@ class MultiCellSimulation:
         scheduler: Union[str, MacScheduler] = "pf",
         num_cells: int = 4,
         telemetry: Union[TelemetryRegistry, bool, None] = None,
-        profiler: Union[Profiler, bool, None] = None,
     ) -> None:
         if num_cells < 1:
             raise ValueError(f"need at least one cell: {num_cells}")
@@ -88,10 +86,9 @@ class MultiCellSimulation:
                 "gets its own instance"
             )
         self.scheduler = scheduler
-        # One registry/profiler across all cells: counters and phase
-        # timings accumulate into a pooled deployment-wide view.
+        # One registry across all cells: counters accumulate into a
+        # pooled deployment-wide view.
         self.telemetry = coerce_registry(telemetry)
-        self.profiler = coerce_profiler(profiler)
 
     def sessions(
         self, duration_s: float, drain_s: float = 2.0
@@ -110,7 +107,6 @@ class MultiCellSimulation:
                 duration_s=duration_s,
                 drain_s=drain_s,
                 telemetry=self.telemetry,
-                profiler=self.profiler,
             )
             for cell in range(self.num_cells)
         ]

@@ -42,7 +42,7 @@ import os
 import pickle
 from pathlib import Path
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import microseconds
 from repro.sim.metrics import SimResult
@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class SessionError(RuntimeError):
@@ -107,7 +107,7 @@ class SimulationSession:
 
         This is the one place a :class:`~repro.sim.cell.CellSimulation`
         is constructed; ``sim_kwargs`` pass through to it (``flows=``,
-        ``telemetry=``, ``profiler=``, ``flow_trace=``).
+        ``telemetry=``, ``flow_trace=``).
         """
         from repro.sim.cell import CellSimulation
 
@@ -178,10 +178,7 @@ class SimulationSession:
             target = self._end_us
         target = min(max(target, self.now_us), self._end_us)
         t0 = perf_counter_ns()
-        # The profiler's run section accumulates across slices, so the
-        # stepped total matches the one-shot total.
-        with self.sim.profiler.run():
-            self.sim.engine.run_until(target)
+        self.sim.engine.run_until(target)
         self.sim._run_wall_ns += perf_counter_ns() - t0
         self._steps += 1
         return self.progress()
@@ -424,7 +421,7 @@ class SimulationSession:
 #
 # CI asserts that a stepped/checkpointed/resumed run equals the one-shot
 # path by comparing these canonical payloads.  Wall-clock-derived fields
-# (harvest rates, profiler sections, decision-latency histograms) are
+# (harvest rates, decision-latency histograms) are
 # stripped: they measure the host, not the simulation.
 
 _WALL_CLOCK_GAUGES = (

@@ -1,10 +1,11 @@
-"""Per-UE composition: PDCP + RLC + channel + scheduling state.
+"""Per-UE composition: PDCP + RLC + channel.
 
 One :class:`UeContext` bundles everything the simulator keeps per user:
 the downlink protocol entities at the xNodeB side (flow table, PDCP
 entity, RLC transmitter), the UE-side receivers (RLC receiver, PDCP
-receiver, per-flow TCP receivers), the channel state, and the MAC's
-:class:`~repro.mac.scheduler.UeSchedState`.
+receiver, per-flow TCP receivers) and the channel state.  The MAC's
+per-UE state is not here: it is row ``index`` of the xNodeB's
+:class:`~repro.mac.kernels.SchedArrays` table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 from repro.cc.aqm import make_aqm
 from repro.core.flow_table import FlowTable
 from repro.core.mlfq import MlfqConfig
-from repro.mac.scheduler import UeSchedState
 from repro.pdcp.entity import PdcpEntity, PdcpReceiver
 from repro.phy.channel import UeChannel
 from repro.rlc.am import AmReceiver, AmTransmitter
@@ -97,7 +97,6 @@ class UeContext:
                 deliver=self._deliver,
                 reassembly_window_us=config.reassembly_window_us,
             )
-        self.sched = UeSchedState(index, index)
         #: TCP receivers of this UE's flows, until the flow retires (its
         #: sender saw the last ACK); ``active_runtimes`` already lets go
         #: at the FCT instant.
@@ -129,8 +128,12 @@ class UeContext:
             return bsr.retx_bytes > 0 or bsr.ctrl_bytes > 0
         return False
 
-    def refresh_oracle(self, now_us: int, qos_oracle: bool) -> None:
-        """Update the clairvoyant fields for SRJF / PSS / CQA."""
+    def refresh_oracle(
+        self, now_us: int, qos_oracle: bool
+    ) -> tuple[Optional[int], int, int]:
+        """The clairvoyant ``(remaining, qos_flows, qos_hol_us)`` for SRJF /
+        PSS / CQA: bytes left of the shortest active flow (None without
+        one), flows under a QoS delay budget, delay of the oldest one."""
         remaining: Optional[int] = None
         qos_count = 0
         qos_hol = 0
@@ -141,9 +144,7 @@ class UeContext:
             if qos_oracle and runtime.spec.qos_short:
                 qos_count += 1
                 qos_hol = max(qos_hol, now_us - runtime.start_us)
-        self.sched.remaining_flow_bytes = remaining
-        self.sched.qos_deadline_flows = qos_count
-        self.sched.qos_hol_delay_us = qos_hol
+        return remaining, qos_count, qos_hol
 
     def boost_priorities(self) -> None:
         """Priority reset (section 6.3): flow table + queued SDUs."""

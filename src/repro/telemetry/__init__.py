@@ -1,14 +1,11 @@
-"""Unified telemetry: counters/gauges/histograms, profiling, heartbeats.
+"""Unified telemetry: counters/gauges/histograms, heartbeats, flow traces.
 
-The subsystem has four pieces, all dependency-free:
+The subsystem has five pieces, all dependency-free:
 
 * :mod:`repro.telemetry.registry` -- a :class:`TelemetryRegistry` of named
   counters, gauges, and fixed-bucket histograms.  The :data:`NULL_REGISTRY`
   singleton implements the same interface as no-ops, so instrumented code
   never branches on "is telemetry on?" in cold paths.
-* :mod:`repro.telemetry.profiler` -- wall-clock phase profiling built on
-  ``time.perf_counter_ns`` scoped sections (schedule / RLC / PHY / TCP /
-  bookkeeping), with a matching :data:`NULL_PROFILER`.
 * :mod:`repro.telemetry.exporters` -- snapshot serialization to JSON and
   Prometheus-style text exposition.
 * :mod:`repro.telemetry.heartbeat` -- a periodic run-health line (sim
@@ -33,7 +30,6 @@ from repro.telemetry.registry import (
     Histogram,
     TelemetryRegistry,
 )
-from repro.telemetry.profiler import NULL_PROFILER, Profiler
 from repro.telemetry.exporters import snapshot_to_json, snapshot_to_prometheus
 from repro.telemetry.flowtrace import (
     COMPONENTS,
@@ -52,8 +48,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "NULL_REGISTRY",
-    "Profiler",
-    "NULL_PROFILER",
     "snapshot_to_json",
     "snapshot_to_prometheus",
     "Heartbeat",

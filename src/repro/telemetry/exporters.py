@@ -1,10 +1,8 @@
 """Snapshot serialization: JSON documents and Prometheus text exposition.
 
 Both exporters consume the dict produced by
-:meth:`repro.telemetry.registry.TelemetryRegistry.snapshot` (optionally
-augmented with a ``"profile"`` key from
-:meth:`repro.telemetry.profiler.Profiler.report`); they never touch live
-metric objects, so exporting is safe at any point of a run.
+:meth:`repro.telemetry.registry.TelemetryRegistry.snapshot`; they never
+touch live metric objects, so exporting is safe at any point of a run.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ def snapshot_to_prometheus(
 
     Counters and gauges become single samples; histograms become the
     conventional cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count``.  Profiler phases (when present) are exported as
-    ``<prefix>_profile_phase_seconds{phase="..."}`` gauges.
+    ``_count``.
     """
     lines: list[str] = []
     for name, value in snapshot.get("counters", {}).items():
@@ -72,16 +69,6 @@ def snapshot_to_prometheus(
         lines.append(f'{prom}_bucket{{le="+Inf"}} {hist["count"]}')
         lines.append(f"{prom}_sum {_prom_value(hist['sum'])}")
         lines.append(f"{prom}_count {hist['count']}")
-    profile = snapshot.get("profile")
-    if profile:
-        prom = f"{PROM_PREFIX}_profile_phase_seconds"
-        lines.append(f"# TYPE {prom} gauge")
-        for phase, stats in profile.get("phases", {}).items():
-            lines.append(f'{prom}{{phase="{phase}"}} {stats["seconds"]:.6f}')
-        lines.append(f'{prom}{{phase="other"}} {profile["other_s"]:.6f}')
-        lines.append(
-            f"{PROM_PREFIX}_profile_total_seconds {profile['total_s']:.6f}"
-        )
     text = "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)

@@ -44,7 +44,7 @@ components sum to the FCT **exactly**):
 ``air_us``      the final successful transport block's flight time
 ==============  ====================================================
 
-Determinism contract (same as PR 1's registry/profiler): the tracer only
+Determinism contract (the registry's): the tracer only
 *reads* simulator state -- it never touches an RNG, never mutates
 protocol state, and every instrumented hot path guards the emit with an
 ``is not None`` check, so a run without a tracer executes the identical
@@ -216,9 +216,8 @@ class FlowTracer:
 
     enabled = True
 
-    def __init__(self, air_delay_us: int = 0, keep_events: bool = True) -> None:
+    def __init__(self, air_delay_us: int = 0) -> None:
         self.air_delay_us = air_delay_us
-        self.keep_events = keep_events
         self._flows: dict[int, _FlowTrace] = {}
         self._breakdowns: list[FlowBreakdown] = []
         #: Instant/span rows feeding the Chrome trace export, ``_ROW``
@@ -382,8 +381,7 @@ class FlowTracer:
     def _emit(
         self, ts_us: int, ue_index: int, kind: int, a: int = 0, b: int = 0
     ) -> None:
-        if self.keep_events:
-            self._events.extend((ts_us, ue_index, kind, a, b))
+        self._events.extend((ts_us, ue_index, kind, a, b))
 
     def _emit_flow_spans(self, b: FlowBreakdown) -> None:
         """Span rows of the breakdown just appended to ``_breakdowns``."""

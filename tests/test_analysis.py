@@ -56,3 +56,15 @@ class TestTables:
     def test_nan_rendering(self):
         text = format_table(["x"], [[float("nan")]])
         assert "nan" in text
+
+
+class TestTableFormatting:
+    def test_large_and_small_floats(self):
+        text = format_table(["v"], [[12345.6], [12.34], [0.1234]])
+        assert "12346" in text
+        assert "12.3" in text
+        assert "0.123" in text
+
+    def test_empty_rows(self):
+        text = format_table(["a", "b"], [])
+        assert "a" in text and "b" in text

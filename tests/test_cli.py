@@ -103,7 +103,7 @@ class TestJobs:
 
     def test_jobs_incompatible_with_observability(self):
         with pytest.raises(SystemExit):
-            main(COMPARE_ARGS + ["--jobs", "2", "--profile"])
+            main(COMPARE_ARGS + ["--jobs", "2", "--heartbeat", "1"])
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):

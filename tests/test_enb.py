@@ -85,8 +85,7 @@ class TestTtiLoop:
         ingress_packet(sim)
         sim.engine.now_us = 5_000
         sim.enb.on_tti()
-        sim.enb.finalize()  # the table is the truth until folded back
-        assert sim.ues[0].sched.last_served_us == 5_000
+        assert sim.enb._table.last_served_us.tolist() == [5_000, 0, 0]
 
     def test_multiple_ues_share_grid(self):
         sim = make_sim()
@@ -101,6 +100,32 @@ class TestTtiLoop:
         assert len(served) >= 2
 
 
+class TestBacklogScan:
+    """Branches of the scan the golden corpus only covers end to end."""
+
+    def test_pending_harq_with_empty_rlc_is_active_at_level_0(self):
+        sim = make_sim("outran")
+        sim.enb._harq[1].on_initial_failure([], 500, 0.1, 0)
+        sim.enb.on_tti()
+        table = sim.enb._table
+        assert not sim.ues[1].has_backlog()
+        assert table.active.tolist() == [False, True, False]
+        assert table.head_levels[1] == 0
+
+    def test_am_ctrl_only_backlog_is_active_and_traces_no_head_level(self):
+        from repro.mac.bsr import IDLE_LEVEL
+        from repro.rlc.am import AmStatus
+
+        sim = make_sim("outran", rlc_mode="am", harq_enabled=False)
+        trace, table = sim.enable_trace(), sim.enb._table
+        sim.ues[1].rlc.queue_control(AmStatus(ack_sn=0))
+        ingress_packet(sim, ue_index=2)
+        sim.enb.on_tti()
+        assert table.active.tolist() == [False, True, True]
+        assert table.head_levels[1] == IDLE_LEVEL
+        assert trace.head_levels.tolist() == [[-1, -1, 0]]
+
+
 class TestOracleWiring:
     def test_srjf_sees_remaining_bytes(self):
         from repro.traffic.generator import FlowSpec
@@ -111,7 +136,8 @@ class TestOracleWiring:
         sim.engine.schedule_at(1_000, sim._start_flow, spec)
         sim.engine.run_until(40_000)
         sim.enb.on_tti()
-        assert sim.ues[0].sched.remaining_flow_bytes is not None
+        remaining = sim.enb._table.remaining_flow
+        assert 0 < remaining[0] <= 50_000 and np.isinf(remaining[1])
 
     def test_qos_oracle_marks_short_flows(self):
         from repro.traffic.generator import FlowSpec
@@ -122,7 +148,7 @@ class TestOracleWiring:
         sim.engine.schedule_at(1_000, sim._start_flow, spec)
         sim.engine.run_until(40_000)
         sim.enb.on_tti()
-        assert sim.ues[0].sched.qos_deadline_flows == 1
+        assert sim.enb._table.qos_deadline_flows.tolist() == [1, 0]
 
     def test_wrappers_forward_the_inner_schedulers_oracle(self):
         from repro.core.outran import OutranScheduler

@@ -269,8 +269,8 @@ class TestAgainstLegKeepingReference:
         tracer = sim.flow_trace
         assert result.completed_flows > 0
         assert set(vars(tracer)) == {
-            "air_delay_us", "keep_events", "_flows", "_breakdowns",
-            "_events", "incomplete_flows",
+            "air_delay_us", "_flows", "_breakdowns", "_events",
+            "incomplete_flows",
         }
         assert len(tracer._flows) == sim.metrics.flows_started
         assert all(
@@ -388,13 +388,6 @@ class TestCoercion:
         with pytest.raises(TypeError):
             coerce_flow_tracer(42)
 
-    def test_enable_flow_trace_idempotent(self):
-        sim = CellSimulation(
-            SimConfig.lte_default(num_ues=2, load=0.3, seed=1)
-        )
-        tracer = sim.enable_flow_trace()
-        assert sim.enable_flow_trace() is tracer
-
 
 class TestBreakdownAnalysis:
     def test_aggregate_and_report(self):
@@ -443,13 +436,12 @@ class TestExplainCli:
 class TestZeroFlowRun:
     def test_nan_with_warning_under_full_observability(self):
         # Zero completed flows with every observability surface active:
-        # heartbeat, profiler, telemetry, and the flow tracer.
+        # heartbeat, telemetry, and the flow tracer.
         sim = CellSimulation(
             SimConfig.lte_default(num_ues=2, load=0.3, seed=1),
             scheduler="outran",
             flows=[],
             telemetry=True,
-            profiler=True,
             flow_trace=True,
         )
         beats = []

@@ -130,3 +130,33 @@ class TestEndToEndIsolation:
         best_effort = self._achieved_bps(reserve=False)
         assert guaranteed >= 2e6 * 0.6
         assert guaranteed > best_effort * 1.5
+
+
+class TestGbrBoundaries:
+    def test_reserved_rbs_not_reassigned_by_inner(self):
+        contract = GbrConfig(rate_bps=1e7)
+        contract.tokens_bits = 2_500  # behind by ~3 RBs worth
+        sched = GbrReservingScheduler(ProportionalFairScheduler(), {0: contract})
+        ues = []
+        for i in range(2):
+            ue = UeSchedState(i, i)
+            ue.bsr = BufferStatusReport(ue_id=i, total_bytes=10_000, head_level=0)
+            ues.append(ue)
+        ues[1].ewma_bps = 1.0  # inner PF would give UE 1 everything
+        rates = np.full((2, 8), 1000.0)
+        owner = sched.allocate(rates, ues, 0)
+        # UE0's reservation survives; the rest belongs to the inner pick.
+        assert (owner == 0).sum() >= 1
+        assert (owner == 1).sum() >= 1
+
+    def test_all_rbs_reserved_leaves_nothing_for_inner(self):
+        contract = GbrConfig(rate_bps=1e9, bucket_cap_s=1.0)
+        contract.tokens_bits = 1e9
+        sched = GbrReservingScheduler(ProportionalFairScheduler(), {0: contract})
+        ues = []
+        for i in range(2):
+            ue = UeSchedState(i, i)
+            ue.bsr = BufferStatusReport(ue_id=i, total_bytes=10_000, head_level=0)
+            ues.append(ue)
+        owner = sched.allocate(np.full((2, 4), 1000.0), ues, 0)
+        assert (owner == 0).all()

@@ -342,14 +342,11 @@ class TestHttpEndToEnd:
         )
         assert st == 200 and resumed["resumed"] is True
 
-    @pytest.mark.parametrize("length", ["abc", "-5", str(2**40)])
-    def test_hostile_content_length_is_a_400(self, server, length):
+    def assert_unframeable(self, server, head: bytes):
+        """``head`` answers 400 and ends its connection, not the server."""
         host, port = server.removeprefix("http://").split(":")
         with socket.create_connection((host, int(port)), timeout=10) as sock:
-            sock.sendall(
-                f"POST /sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
-                .encode()
-            )
+            sock.sendall(head)
             reply = b""
             while chunk := sock.recv(4096):  # server closes after replying
                 reply += chunk
@@ -359,3 +356,35 @@ class TestHttpEndToEnd:
         # ... and the server is still there for the next client.
         st, health = self.request(server, "GET", "/healthz")
         assert st == 200 and health["status"] == "ok"
+
+    @pytest.mark.parametrize("length", ["abc", "-5", str(2**40)])
+    def test_hostile_content_length_is_a_400(self, server, length):
+        self.assert_unframeable(
+            server,
+            f"POST /sessions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode(),
+        )
+
+    @pytest.mark.parametrize("head", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+    ], ids=["request-line", "header"])
+    def test_over_long_line_is_a_400(self, server, head, caplog):
+        """A line above asyncio's 64 KiB StreamReader limit."""
+        self.assert_unframeable(server, head)
+        assert not caplog.records  # no "Unhandled exception in client_connected_cb"
+
+    def test_non_object_body_is_a_400(self, server):
+        sid = self.request(server, "POST", "/sessions", dict(BARE))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        listed = self.request(server, "GET", "/sessions")
+        for route, body in [
+            ("/sessions", [1]), ("/sessions", 5), ("/sessions", "abc"),
+            ("/sessions", []), (f"/sessions/{sid}/step", [1]),
+            (f"/sessions/{sid}/step", 7), (f"/sessions/{sid}/reconfigure", [0.5]),
+            (f"/sessions/{sid}/checkpoint", "x"), ("/sessions/resume", [1]),
+        ]:
+            st, out = self.request(server, "POST", route, body)
+            assert (st, out["error"]) == (400, "bad_request"), (route, body)
+            assert out["detail"] == "body must be a JSON object"
+        assert self.request(server, "GET", "/sessions") == listed

@@ -217,14 +217,36 @@ class TestCheckpointFormat:
         # scheduler feed (XNodeB, SchedArrays), v3 graphs flow retirement
         # and the typed columns (CellSimulation, MetricsCollector,
         # AmReceiver, FlowTracer), v4 graphs the list-cell Event and the
-        # crossing stamps on Packet: refuse, never half-load.
-        for version in (1, 2, 3, 4):
+        # crossing stamps on Packet, v5 graphs the one MAC row per UE
+        # (CellSimulation, XNodeB, UeContext): refuse, never half-load.
+        for version in (1, 2, 3, 4, 5):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
             )
             with pytest.raises(CheckpointError, match=f"v{version} not supported"):
                 SimulationSession.resume(old)
+
+    def test_running_cell_pickles_one_mac_row_per_ue(self, tmp_path):
+        """The xNodeB's table is the only per-UE MAC state in the graph."""
+        import pickletools
+
+        session = SimulationSession(
+            make_sim("srjf", "am", radio_bler=0.1), DURATION_S
+        ).start()
+        table = session.sim.enb._table
+        while not (table.active.any() or session.done):
+            session.step(n_ttis=1)
+        assert table.active.any()
+        session.checkpoint(tmp_path / "s.ckpt")
+        raw = (tmp_path / "s.ckpt").read_bytes()
+        names = {
+            arg for _, arg, _ in pickletools.genops(raw[raw.index(b"\n") + 1:])
+            if isinstance(arg, str)
+        }
+        assert "SchedArrays" in names and "AmTransmitter" in names
+        assert not {"UeSchedState", "BufferStatusReport"} & names
+        assert not [name for name in names if "profiler" in name.lower()]
 
     def test_damaged_payload_rejected(self, tmp_path):
         """Half a file, a header with nothing behind it, a header followed

@@ -190,3 +190,34 @@ class TestReceiver:
         rx.on_data(Packet(FT, 0, 1000, 1000), 12)  # dup after completion
         assert fired == [9]
         assert rx.completed_us == 9
+
+
+class TestSackBlocks:
+    def _rx(self):
+        acks = []
+        rx = TcpReceiver(0, FT, 100_000, send_ack=acks.append)
+        return rx, acks
+
+    def test_adjacent_blocks_merge(self):
+        rx, acks = self._rx()
+        rx.on_data(Packet(FT, 0, 2_000, 1_000), 0)
+        rx.on_data(Packet(FT, 0, 3_000, 1_000), 0)
+        assert rx.sack_blocks() == ((2_000, 4_000),)
+
+    def test_disjoint_blocks_reported_separately(self):
+        rx, _ = self._rx()
+        rx.on_data(Packet(FT, 0, 2_000, 1_000), 0)
+        rx.on_data(Packet(FT, 0, 10_000, 1_000), 0)
+        assert rx.sack_blocks() == ((2_000, 3_000), (10_000, 11_000))
+
+    def test_blocks_cleared_once_hole_fills(self):
+        rx, _ = self._rx()
+        rx.on_data(Packet(FT, 0, 1_000, 1_000), 0)
+        rx.on_data(Packet(FT, 0, 0, 1_000), 0)  # fills the hole
+        assert rx.sack_blocks() == ()
+
+    def test_block_limit(self):
+        rx, _ = self._rx()
+        for i in range(10):
+            rx.on_data(Packet(FT, 0, 2_000 * (i + 1), 500), 0)
+        assert len(rx.sack_blocks(limit=4)) == 4

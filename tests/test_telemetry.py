@@ -1,7 +1,7 @@
-"""Tests for the telemetry subsystem: registry, profiler, exporters,
+"""Tests for the telemetry subsystem: registry, exporters,
 heartbeat, simulation wiring, and the observability invariants.
 
-The load-bearing invariant: enabling telemetry/profiling must never
+The load-bearing invariant: enabling telemetry must never
 change simulation outcomes (same seed => identical results), and the
 disabled path must be a true no-op.
 """
@@ -18,15 +18,12 @@ from repro.sim.engine import EventEngine
 from repro.sim.multicell import MultiCellSimulation
 from repro.sim.trace import SchedulingTrace
 from repro.telemetry import (
-    NULL_PROFILER,
     NULL_REGISTRY,
     Heartbeat,
-    Profiler,
     TelemetryRegistry,
     snapshot_to_json,
     snapshot_to_prometheus,
 )
-from repro.telemetry.profiler import coerce_profiler
 from repro.telemetry.registry import Histogram, coerce_registry
 
 
@@ -176,44 +173,6 @@ class TestNullRegistry:
             coerce_registry("yes")
 
 
-class TestProfiler:
-    def test_report_phases_plus_other_equals_total(self):
-        prof = Profiler()
-        with prof.run():
-            with prof.section("a"):
-                pass
-            with prof.section("b"):
-                pass
-        report = prof.report()
-        attributed = sum(p["seconds"] for p in report["phases"].values())
-        assert report["total_s"] >= attributed
-        assert report["total_s"] == pytest.approx(
-            attributed + report["other_s"], abs=1e-9
-        )
-        assert report["phases"]["a"]["entries"] == 1
-
-    def test_reentry_raises(self):
-        prof = Profiler()
-        section = prof.section("x")
-        with section:
-            with pytest.raises(RuntimeError):
-                section.__enter__()
-
-    def test_null_profiler(self):
-        assert NULL_PROFILER.enabled is False
-        with NULL_PROFILER.run():
-            with NULL_PROFILER.section("x"):
-                pass
-        assert NULL_PROFILER.report() == {
-            "total_s": 0.0, "phases": {}, "other_s": 0.0,
-        }
-        assert coerce_profiler(None) is NULL_PROFILER
-        prof = Profiler()
-        assert coerce_profiler(prof) is prof
-        with pytest.raises(TypeError):
-            coerce_profiler(42)
-
-
 class TestExporters:
     def snapshot(self):
         reg = TelemetryRegistry()
@@ -232,14 +191,8 @@ class TestExporters:
         assert json.loads(text)["counters"]["mac.ttis_run"] == 7
 
     def test_prometheus_format(self, tmp_path):
-        snap = self.snapshot()
-        snap["profile"] = {
-            "total_s": 1.0,
-            "phases": {"rlc": {"seconds": 0.25, "entries": 4}},
-            "other_s": 0.75,
-        }
         path = tmp_path / "t.prom"
-        text = snapshot_to_prometheus(snap, path)
+        text = snapshot_to_prometheus(self.snapshot(), path)
         assert path.read_text() == text
         assert "# TYPE repro_mac_ttis_run counter" in text
         assert "repro_mac_ttis_run 7" in text
@@ -249,8 +202,6 @@ class TestExporters:
         assert 'repro_mac_tti_decision_latency_us_bucket{le="20"} 2' in text
         assert 'repro_mac_tti_decision_latency_us_bucket{le="+Inf"} 3' in text
         assert "repro_mac_tti_decision_latency_us_count 3" in text
-        assert 'repro_profile_phase_seconds{phase="rlc"} 0.250000' in text
-        assert "repro_profile_total_seconds 1.000000" in text
 
 
 class TestHeartbeat:
@@ -282,9 +233,7 @@ class TestHeartbeat:
 
 class TestSimulationTelemetry:
     def test_run_populates_layer_namespaces(self):
-        sim = CellSimulation(
-            small_config(), scheduler="outran", telemetry=True, profiler=True
-        )
+        sim = CellSimulation(small_config(), scheduler="outran", telemetry=True)
         result = sim.run(duration_s=1.0)
         snap = result.telemetry
         assert snap is not None
@@ -298,12 +247,6 @@ class TestSimulationTelemetry:
         assert snap["histograms"]["mac.tti.decision_latency_us"]["count"] > 0
         # outran-specific epsilon stats were switched on by the wiring
         assert counters["mac.epsilon.rb_assignments"] > 0
-        profile = snap["profile"]
-        assert profile["total_s"] > 0
-        for phase in ("schedule", "rlc", "tcp", "bookkeeping"):
-            assert profile["phases"][phase]["entries"] > 0
-        attributed = sum(p["seconds"] for p in profile["phases"].values())
-        assert attributed <= profile["total_s"] + 1e-6
 
     def test_disabled_run_has_no_snapshot(self):
         result = CellSimulation(small_config(), scheduler="pf").run(duration_s=0.5)
@@ -312,7 +255,7 @@ class TestSimulationTelemetry:
     def test_telemetry_does_not_change_results(self):
         plain = CellSimulation(small_config(), scheduler="outran").run(1.0)
         instrumented = CellSimulation(
-            small_config(), scheduler="outran", telemetry=True, profiler=True
+            small_config(), scheduler="outran", telemetry=True
         )
         samples = []
         instrumented.attach_heartbeat(period_s=0.25, emit=samples.append)
@@ -393,12 +336,6 @@ class TestCliObservability:
         assert main(self.ARGS + ["--telemetry"]) == 0
         out = capsys.readouterr().out
         assert '"engine.events_processed"' in out
-
-    def test_profile_prints_breakdown(self, capsys):
-        assert main(self.ARGS + ["--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "profile [outran]" in out
-        assert "schedule" in out and "other" in out
 
     def test_prometheus_export(self, tmp_path):
         path = tmp_path / "metrics.prom"

@@ -164,3 +164,33 @@ class TestNonStationaryLoad:
         assert flows
         result = sim.run(schedule.total_duration_s)
         assert result.completed_flows > 0
+
+
+class TestWebloadOptions:
+    def test_bulk_flag_creates_persistent_flow(self):
+        # With the bulk on, the browsing UE competes with its own
+        # download, so the PLT must be at least as large.
+        page = PAGES_BY_NAME["wikipedia.org"]
+        with_bulk = measure_plt(
+            "pf", page, num_loads=1, interval_s=4.0,
+            background_load=0.3, seed=3, browsing_ue_bulk=True,
+        )
+        without = measure_plt(
+            "pf", page, num_loads=1, interval_s=4.0,
+            background_load=0.3, seed=3, browsing_ue_bulk=False,
+        )
+        assert with_bulk[0] >= without[0]
+
+    def test_parse_delay_separates_waves(self):
+        cfg = SimConfig.lte_default(num_ues=2, seed=5)
+        sim = CellSimulation(cfg, "outran", flows=[])
+        page = PAGES_BY_NAME["google.com"]
+        session = PageLoadSession(
+            sim, page, 0, 100_000, np.random.default_rng(0),
+            PAGE_FLOW_ID_BASE, parse_delay_us=250_000,
+        )
+        sim.run(duration_s=8.0)
+        assert session.complete
+        # Network time must include at least (waves-1) parse delays.
+        network_us = session.network_done_us - session.start_us
+        assert network_us >= (page.waves - 1) * 250_000
