@@ -3,9 +3,9 @@
 Production users of a simulator need evidence its random substrates
 behave as specified.  These validators quantify:
 
-* **Rayleigh fading power**: the per-sub-band power gain of both faders
-  must be exponentially distributed with unit mean (|h|^2 of a complex
-  Gaussian).
+* **Rayleigh fading power**: the per-sub-band power gain of the cell's
+  fader must be exponentially distributed with unit mean (|h|^2 of a
+  complex Gaussian).
 * **Doppler autocorrelation**: the fading process's autocorrelation at
   lag tau must track the Jakes spectrum's J0(2*pi*fd*tau).
 * **Poisson arrivals**: exponential inter-arrival times at the

@@ -51,13 +51,6 @@ class DctcpCC(CongestionControl):
         self.windows_observed = 0
         self.ecn_cuts = 0
 
-    @property
-    def marked_fraction(self) -> float:
-        """Marked share of the *current* (incomplete) observation window."""
-        if self._acked_bytes <= 0:
-            return 0.0
-        return self._marked_bytes / self._acked_bytes
-
     def _account(
         self, newly_acked: int, marked: bool, ack_seq: int, snd_nxt: int
     ) -> None:

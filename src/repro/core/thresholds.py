@@ -21,11 +21,9 @@ gain plateaus beyond K = 4 queues (paper parameter-choice note).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-SizeSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
 def geometric_thresholds(

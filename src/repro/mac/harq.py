@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_HARQ_RTT_TTIS = 8
 DEFAULT_MAX_RETX = 3
 #: Soft-combining multiplier on the residual error probability per
 #: re-attempt (chase combining yields a few dB of SNR gain).

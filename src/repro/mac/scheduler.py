@@ -134,8 +134,8 @@ class MetricScheduler(MacScheduler):
     def metric_matrix(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         """The per-RB metric ``m_{u,b}`` (shape users x RBs).
 
-        C-ordered: the compiled owner kernels take nothing else, and the
-        rate matrix the channel hands out is F-ordered.
+        C-ordered: the compiled owner kernels take nothing else, and a
+        caller may pass rates in another layout than the channel's.
         """
 
     def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:

@@ -42,7 +42,6 @@ class ChannelScenario:
     cell_radius_m: float = 200.0
     min_distance_m: float = 10.0
     static: bool = False
-    fading: str = "ar1"  # "ar1" or "jakes"
     cqi_period_s: float = 0.005
     sinr_floor_db: float = -5.0
     sinr_cap_db: float = 45.0

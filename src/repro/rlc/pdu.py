@@ -61,11 +61,6 @@ class RlcSdu:
         """Bytes of this SDU not yet placed into a PDU."""
         return self.size - self.sent_bytes
 
-    @property
-    def is_segmented(self) -> bool:
-        """True once part of the SDU has shipped but not all of it."""
-        return 0 < self.sent_bytes < self.size
-
     def __repr__(self) -> str:
         return (
             f"RlcSdu(id={self.sdu_id}, size={self.size}, "

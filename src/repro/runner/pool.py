@@ -37,7 +37,6 @@ wall seconds.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -104,17 +103,18 @@ class SweepOutcome:
         return self
 
 
-def backoff_delay(attempt: int, base_s: float, cap_s: float) -> float:
+#: Ceiling of the retry backoff, seconds.
+BACKOFF_CAP_S = 2.0
+
+
+def backoff_delay(attempt: int, base_s: float, cap_s: float = BACKOFF_CAP_S) -> float:
     """Capped exponential backoff: ``base * 2**(attempt-1)``, clamped."""
     if attempt < 1:
         raise ValueError(f"attempt counts from 1: {attempt}")
     return min(cap_s, base_s * (2.0 ** (attempt - 1)))
 
 
-def _pick_context(method: Optional[str] = None):
-    method = method or os.environ.get("REPRO_RUNNER_MP")
-    if method:
-        return multiprocessing.get_context(method)
+def _pick_context():
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork
@@ -131,12 +131,10 @@ class SweepRunner:
         worker: Callable = run_spec,
         max_attempts: int = 3,
         backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
         run_timeout_s: Optional[float] = None,
         telemetry: TelemetryRegistry = NULL_REGISTRY,
         progress: Union[None, TextIO, Callable[[str], None]] = None,
         progress_period_s: float = 10.0,
-        mp_method: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
@@ -147,12 +145,10 @@ class SweepRunner:
         self.worker = worker
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.run_timeout_s = run_timeout_s
         self.telemetry = telemetry
         self._progress = progress
         self.progress_period_s = progress_period_s
-        self._mp_method = mp_method
 
     # -- public API -----------------------------------------------------------
 
@@ -200,7 +196,7 @@ class SweepRunner:
                 except Exception as exc:  # noqa: BLE001 -- worker faults are data
                     if not self._retry_or_quarantine(task, key, attempt, exc, outcome):
                         break
-                    time.sleep(backoff_delay(attempt, self.backoff_base_s, self.backoff_cap_s))
+                    time.sleep(backoff_delay(attempt, self.backoff_base_s))
                 else:
                     self._record_success(got_key, result, outcome)
                     break
@@ -210,7 +206,7 @@ class SweepRunner:
 
     def _execute_parallel(self, pending, by_key, outcome) -> None:
         store_root = str(self.store.root) if self.store is not None else None
-        ctx = _pick_context(self._mp_method)
+        ctx = _pick_context()
         executor = ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
         ready: deque[str] = deque(pending)
         delayed: list[tuple[float, str]] = []  # (not-before monotonic, key)
@@ -236,7 +232,7 @@ class SweepRunner:
                 by_key[key], key, attempts[key], error, outcome
             ):
                 not_before = time.monotonic() + backoff_delay(
-                    attempts[key], self.backoff_base_s, self.backoff_cap_s
+                    attempts[key], self.backoff_base_s
                 )
                 delayed.append((not_before, key))
 

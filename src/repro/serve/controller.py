@@ -57,11 +57,35 @@ class ApiError(Exception):
         return {"error": self.error, "detail": self.detail}
 
 
+def _typed(field: str, value, cast, error: str = "bad_request"):
+    """``cast(value)`` of a request field, None when absent or null.
+
+    A value the cast refuses is a 400 naming the field, not the cast's
+    own exception escaping as a 500.
+    """
+    if value is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ApiError(400, error, f"{field!r}: {exc}")
+
+
+def _ric_period_us(ric) -> Optional[int]:
+    """``period_ms`` of a request's ``ric`` object, in microseconds."""
+    if not isinstance(ric, dict):
+        raise ApiError(400, "bad_ric", f"'ric' must be a JSON object: {ric!r}")
+    return _typed(
+        "period_ms", ric.get("period_ms"),
+        lambda ms: int(round(float(ms) * 1000)), "bad_ric",
+    )
+
+
 class _SessionHandle:
     """One hosted session plus its lock and background-run state."""
 
-    def __init__(self, sid: str, session: SimulationSession, spec: Optional[RunSpec]):
-        self.id = sid
+    def __init__(self, session: SimulationSession, spec: Optional[RunSpec] = None):
+        self.id = ""  # assigned when the controller registers the handle
         self.session = session
         self.spec = spec
         self.lock = threading.Lock()
@@ -96,16 +120,13 @@ class ServeController:
 
     # -- registry ---------------------------------------------------------
 
-    def _new_id(self) -> str:
+    def _register(self, handle: _SessionHandle) -> dict:
+        """Give a fully built session its id; nothing after this refuses."""
         with self._registry_lock:
             self._counter += 1
-            return f"s{self._counter}"
-
-    def _register(self, session: SimulationSession, spec=None) -> _SessionHandle:
-        handle = _SessionHandle(self._new_id(), session, spec)
-        with self._registry_lock:
+            handle.id = f"s{self._counter}"
             self._handles[handle.id] = handle
-        return handle
+        return self.describe(handle.id)
 
     def _handle(self, sid: str) -> _SessionHandle:
         with self._registry_lock:
@@ -142,7 +163,7 @@ class ServeController:
         drain_s = payload.pop("drain_s", 2.0)
         telemetry = bool(payload.pop("telemetry", True))
         flow_trace = bool(payload.pop("flow_trace", False))
-        heartbeat_s = payload.pop("heartbeat_s", None)
+        heartbeat_s = _typed("heartbeat_s", payload.pop("heartbeat_s", None), float)
         ric = payload.pop("ric", None)
         if payload:
             raise ApiError(
@@ -160,25 +181,23 @@ class ServeController:
             )
         except (TypeError, ValueError) as exc:
             raise ApiError(400, "bad_spec", str(exc))
-        handle = self._register(session, spec)
+        handle = _SessionHandle(session, spec)
         if heartbeat_s is not None:
-            session.sim.attach_heartbeat(
-                period_s=float(heartbeat_s), emit=handle.last_heartbeat.append
-            )
-        if ric is not None:
             try:
-                period_ms = ric.get("period_ms")
+                session.sim.attach_heartbeat(
+                    period_s=heartbeat_s, emit=handle.last_heartbeat.append
+                )
+            except ValueError as exc:
+                raise ApiError(400, "bad_request", f"'heartbeat_s': {exc}")
+        if ric is not None:
+            period_us = _ric_period_us(ric)
+            try:
                 session.attach_ric(
-                    xapps=ric.get("xapps", ["hillclimb"]),
-                    period_us=(
-                        int(round(float(period_ms) * 1000))
-                        if period_ms is not None
-                        else None
-                    ),
+                    xapps=ric.get("xapps", ["hillclimb"]), period_us=period_us
                 )
             except (KeyError, TypeError, ValueError, SessionError) as exc:
                 raise ApiError(400, "bad_ric", str(exc))
-        return self.describe(handle.id)
+        return self._register(handle)
 
     def _checkpoint_path(self, payload: Optional[dict]) -> Path:
         """The file a client-supplied checkpoint name stands for.
@@ -215,8 +234,7 @@ class ServeController:
             raise ApiError(404, "not_found", f"no checkpoint named {path.name!r}")
         except CheckpointError as exc:
             raise ApiError(400, "bad_checkpoint", str(exc))
-        handle = self._register(session)
-        return self.describe(handle.id)
+        return self._register(_SessionHandle(session))
 
     # -- inspection -------------------------------------------------------
 
@@ -262,13 +280,11 @@ class ServeController:
             raise ApiError(
                 409, "running", "session is running in the background; pause first"
             )
-        n_ttis = payload.get("n_ttis")
-        until_us = payload.get("until_us")
+        n_ttis = _typed("n_ttis", payload.get("n_ttis"), int)
+        until_us = _typed("until_us", payload.get("until_us"), int)
         with self._locked(handle):
             return self._session_call(
-                handle.session.step,
-                n_ttis=int(n_ttis) if n_ttis is not None else None,
-                until_us=int(until_us) if until_us is not None else None,
+                handle.session.step, n_ttis=n_ttis, until_us=until_us
             )
 
     def run(self, sid: str, payload: Optional[dict] = None) -> dict:
@@ -276,7 +292,9 @@ class ServeController:
         handle = self._handle(sid)
         if handle.running_in_background:
             raise ApiError(409, "running", "session is already running")
-        chunk = int((payload or {}).get("chunk_ttis", self.chunk_ttis))
+        chunk = _typed("chunk_ttis", (payload or {}).get("chunk_ttis"), int)
+        if chunk is None:
+            chunk = self.chunk_ttis
         if chunk <= 0:
             raise ApiError(400, "bad_request", f"chunk_ttis must be positive: {chunk}")
         session = handle.session
@@ -345,6 +363,7 @@ class ServeController:
         payload = payload or {}
         handle = self._handle(sid)
         ric = payload.pop("ric", None) or {}
+        ric_period_us = _ric_period_us(ric)
         kwargs = {
             "epsilon": payload.pop("epsilon", None),
             "thresholds": payload.pop("thresholds", None),
@@ -355,9 +374,8 @@ class ServeController:
                 400, "unknown_field",
                 f"unknown reconfigure fields: {sorted(payload)}",
             )
-        period_ms = ric.get("period_ms")
-        if period_ms is not None:
-            kwargs["ric_period_us"] = int(round(float(period_ms) * 1000))
+        if ric_period_us is not None:
+            kwargs["ric_period_us"] = ric_period_us
         if "xapps" in ric:
             kwargs["ric_xapps"] = ric["xapps"]
         with self._locked(handle):

@@ -281,7 +281,6 @@ class CellSimulation:
         runtime = FlowRuntime(spec, sender, receiver)
         self._runtimes[spec.flow_id] = runtime
         self._flow_sizes[spec.flow_id] = spec.size_bytes
-        ue.receivers[spec.flow_id] = receiver
         ue.active_runtimes[spec.flow_id] = runtime
         self.metrics.on_flow_started()
         sender.start()
@@ -344,7 +343,6 @@ class CellSimulation:
 
     def _on_flow_complete(self, spec: FlowSpec, now_us: int) -> None:
         runtime = self._runtimes[spec.flow_id]
-        runtime.completed = True
         self.metrics.on_flow_complete(
             FctRecord(
                 flow_id=spec.flow_id,
@@ -371,8 +369,7 @@ class CellSimulation:
         """
         if sender.srtt_us is not None:
             self.metrics.on_rtt_sample(sender.srtt_us)
-        runtime = self._runtimes.pop(sender.flow_id)
-        self.ues[runtime.spec.ue_index].receivers.pop(sender.flow_id, None)
+        self._runtimes.pop(sender.flow_id)
         for name in _TCP_COUNTERS:
             self._retired_tcp[name] += getattr(sender, name)
 
@@ -393,9 +390,9 @@ class CellSimulation:
             # Before on_data: completion fires synchronously inside it, and
             # the tracer must know which leg finished the flow.
             self.flow_trace.on_delivery(packet, now_us)
-        receiver = ue.receivers.get(packet.flow_id)
-        if receiver is not None:
-            receiver.on_data(packet, now_us)
+        runtime = self._runtimes.get(packet.flow_id)
+        if runtime is not None:
+            runtime.receiver.on_data(packet, now_us)
         elif packet.flow_id in self._flow_sizes:
             self._route_late_ack(packet.flow_id)
 

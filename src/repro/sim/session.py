@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 class SessionError(RuntimeError):

@@ -34,14 +34,13 @@ FLOW_IDLE_TIMEOUT_US = 10_000_000
 class FlowRuntime:
     """Live endpoints of one flow."""
 
-    __slots__ = ("spec", "sender", "receiver", "start_us", "completed")
+    __slots__ = ("spec", "sender", "receiver", "start_us")
 
     def __init__(self, spec: "FlowSpec", sender: "TcpFlow", receiver: "TcpReceiver"):
         self.spec = spec
         self.sender = sender
         self.receiver = receiver
         self.start_us = spec.start_us
-        self.completed = False
 
 
 class UeContext:
@@ -97,10 +96,8 @@ class UeContext:
                 deliver=self._deliver,
                 reassembly_window_us=config.reassembly_window_us,
             )
-        #: TCP receivers of this UE's flows, until the flow retires (its
-        #: sender saw the last ACK); ``active_runtimes`` already lets go
-        #: at the FCT instant.
-        self.receivers: dict[int, "TcpReceiver"] = {}
+        #: This UE's flows until the FCT instant; the endpoints themselves
+        #: live in ``CellSimulation._runtimes`` until the sender retires.
         self.active_runtimes: dict[int, FlowRuntime] = {}
 
     def _deliver(self, sdu: RlcSdu, now_us: int) -> None:

@@ -1,8 +1,6 @@
 """Piecewise-constant offered-load schedules (time-varying cell load).
 
-Promoted from ``repro.sim.webload`` so every workload generator lives in
-``repro.traffic``; the old import path keeps working behind a
-``DeprecationWarning`` shim.
+Lives in ``repro.traffic`` with every other workload generator.
 """
 
 from __future__ import annotations

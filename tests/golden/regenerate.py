@@ -201,7 +201,7 @@ def regen_session_checkpoint():
     meta_path = GOLDEN_DIR / "session-outran-um.json"
     meta_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {ckpt_path.relative_to(GOLDEN_DIR.parent.parent)} "
-          f"({meta['bytes']} bytes at t={meta['now_us']}us) "
+          f"(v{meta['version']}, {meta['bytes']} bytes at t={meta['now_us']}us) "
           f"+ {meta_path.name}")
 
 

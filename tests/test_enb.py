@@ -1,5 +1,7 @@
 """Unit tests for the xNodeB TTI machinery (isolated from full runs)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -57,9 +59,9 @@ class TestTtiLoop:
         packet = ingress_packet(sim)
         sim.enb.on_tti()
         received = []
-        sim.ues[0].receivers[packet.flow_id] = type(
-            "Rx", (), {"on_data": lambda self, p, t: received.append(p)}
-        )()
+        sim._runtimes[packet.flow_id] = SimpleNamespace(
+            receiver=SimpleNamespace(on_data=lambda p, t: received.append(p))
+        )
         sim.engine.run_until(sim.engine.now_us + sim.config.air_delay_us + 1)
         assert received and received[0].packet_id == packet.packet_id
 

@@ -283,7 +283,7 @@ def qos_problems(draw):
         draw(st.lists(st.floats(min_value=0.0, max_value=5e4, allow_nan=False),
                       min_size=num_ues * num_rbs, max_size=num_ues * num_rbs)),
     ).reshape(num_ues, num_rbs)
-    if draw(st.booleans()):  # the channel hands out F-ordered rates
+    if draw(st.booleans()):  # a caller may hand in F-ordered rates
         rates = np.asfortranarray(rates)
     ues = []
     for i in range(num_ues):

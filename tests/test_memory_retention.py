@@ -89,8 +89,10 @@ def test_finished_flows_retire(config, duration_s):
     # Only flows whose sender is still waiting for ACKs keep endpoints.
     assert all(not rt.sender.done for rt in sim._runtimes.values())
     assert len(sim._runtimes) <= long.censored_flows + 5
+    # ...and a UE holds no endpoint table of its own beside that one.
     for ue in sim.ues:
-        assert set(ue.receivers) <= set(sim._runtimes)
+        assert not hasattr(ue, "receivers")
+        assert set(ue.active_runtimes) <= set(sim._runtimes)
     # ...while every flow ever started still blocks its id and has a size.
     assert len(sim._flow_sizes) == sim.metrics.flows_started
 

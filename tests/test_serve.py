@@ -45,6 +45,25 @@ def api_error(fn, *args):
     return exc.value
 
 
+#: Well-formed JSON objects with a wrong-typed field: (route, body, error,
+#: the field the detail must name).  ``{sid}`` is a started session.
+WRONG_TYPED = [
+    ("/sessions/{sid}/step", {"n_ttis": "abc"}, "bad_request", "n_ttis"),
+    ("/sessions/{sid}/step", {"n_ttis": [1]}, "bad_request", "n_ttis"),
+    ("/sessions/{sid}/run", {"chunk_ttis": "x"}, "bad_request", "chunk_ttis"),
+    ("/sessions/{sid}/reconfigure", {"ric": {"period_ms": "x"}}, "bad_ric",
+     "period_ms"),
+    ("/sessions/{sid}/reconfigure", {"ric": [1]}, "bad_ric", "ric"),
+    ("/sessions", dict(SPEC, heartbeat_s="x"), "bad_request", "heartbeat_s"),
+    ("/sessions", dict(SPEC, ric=[1]), "bad_ric", "ric"),
+    # Refused after the session object exists: these used to leak it too.
+    ("/sessions", dict(SPEC, ric={"period_ms": "x"}), "bad_ric", "period_ms"),
+    ("/sessions", dict(SPEC, heartbeat_s=0), "bad_request", "heartbeat_s"),
+    ("/sessions", dict(SPEC, ric={"period_ms": float("inf")}), "bad_ric",
+     "period_ms"),
+]
+
+
 class TestControllerLifecycle:
     def test_create_start_step_finish(self):
         ctl = ServeController()
@@ -121,6 +140,25 @@ class TestControllerValidation:
         ctl = ServeController(checkpoint_dir=tmp_path)
         err = api_error(ctl.resume_session, {"path": "nonexistent.ckpt"})
         assert err.status == 404
+
+    def test_wrong_typed_field_is_a_400_and_leaves_nothing_behind(self):
+        ctl = ServeController()
+        sid = ctl.create_session(dict(SPEC))["id"]
+        ctl.start(sid)
+        listed = ctl.list_sessions()
+        calls = {"step": ctl.step, "run": ctl.run, "reconfigure": ctl.reconfigure}
+        for route, body, error, field in WRONG_TYPED:
+            verb = route.rsplit("/", 1)[1]
+            if verb == "sessions":
+                err = api_error(ctl.create_session, dict(body))
+            else:
+                err = api_error(calls[verb], sid, dict(body))
+            assert (err.status, err.error) == (400, error), (route, body)
+            assert field in err.detail, (route, body, err.detail)
+            # No refused create left a session, and the one there still works.
+            assert ctl.list_sessions() == listed
+            assert ctl.step(sid, {"n_ttis": 5})["state"] == "running"
+        assert ctl.create_session(dict(SPEC))["id"] == "s2"  # no id burnt either
 
 
 class TestBackgroundRun:
@@ -373,6 +411,22 @@ class TestHttpEndToEnd:
         """A line above asyncio's 64 KiB StreamReader limit."""
         self.assert_unframeable(server, head)
         assert not caplog.records  # no "Unhandled exception in client_connected_cb"
+
+    def test_wrong_typed_field_is_a_400_over_http(self, server, caplog):
+        sid = self.request(server, "POST", "/sessions", dict(BARE))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        listed = self.request(server, "GET", "/sessions")
+        assert [s["id"] for s in listed[1]["sessions"]] == [sid]
+        for route, body, error, field in WRONG_TYPED:
+            st, out = self.request(server, "POST", route.format(sid=sid), body)
+            assert (st, out["error"]) == (400, error), (route, body, out)
+            assert field in out["detail"] and "Traceback" not in out["detail"]
+            assert self.request(server, "GET", "/sessions") == listed
+            st, out = self.request(
+                server, "POST", f"/sessions/{sid}/step", {"n_ttis": 5}
+            )
+            assert st == 200 and out["state"] == "running"
+        assert not caplog.records
 
     def test_non_object_body_is_a_400(self, server):
         sid = self.request(server, "POST", "/sessions", dict(BARE))[1]["id"]

@@ -10,6 +10,8 @@ job uses.
 
 import json
 import pickle
+import pickletools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,29 @@ def make_sim(scheduler="outran", rlc_mode="um", **kwargs):
 
 def one_shot(scheduler="outran", rlc_mode="um"):
     return make_sim(scheduler, rlc_mode).run(DURATION_S)
+
+
+def pickled_instances(payload: bytes) -> Counter:
+    """Class name -> objects of that class the pickle builds.
+
+    A class is named once and memoized, so counting names cannot tell one
+    instance from twenty; this follows the memo just far enough to see
+    which class each ``<class> <args> NEWOBJ`` instantiates.
+    """
+    memo, tops, built = [], [], Counter()
+    for op, arg, _ in pickletools.genops(payload):
+        if op.name == "MEMOIZE":
+            memo.append(tops[-1])
+            continue
+        if op.name == "NEWOBJ" and isinstance(tops[-2], tuple):
+            built[tops[-2][1]] += 1
+        if op.name == "STACK_GLOBAL":
+            tops.append(("class", tops[-1]))
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            tops.append(memo[arg])
+        else:
+            tops.append(arg if isinstance(arg, str) else None)
+    return built
 
 
 class TestStateMachine:
@@ -218,8 +243,10 @@ class TestCheckpointFormat:
         # and the typed columns (CellSimulation, MetricsCollector,
         # AmReceiver, FlowTracer), v4 graphs the list-cell Event and the
         # crossing stamps on Packet, v5 graphs the one MAC row per UE
-        # (CellSimulation, XNodeB, UeContext): refuse, never half-load.
-        for version in (1, 2, 3, 4, 5):
+        # (CellSimulation, XNodeB, UeContext), v6 graphs the one fader and
+        # the one copy of the radio state (ChannelModel, UeChannel,
+        # UeContext, FlowRuntime): refuse, never half-load.
+        for version in (1, 2, 3, 4, 5, 6):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
@@ -229,8 +256,6 @@ class TestCheckpointFormat:
 
     def test_running_cell_pickles_one_mac_row_per_ue(self, tmp_path):
         """The xNodeB's table is the only per-UE MAC state in the graph."""
-        import pickletools
-
         session = SimulationSession(
             make_sim("srjf", "am", radio_bler=0.1), DURATION_S
         ).start()
@@ -247,6 +272,36 @@ class TestCheckpointFormat:
         assert "SchedArrays" in names and "AmTransmitter" in names
         assert not {"UeSchedState", "BufferStatusReport"} & names
         assert not [name for name in names if "profiler" in name.lower()]
+
+    def test_running_cell_pickles_one_fader_and_one_radio_state(self, tmp_path):
+        """The cell's fader and SINR/CQI matrices are in the graph once;
+        a UeChannel brings no array, generator or fader of its own."""
+        import numpy as np
+
+        cfg = SimConfig.lte_default(num_ues=20, load=0.5, seed=5)
+        session = SimulationSession(
+            CellSimulation(cfg, scheduler="outran"), DURATION_S
+        ).start()
+        session.step(n_ttis=50)
+        session.checkpoint(tmp_path / "s.ckpt")
+        raw = (tmp_path / "s.ckpt").read_bytes()
+        built = pickled_instances(raw[raw.index(b"\n") + 1:])
+        assert built["_Ar1Fader"] == 1
+        assert built["ChannelModel"] == 1 and built["UeChannel"] == 20
+
+        resumed = SimulationSession.resume(tmp_path / "s.ckpt")
+        model = resumed.sim.channel
+        assert model._fader.shape == model._cqi.shape == model._sinr_db.shape
+        for i, ue in enumerate(resumed.sim.ues):
+            assert not [
+                name for name, value in vars(ue.channel).items()
+                if isinstance(value, (np.ndarray, np.random.Generator))
+            ]
+            assert np.shares_memory(ue.channel.reported_cqi, model._cqi)
+            assert np.array_equal(ue.channel.reported_cqi, model._cqi[i])
+        assert result_fingerprint(resumed.finish()) == result_fingerprint(
+            session.finish()
+        )
 
     def test_damaged_payload_rejected(self, tmp_path):
         """Half a file, a header with nothing behind it, a header followed

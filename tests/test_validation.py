@@ -9,26 +9,40 @@ from repro.analysis.validation import (
     validate_poisson_arrivals,
     validate_rayleigh_power,
 )
-from repro.phy.channel import _Ar1Fader, _JakesFader
+from repro.phy.channel import ChannelModel
+from repro.phy.numerology import RadioGrid
+from repro.phy.scenarios import LIGHT_SPEED_MPS, PEDESTRIAN
 from repro.traffic.distributions import LTE_CELLULAR
 from repro.traffic.generator import PoissonTrafficGenerator
 
 
+def cell_fader_series(doppler_hz, dt_s, steps, num_ues=2, seed=0):
+    """Complex fading state of a cell driven the way a run drives it.
+
+    The fader validated is the one ``ChannelModel.update_all`` advances
+    (there is no other); the Doppler is set through the scenario's speed.
+    Returns ``(steps, num_ues, num_subbands)``.
+    """
+    scenario = PEDESTRIAN.with_overrides(
+        speed_mps=doppler_hz * LIGHT_SPEED_MPS / PEDESTRIAN.carrier_hz
+    )
+    assert scenario.doppler_hz() == pytest.approx(doppler_hz)
+    model = ChannelModel(RadioGrid.lte(5.0), scenario, seed=seed)
+    for i in range(num_ues):
+        model.add_ue(i)
+    model.update_all(0.0)  # builds the fader; the first step follows
+    out = []
+    for step in range(1, steps + 1):
+        model.update_all(step * dt_s)
+        out.append(model._fader._state)
+    return np.stack(out)
+
+
 class TestRayleighPower:
     def test_ar1_fader_is_rayleigh(self):
-        rng = np.random.default_rng(0)
-        fader = _Ar1Fader(n_bands=8, doppler_hz=200.0, rng=rng)
         # Sample far apart so draws are nearly independent.
-        gains = np.stack([fader.advance(0.5) for _ in range(3000)])
-        report = validate_rayleigh_power(gains)
-        assert report.passed, str(report)
-
-    def test_jakes_fader_is_rayleigh(self):
-        rng = np.random.default_rng(1)
-        fader = _JakesFader(n_bands=16, doppler_hz=50.0, rng=rng, n_osc=32)
-        times = np.arange(0.0, 400.0, 0.25)
-        gains = fader.gains(times)
-        report = validate_rayleigh_power(gains, alpha=0.001)
+        state = cell_fader_series(200.0, dt_s=0.5, steps=1500)
+        report = validate_rayleigh_power(np.abs(state) ** 2)
         assert report.passed, str(report)
 
     def test_uniform_noise_fails(self):
@@ -43,13 +57,7 @@ class TestRayleighPower:
 
 class TestDopplerAutocorrelation:
     def _series(self, doppler, dt, n=20_000, seed=3):
-        rng = np.random.default_rng(seed)
-        fader = _Ar1Fader(n_bands=1, doppler_hz=doppler, rng=rng)
-        out = np.empty(n, dtype=complex)
-        for i in range(n):
-            fader.advance(dt)
-            out[i] = fader._state[0]
-        return out
+        return cell_fader_series(doppler, dt, n, num_ues=1, seed=seed)[:, 0, 0]
 
     def test_ar1_tracks_j0(self):
         doppler, dt = 30.0, 0.002
