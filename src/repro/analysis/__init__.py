@@ -7,8 +7,7 @@ from repro.analysis.breakdown import (
     slowest_table,
 )
 from repro.analysis.cdf import cdf_points, percentile_table
-from repro.analysis.compare import comparison_table, sweep_table
-from repro.analysis.io import load_results, result_to_dict, save_results
+from repro.analysis.compare import comparison_table
 from repro.analysis.tables import format_table, series_table
 from repro.analysis.validation import (
     validate_doppler_autocorrelation,
@@ -23,13 +22,9 @@ __all__ = [
     "slowest_table",
     "cdf_points",
     "comparison_table",
-    "sweep_table",
     "percentile_table",
     "format_table",
     "series_table",
-    "save_results",
-    "load_results",
-    "result_to_dict",
     "validate_rayleigh_power",
     "validate_doppler_autocorrelation",
     "validate_poisson_arrivals",

@@ -1,16 +1,15 @@
 """Scheduler comparison tables from results (shared by CLI and examples).
 
 Takes any mapping of label -> result-like object (live
-:class:`~repro.sim.metrics.SimResult`, pooled multi-cell results, or
-:class:`~repro.analysis.io.StoredResult` reloaded from JSON -- anything
-exposing the ``avg_fct_ms`` / ``pctl_fct_ms`` / ``mean_se`` /
+:class:`~repro.sim.metrics.SimResult` or pooled multi-cell results --
+anything exposing the ``avg_fct_ms`` / ``pctl_fct_ms`` / ``mean_se`` /
 ``mean_fairness`` quartet) and renders the FCT-vs-system-objectives
 table every evaluation in the paper revolves around.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.analysis.tables import format_table
 
@@ -54,31 +53,4 @@ def comparison_table(
             else:
                 row.append("n/a")
         rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def sweep_table(
-    axis_name: str,
-    axis_values: Sequence[object],
-    results: Mapping[str, Sequence[object]],
-    metric: str = "avg_fct_ms",
-    title: str = "",
-) -> str:
-    """One column per scheduler, one row per axis point, for ``metric``.
-
-    ``results[label][i]`` must correspond to ``axis_values[i]``.
-    """
-    series = {}
-    for label, result_list in results.items():
-        if len(result_list) != len(axis_values):
-            raise ValueError(
-                f"{label!r} has {len(result_list)} results for "
-                f"{len(axis_values)} axis points"
-            )
-        series[label] = [f"{getattr(r, metric)():.1f}" for r in result_list]
-    headers = [axis_name] + list(series)
-    rows = [
-        [value] + [series[label][i] for label in series]
-        for i, value in enumerate(axis_values)
-    ]
     return format_table(headers, rows, title=title)

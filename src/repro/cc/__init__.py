@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.cc.aqm import AQM_NAMES, EcnMarker, make_aqm
 from repro.cc.base import CongestionControl
-from repro.cc.bbr import BbrCC
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C, CubicCC, CubicState
 from repro.cc.dctcp import DCTCP_G, DctcpCC
 from repro.net.packet import DEFAULT_MSS
@@ -20,7 +19,6 @@ from repro.net.packet import DEFAULT_MSS
 _CC_REGISTRY = {
     "cubic": CubicCC,
     "dctcp": DctcpCC,
-    "bbr": BbrCC,
 }
 #: Valid ``SimConfig.cc`` / ``--cc`` values.
 CC_NAMES = tuple(_CC_REGISTRY)
@@ -45,7 +43,6 @@ __all__ = [
     "CUBIC_BETA",
     "CUBIC_C",
     "DCTCP_G",
-    "BbrCC",
     "CongestionControl",
     "CubicCC",
     "CubicState",

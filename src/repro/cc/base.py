@@ -33,7 +33,7 @@ from abc import ABC, abstractmethod
 class CongestionControl(ABC):
     """Window policy of one TCP sender.  Subclasses own ``cwnd_bytes``."""
 
-    #: Registry name ("cubic", "dctcp", "bbr").
+    #: Registry name ("cubic", "dctcp").
     name: str = "?"
     #: The congestion window, in bytes (float: growth is fractional).
     cwnd_bytes: float
@@ -63,4 +63,5 @@ class CongestionControl(ABC):
         """Retransmission timeout: collapse the window."""
 
     def on_rtt_sample(self, rtt_us: int, now_us: int) -> None:
-        """A Karn-valid RTT sample (default: ignored)."""
+        """A Karn-valid RTT sample (ignored: no window policy here reads
+        it; ``benchmarks/perf/layers.py`` wraps the hook by name)."""

@@ -6,8 +6,8 @@ is the closed loop -- cwnd growth filling the per-UE RLC buffer
 retransmission dynamics.  The model implements:
 
 * a pluggable congestion-window policy behind
-  :class:`repro.cc.base.CongestionControl` (Cubic by default; DCTCP and
-  BBR live in ``repro.cc``),
+  :class:`repro.cc.base.CongestionControl` (Cubic by default; DCTCP
+  lives in ``repro.cc``),
 * immediate cumulative ACKs carrying SACK blocks and the ECN-echo (ECE)
   of any CE mark an AQM applied on the way down; fast retransmit enters
   a SACK-driven loss recovery that repairs every known hole within a

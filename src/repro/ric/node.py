@@ -121,10 +121,8 @@ class CellE2Node:
             )
             # Head levels shift as reclassified packets arrive; the TTI
             # this runs ahead of mirrors them into the scheduler's table.
-            has_queue = sim.config.rlc_mode != "tm"  # TM: one FIFO, no MLFQ
             for ue in sim.ues:
                 ue.flow_table.reconfigure(config)
-                if has_queue:
-                    ue.rlc.queue.reconfigure(config)
+                ue.rlc.queue.reconfigure(config)
         if decision.boost_period_us is not None:
             sim.set_priority_boost_period(decision.boost_period_us or None)

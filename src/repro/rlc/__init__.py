@@ -3,7 +3,6 @@
 from repro.rlc.pdu import RlcSdu, RlcPdu, SduSegment
 from repro.rlc.um import UmTransmitter, UmReceiver
 from repro.rlc.am import AmTransmitter, AmReceiver
-from repro.rlc.tm import TmTransmitter, TmReceiver
 
 __all__ = [
     "RlcSdu",
@@ -13,6 +12,4 @@ __all__ = [
     "UmReceiver",
     "AmTransmitter",
     "AmReceiver",
-    "TmTransmitter",
-    "TmReceiver",
 ]

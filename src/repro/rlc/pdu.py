@@ -90,14 +90,12 @@ class RlcPdu:
     """One MAC-layer transport unit: concatenated SDU segments.
 
     ``sn`` is meaningful in AM mode (retransmission tracking); UM PDUs in
-    this model carry ``sn = -1``.  Transparent-mode PDUs set
-    ``headerless`` (TM adds no RLC header at all).
+    this model carry ``sn = -1``.
     """
 
     segments: list[SduSegment] = field(default_factory=list)
     sn: int = -1
     is_retx: bool = False
-    headerless: bool = False
 
     @property
     def payload_bytes(self) -> int:
@@ -106,8 +104,6 @@ class RlcPdu:
     @property
     def wire_bytes(self) -> int:
         """Payload plus per-segment RLC header overhead."""
-        if self.headerless:
-            return self.payload_bytes
         return self.payload_bytes + RLC_HEADER_BYTES * max(len(self.segments), 1)
 
     def __bool__(self) -> bool:

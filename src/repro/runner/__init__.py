@@ -28,7 +28,7 @@ resume semantics.  Quickstart::
 
 from repro.runner.spec import RunSpec, SweepSpec, dedupe
 from repro.runner.store import ResultStore, as_store
-from repro.runner.worker import ConfigTask, execute_spec, run_config_task, run_spec
+from repro.runner.worker import execute_spec, run_spec
 from repro.runner.pool import (
     RunFailure,
     SweepOutcome,
@@ -44,10 +44,8 @@ __all__ = [
     "dedupe",
     "ResultStore",
     "as_store",
-    "ConfigTask",
     "execute_spec",
     "run_spec",
-    "run_config_task",
     "RunFailure",
     "SweepOutcome",
     "SweepRunner",

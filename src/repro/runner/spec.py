@@ -69,8 +69,28 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.rat not in ("lte", "nr"):
             raise ValueError(f"rat must be 'lte' or 'nr': {self.rat!r}")
+        from repro.traffic.distributions import distribution_by_name
+        from repro.traffic.generator import MAX_LOAD
         from repro.traffic.workloads import WORKLOADS
 
+        if not isinstance(self.scheduler, str):
+            raise ValueError(f"scheduler must be a string: {self.scheduler!r}")
+        if self.distribution is not None:
+            if not isinstance(self.distribution, str):
+                raise ValueError(
+                    f"distribution must be a string: {self.distribution!r}"
+                )
+            distribution_by_name(self.distribution)
+        # A comparison with NaN or an infinity is false, so this is also
+        # the finiteness check.
+        if (
+            isinstance(self.load, bool)
+            or not isinstance(self.load, (int, float))
+            or not 0.0 < self.load < MAX_LOAD
+        ):
+            raise ValueError(
+                f"load must be a number in (0, {MAX_LOAD:g}): {self.load!r}"
+            )
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r} (choices: {WORKLOADS})"

@@ -18,9 +18,8 @@ Guarantees:
   writing identical results.
 
 The payload pickles the *full* ``SimResult`` (collector included), not
-the JSON summary of :mod:`repro.analysis.io`: figure regeneration needs
-exact per-flow records so a store-served run renders byte-identically to
-a freshly simulated one.
+its ``summary()``: figure regeneration needs exact per-flow records so a
+store-served run renders byte-identically to a freshly simulated one.
 """
 
 from __future__ import annotations

@@ -20,11 +20,9 @@ interchangeable byte-for-byte in figure output.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.sim.config import SimConfig
 from repro.sim.metrics import SimResult
 from repro.sim.session import CheckpointError, SimulationSession
 from repro.runner.spec import RunSpec
@@ -97,33 +95,3 @@ def run_spec(spec: RunSpec, store_root: Optional[str] = None):
     if store is not None:
         store.put(key, result)
     return key, result
-
-
-@dataclass(frozen=True)
-class ConfigTask:
-    """A run over an already-built :class:`SimConfig` (e.g. replications).
-
-    Arbitrary configs (custom scenarios, live objects) have no stable
-    content hash, so these tasks are keyed by position and never hit the
-    persistent store -- they exist so :func:`run_replications` and other
-    callers with in-memory configs can still fan out over the pool.
-    """
-
-    config: SimConfig
-    scheduler: str
-    duration_s: float
-    index: int
-
-    def key(self) -> str:
-        return f"cfg-{self.scheduler}-{self.config.seed}-{self.index}"
-
-    def label(self) -> str:
-        return f"{self.scheduler} seed={self.config.seed} #{self.index}"
-
-
-def run_config_task(task: ConfigTask, store_root: Optional[str] = None):
-    """Pool worker for :class:`ConfigTask` (store is intentionally unused)."""
-    session = SimulationSession.from_config(
-        task.config, task.scheduler, duration_s=task.duration_s
-    )
-    return task.key(), session.start().finish()

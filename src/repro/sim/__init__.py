@@ -11,7 +11,6 @@ from repro.sim.session import (
     result_fingerprint_payload,
 )
 from repro.sim.multicell import MultiCellSimulation, PooledResult
-from repro.sim.replicate import ReplicationReport, run_replications
 from repro.sim.trace import SchedulingTrace
 
 __all__ = [
@@ -27,6 +26,4 @@ __all__ = [
     "MultiCellSimulation",
     "PooledResult",
     "SchedulingTrace",
-    "ReplicationReport",
-    "run_replications",
 ]

@@ -406,13 +406,9 @@ class CellSimulation:
 
         Arrivals cover ``[0, duration_s)``; the simulation then runs an
         extra ``drain_s`` so in-flight flows can finish (the remainder is
-        reported as censored).
-
-        .. deprecated::
-            ``run()`` is now a thin shim over
-            :class:`~repro.sim.session.SimulationSession`, which adds
-            stepping, pause/inspect, and mid-run checkpoints.  It stays
-            supported for one-shot callers.
+        reported as censored).  A one-shot call into
+        :class:`~repro.sim.session.SimulationSession`, which adds
+        stepping, pause/inspect, and mid-run checkpoints.
         """
         from repro.sim.session import SimulationSession
 

@@ -59,7 +59,7 @@ class SimConfig:
     mlfq: MlfqConfig = field(default_factory=MlfqConfig)
     #: None = infer (MLFQ when the scheduler is OutRAN, FIFO otherwise).
     use_mlfq: Optional[bool] = None
-    rlc_mode: str = "um"  # "um", "am", or "tm"
+    rlc_mode: str = "um"  # "um" or "am"
     rlc_capacity_sdus: int = 128  # srsENB default
     #: "drop_incoming" (srsENB behaviour), "drop_lowest" (shed the
     #: lowest-priority queued SDU for a higher-priority arrival), or None
@@ -110,7 +110,7 @@ class SimConfig:
     tcp_initial_cwnd: int = 4
 
     # -- congestion control / AQM ---------------------------------------------
-    #: Sender congestion control: "cubic" (default), "dctcp", or "bbr".
+    #: Sender congestion control: "cubic" (default) or "dctcp".
     cc: str = "cubic"
     #: RLC-buffer AQM: "droptail" (srsENB behaviour) or "red" (ECN marking).
     aqm: str = "droptail"
@@ -123,10 +123,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.num_ues < 1:
             raise ValueError(f"need at least one UE: {self.num_ues}")
-        if self.rlc_mode not in ("um", "am", "tm"):
-            raise ValueError(
-                f"rlc_mode must be 'um', 'am', or 'tm': {self.rlc_mode}"
-            )
+        if self.rlc_mode not in ("um", "am"):
+            raise ValueError(f"rlc_mode must be 'um' or 'am': {self.rlc_mode}")
         if not 0.0 <= self.radio_bler < 1.0:
             raise ValueError(f"radio_bler in [0, 1): {self.radio_bler}")
         if self.rlc_capacity_sdus < 1:
@@ -146,7 +144,7 @@ class SimConfig:
             raise ValueError(f"unknown traffic kind: {self.traffic.kind!r}")
         if self.cc not in CC_NAMES:
             raise ValueError(
-                f"unknown congestion control: {self.cc!r} (choices: {CC_NAMES})"
+                f"unknown congestion control: cc={self.cc!r} (choices: {CC_NAMES})"
             )
         if self.aqm not in AQM_NAMES:
             raise ValueError(

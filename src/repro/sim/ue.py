@@ -19,7 +19,6 @@ from repro.pdcp.entity import PdcpEntity, PdcpReceiver
 from repro.phy.channel import UeChannel
 from repro.rlc.am import AmReceiver, AmTransmitter
 from repro.rlc.pdu import RlcSdu
-from repro.rlc.tm import TmReceiver, TmTransmitter
 from repro.rlc.um import UmReceiver, UmTransmitter
 from repro.sim.config import SimConfig
 
@@ -64,10 +63,7 @@ class UeContext:
         self._deliver_cb = deliver_sdu
         mlfq_config = config.mlfq if use_mlfq else MlfqConfig.single_queue()
         self.flow_table = FlowTable(mlfq_config, idle_timeout_us=FLOW_IDLE_TIMEOUT_US)
-        # TM never reorders and takes no numbering hook, so it always uses
-        # eager (ingress-time) PDCP numbering.
-        delayed_sn = config.delayed_sn and config.rlc_mode != "tm"
-        self.pdcp = PdcpEntity(self.flow_table, delayed_sn=delayed_sn)
+        self.pdcp = PdcpEntity(self.flow_table, delayed_sn=config.delayed_sn)
         self.pdcp_rx = PdcpReceiver(reorder_window=config.pdcp_reorder_window)
 
         overflow_policy = config.rlc_overflow_policy
@@ -79,15 +75,12 @@ class UeContext:
             overflow_policy=overflow_policy,
             promote_segments=config.promote_segments,
             on_sdu_dequeued=on_sdu_dequeued,
-            on_sdu_first_tx=self._number_sdu if delayed_sn else None,
+            on_sdu_first_tx=self._number_sdu if config.delayed_sn else None,
             aqm=make_aqm(config, index),
         )
-        self.rlc: Union[UmTransmitter, AmTransmitter, TmTransmitter]
-        self.rlc_rx: Union[UmReceiver, AmReceiver, TmReceiver]
-        if config.rlc_mode == "tm":
-            self.rlc = TmTransmitter(index, capacity_sdus=config.rlc_capacity_sdus)
-            self.rlc_rx = TmReceiver(deliver=self._deliver)
-        elif config.rlc_mode == "am":
+        self.rlc: Union[UmTransmitter, AmTransmitter]
+        self.rlc_rx: Union[UmReceiver, AmReceiver]
+        if config.rlc_mode == "am":
             self.rlc = AmTransmitter(index, **rlc_kwargs)
             self.rlc_rx = AmReceiver(deliver=self._deliver)
         else:

@@ -54,8 +54,7 @@ class CellKpiSnapshot:
     active_flows: int
     backlogged_ues: int
     #: Instantaneous RLC backlog per MLFQ level (index 0 = highest
-    #: priority, promoted segments included), summed across UEs.  Empty
-    #: for RLC TM, which has no MLFQ queue.
+    #: priority, promoted segments included), summed across UEs.
     mlfq_level_bytes: tuple[int, ...]
 
     def as_dict(self) -> dict:
@@ -86,13 +85,10 @@ class KpiCollector:
         level_bytes: Optional[list[int]] = None
         queued_bytes = 0
         backlogged = 0
-        has_queue = sim.config.rlc_mode != "tm"  # TM: one FIFO, no MLFQ levels
         for ue in sim.ues:
             queued_bytes += ue.rlc.buffered_bytes
             if ue.rlc.buffered_bytes > 0:
                 backlogged += 1
-            if not has_queue:
-                continue
             per_level = ue.rlc.queue.level_bytes()
             if level_bytes is None:
                 level_bytes = per_level

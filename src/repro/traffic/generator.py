@@ -22,6 +22,8 @@ from repro.traffic.distributions import EmpiricalDistribution
 
 #: The short-flow boundary used throughout the paper's analysis.
 SHORT_FLOW_BYTES = 10_000
+#: Cell loads are fractions of the cell capacity in ``(0, MAX_LOAD)``.
+MAX_LOAD = 4.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class PoissonTrafficGenerator:
     ) -> None:
         if num_ues < 1:
             raise ValueError(f"need at least one UE: {num_ues}")
-        if not 0.0 < load < 4.0:
-            raise ValueError(f"load out of range (0, 4): {load}")
+        if not 0.0 < load < MAX_LOAD:
+            raise ValueError(f"load out of range (0, {MAX_LOAD:g}): {load}")
         if capacity_bps <= 0:
             raise ValueError(f"capacity must be positive: {capacity_bps}")
         self.distribution = distribution
@@ -100,75 +102,6 @@ class PoissonTrafficGenerator:
             )
             for i in range(n)
         ]
-
-
-class SessionGenerator:
-    """Persistent-connection sessions (the section 4.2 limitation shape).
-
-    Sessions arrive Poisson; each session opens one connection (a reused
-    five-tuple) and fetches a geometric number of exchanges whose sizes
-    come from the base distribution, separated by think times.  The
-    per-connection byte accumulation is exactly what misleads the MLFQ
-    for long-lived QUIC/keep-alive connections.
-    """
-
-    def __init__(
-        self,
-        distribution: EmpiricalDistribution,
-        num_ues: int,
-        load: float,
-        capacity_bps: float,
-        seed: int = 0,
-        mean_exchanges: float = 6.0,
-        mean_think_s: float = 0.5,
-    ) -> None:
-        if mean_exchanges < 1:
-            raise ValueError(f"mean_exchanges must be >= 1: {mean_exchanges}")
-        if mean_think_s <= 0:
-            raise ValueError(f"mean_think_s must be positive: {mean_think_s}")
-        self.distribution = distribution
-        self.num_ues = num_ues
-        self.mean_exchanges = mean_exchanges
-        self.mean_think_s = mean_think_s
-        self._rng = np.random.default_rng(seed)
-        mean_bytes = distribution.mean()
-        # Session arrival rate chosen so exchanges realize the load.
-        exchange_rate = load * capacity_bps / (mean_bytes * 8.0)
-        self.session_rate_per_s = exchange_rate / mean_exchanges
-        if self.session_rate_per_s <= 0:
-            raise ValueError("degenerate session rate")
-
-    def generate(self, duration_s: float) -> list[FlowSpec]:
-        """Sessions starting within ``[0, duration_s)`` (exchanges may
-        extend past the horizon and are trimmed)."""
-        flows: list[FlowSpec] = []
-        flow_id = 0
-        connection = 0
-        t = self._rng.exponential(1.0 / self.session_rate_per_s)
-        while t < duration_s:
-            ue = int(self._rng.integers(0, self.num_ues))
-            count = int(self._rng.geometric(1.0 / self.mean_exchanges))
-            sizes = self.distribution.sample_stratified(self._rng, count)
-            start = t
-            for size in sizes:
-                if start >= duration_s:
-                    break
-                flows.append(
-                    FlowSpec(
-                        flow_id=flow_id,
-                        ue_index=ue,
-                        size_bytes=int(size),
-                        start_us=int(start * US_PER_SEC),
-                        qos_short=bool(size < SHORT_FLOW_BYTES),
-                        connection=connection,
-                    )
-                )
-                flow_id += 1
-                start += self._rng.exponential(self.mean_think_s)
-            connection += 1
-            t += self._rng.exponential(1.0 / self.session_rate_per_s)
-        flows.sort(key=lambda f: f.start_us)
-        return flows
 
 
 class IncastGenerator:

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.sim.engine import microseconds
 from repro.traffic.distributions import distribution_by_name
-from repro.traffic.generator import FlowSpec, PoissonTrafficGenerator
+from repro.traffic.generator import MAX_LOAD, FlowSpec, PoissonTrafficGenerator
 
 if TYPE_CHECKING:
     from repro.sim.cell import CellSimulation
@@ -31,8 +31,10 @@ class LoadPhase:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError(f"phase duration must be positive: {self.duration_s}")
-        if not 0.0 < self.load < 4.0:
-            raise ValueError(f"phase load out of range (0, 4): {self.load}")
+        if not 0.0 < self.load < MAX_LOAD:
+            raise ValueError(
+                f"phase load out of range (0, {MAX_LOAD:g}): {self.load}"
+            )
 
 
 class NonStationaryLoad:

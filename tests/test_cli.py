@@ -41,6 +41,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             parse("run", "--rlc-mode", "tm")
 
+    def test_bbr_is_not_a_cc_choice(self):
+        with pytest.raises(SystemExit) as exit_info:
+            parse("run", "--cc", "bbr")
+        assert exit_info.value.code == 2
+
 
 class TestMain:
     def test_single_run_prints_summary(self, capsys):

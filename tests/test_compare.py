@@ -3,8 +3,7 @@
 import pytest
 
 from repro import CellSimulation, SimConfig
-from repro.analysis.compare import comparison_table, sweep_table
-from repro.analysis.io import StoredResult, result_to_dict
+from repro.analysis.compare import comparison_table
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +33,3 @@ class TestComparisonTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             comparison_table({})
-
-    def test_works_with_stored_results(self, results):
-        stored = {
-            name: StoredResult(result_to_dict(r)) for name, r in results.items()
-        }
-        text = comparison_table(stored, baseline="pf")
-        assert "outran" in text
-
-
-class TestSweepTable:
-    def test_renders_metric_grid(self, results):
-        text = sweep_table(
-            "load", [0.6], {name: [r] for name, r in results.items()},
-            metric="avg_fct_ms",
-        )
-        assert "load" in text and "pf" in text
-
-    def test_length_mismatch_rejected(self, results):
-        with pytest.raises(ValueError):
-            sweep_table("load", [0.4, 0.6], {"pf": [results["pf"]]})

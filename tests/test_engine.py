@@ -275,3 +275,34 @@ def test_cancelled_handle_lets_go_of_fn_and_args():
     assert engine.pending() == 1
     engine.run()
     assert engine.pending() == 0 and engine.events_processed == 0
+
+
+class TestEngineEdges:
+    def test_event_at_current_time_fires(self):
+        engine = EventEngine()
+        engine.run_until(100)
+        fired = []
+        engine.schedule_at(100, fired.append, 1)
+        engine.run_until(100)
+        assert fired == [1]
+
+    def test_cancel_inside_callback(self):
+        engine = EventEngine()
+        fired = []
+        later = engine.schedule_at(20, fired.append, "late")
+
+        def first():
+            fired.append("early")
+            later.cancel()
+
+        engine.schedule_at(10, first)
+        engine.run()
+        assert fired == ["early"]
+
+    def test_pending_counts_tombstones(self):
+        engine = EventEngine()
+        event = engine.schedule_at(10, lambda: None)
+        event.cancel()
+        assert engine.pending() == 1
+        engine.run()
+        assert engine.pending() == 0

@@ -51,7 +51,6 @@ class TestDecomposition:
             ("rr", 11, {}),
             ("outran", 5, {"rlc_mode": "am", "radio_bler": 0.1}),
             ("outran", 9, {"rlc_mode": "um", "radio_bler": 0.1}),
-            ("pf", 13, {"rlc_mode": "tm"}),
         ],
     )
     def test_components_sum_exactly_to_fct(self, scheduler, seed, overrides):

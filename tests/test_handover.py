@@ -1,6 +1,7 @@
 """Tests for handover flow-state transfer (paper section 7)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.flow_table import FLOW_STATE_BYTES, FlowTable
 from repro.core.handover import (
@@ -62,3 +63,24 @@ class TestAlternatives:
     def test_transfer_size_matches_paper_accounting(self):
         table = table_with_flows()
         assert state_transfer_bytes(table) == 3 * FLOW_STATE_BYTES
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ports=st.lists(st.integers(1, 60_000), min_size=1, max_size=20, unique=True),
+    sizes=st.data(),
+)
+def test_property_handover_roundtrip(ports, sizes):
+    """Export/import preserves every flow's level, for any flow set."""
+    from repro.core.flow_table import FlowTable
+    from repro.core.handover import export_flow_state, import_flow_state
+
+    table = FlowTable(MlfqConfig())
+    for port in ports:
+        nbytes = sizes.draw(st.integers(0, 5_000_000))
+        table.observe(FiveTuple(1, 2, 443, port), nbytes, 0)
+    dst = FlowTable(MlfqConfig())
+    assert import_flow_state(dst, export_flow_state(table)) == len(ports)
+    for port in ports:
+        ft = FiveTuple(1, 2, 443, port)
+        assert dst.level_of(ft) == table.level_of(ft)

@@ -203,3 +203,19 @@ def test_property_pop_order_is_nondecreasing_level(items):
         payload, _ = q.pop()
         levels.append(payload)
     assert levels == sorted(levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    thresholds=st.lists(
+        st.integers(1, 10**8), min_size=1, max_size=6, unique=True
+    ),
+    sent=st.integers(0, 2 * 10**8),
+)
+def test_property_mlfq_level_monotone_in_bytes(thresholds, sent):
+    """More sent-bytes never means a *higher* priority."""
+    ladder = tuple(sorted(thresholds))
+    config = MlfqConfig(num_queues=len(ladder) + 1, thresholds=ladder)
+    level = config.level_for_bytes(sent)
+    assert config.level_for_bytes(sent + 1) >= level
+    assert 0 <= level <= len(ladder)

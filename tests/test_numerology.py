@@ -94,3 +94,14 @@ class TestRadioGrid:
             RadioGrid(Numerology(0), num_rbs=0)
         with pytest.raises(ValueError):
             RadioGrid(Numerology(0), num_rbs=10, subband_rbs=0)
+
+
+class TestGridEdges:
+    def test_subband_larger_than_grid(self):
+        grid = RadioGrid(Numerology(0), num_rbs=5, subband_rbs=100)
+        assert grid.num_subbands == 1
+        assert grid.subband_of_rb(4) == 0
+
+    def test_single_rb_grid(self):
+        grid = RadioGrid(Numerology(3), num_rbs=1, subband_rbs=1)
+        assert grid.bandwidth_hz == Numerology(3).rb_bandwidth_hz

@@ -220,17 +220,6 @@ class TestE2Node:
             assert ue.rlc.queue.config.thresholds == (10_000, 50_000, 500_000)
         session.finish()
 
-    def test_tm_has_no_levels_to_report_or_reconfigure(self):
-        sim = _small_sim(rlc_mode="tm", use_mlfq=True, load=2.0)
-        node = CellE2Node(sim)
-        session = SimulationSession(sim, 0.3).start()
-        assert node.control(_request(thresholds=(10_000, 50_000, 500_000))).accepted
-        session.step(n_ttis=150)
-        kpi = node.indication().kpi
-        assert kpi.queued_bytes > 0 and kpi.mlfq_level_bytes == ()
-        assert sim.ues[0].flow_table.config.thresholds == (10_000, 50_000, 500_000)
-        session.finish()
-
     def test_rejected_control_changes_nothing(self):
         sim = _small_sim()
         node = CellE2Node(sim)

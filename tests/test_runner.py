@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.runner import (
-    ConfigTask,
     ResultStore,
     RunSpec,
     SweepOutcome,
@@ -292,15 +291,6 @@ class TestSweepExecution:
             progress_period_s=0.0,
         )
         assert any("[heartbeat] sweep" in line for line in lines)
-
-    def test_config_tasks_run_without_store(self):
-        cfg = SimConfig.lte_default(num_ues=2, load=0.5, seed=3)
-        from repro.runner import run_config_task
-
-        tasks = [ConfigTask(cfg, "pf", 0.4, i) for i in range(2)]
-        outcome = SweepRunner(jobs=2, store=None, worker=run_config_task).execute(tasks)
-        results = outcome.in_order(tasks)
-        assert results[0].avg_fct_ms() == results[1].avg_fct_ms()
 
 
 class TestFailurePaths:

@@ -45,8 +45,8 @@ def api_error(fn, *args):
     return exc.value
 
 
-#: Well-formed JSON objects with a wrong-typed field: (route, body, error,
-#: the field the detail must name).  ``{sid}`` is a started session.
+#: Well-formed JSON objects with a wrong-typed or refused field: (route,
+#: body, error, the field the detail must name).  ``{sid}`` is a started session.
 WRONG_TYPED = [
     ("/sessions/{sid}/step", {"n_ttis": "abc"}, "bad_request", "n_ttis"),
     ("/sessions/{sid}/step", {"n_ttis": [1]}, "bad_request", "n_ttis"),
@@ -61,6 +61,20 @@ WRONG_TYPED = [
     ("/sessions", dict(SPEC, heartbeat_s=0), "bad_request", "heartbeat_s"),
     ("/sessions", dict(SPEC, ric={"period_ms": float("inf")}), "bad_ric",
      "period_ms"),
+    # Refused by RunSpec / SimConfig at create: the first was a 500, the
+    # next six registered a session that could never start, and the last
+    # two name options that no longer exist.
+    ("/sessions", dict(SPEC, scheduler=["pf"]), "bad_spec", "scheduler"),
+    ("/sessions", dict(SPEC, load="x"), "bad_spec", "load"),
+    ("/sessions", dict(SPEC, load=-1), "bad_spec", "load"),
+    ("/sessions", dict(SPEC, load=float("inf")), "bad_spec", "load"),
+    ("/sessions", dict(SPEC, load=float("nan")), "bad_spec", "load"),
+    ("/sessions", dict(SPEC, distribution="nope"), "bad_spec", "distribution"),
+    ("/sessions", dict(SPEC, distribution=["websearch"]), "bad_spec",
+     "distribution"),
+    ("/sessions", dict(SPEC, overrides={"cc": "bbr"}), "bad_spec", "cc"),
+    ("/sessions", dict(SPEC, overrides={"rlc_mode": "tm"}), "bad_spec",
+     "rlc_mode"),
 ]
 
 
@@ -426,6 +440,7 @@ class TestHttpEndToEnd:
                 server, "POST", f"/sessions/{sid}/step", {"n_ttis": 5}
             )
             assert st == 200 and out["state"] == "running"
+        assert self.request(server, "POST", "/sessions", dict(BARE))[0] == 200
         assert not caplog.records
 
     def test_non_object_body_is_a_400(self, server):

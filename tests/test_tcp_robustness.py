@@ -146,3 +146,14 @@ class TestPacketModel:
         assert rev.src_ip == FT.dst_ip
         assert rev.dst_port == FT.src_port
         assert rev.reversed() == FT
+
+
+class TestPacketEdges:
+    def test_zero_payload_ack_wire_size(self):
+        ack = Packet(FiveTuple(1, 2, 3, 4), 0, 0, 0, is_ack=True, ack_seq=10)
+        assert ack.wire_bytes == 40  # headers only
+
+    def test_packet_ids_unique(self):
+        a = Packet(FiveTuple(1, 2, 3, 4), 0, 0, 10)
+        b = Packet(FiveTuple(1, 2, 3, 4), 0, 0, 10)
+        assert a.packet_id != b.packet_id

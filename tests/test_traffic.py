@@ -157,51 +157,3 @@ def test_property_sample_quantiles_match_cdf(seed, p):
     analytic = LTE_CELLULAR.quantile(p)
     empirical = np.quantile(samples, p)
     assert empirical == pytest.approx(analytic, rel=0.25)
-
-
-class TestSessionGenerator:
-    def _gen(self, **kwargs):
-        from repro.traffic.generator import SessionGenerator
-
-        defaults = dict(num_ues=8, load=0.5, capacity_bps=50e6, seed=2)
-        defaults.update(kwargs)
-        return SessionGenerator(LTE_CELLULAR, **defaults)
-
-    def test_exchanges_share_connection_and_ue(self):
-        flows = self._gen().generate(20.0)
-        by_conn = {}
-        for f in flows:
-            by_conn.setdefault(f.connection, []).append(f)
-        multi = [v for v in by_conn.values() if len(v) > 1]
-        assert multi, "expected multi-exchange sessions"
-        for session in multi:
-            assert len({f.ue_index for f in session}) == 1
-            starts = [f.start_us for f in session]
-            assert starts == sorted(starts)
-
-    def test_load_realized_via_exchange_rate(self):
-        gen = self._gen(load=0.5)
-        flows = gen.generate(40.0)
-        offered_bps = sum(f.size_bytes for f in flows) * 8 / 40.0
-        assert offered_bps == pytest.approx(0.5 * 50e6, rel=0.4)
-
-    def test_time_ordered_and_bounded(self):
-        flows = self._gen().generate(5.0)
-        starts = [f.start_us for f in flows]
-        assert starts == sorted(starts)
-        assert starts[-1] < 5_000_000
-
-    def test_deterministic(self):
-        a = self._gen(seed=9).generate(5.0)
-        b = self._gen(seed=9).generate(5.0)
-        assert [(f.connection, f.size_bytes) for f in a] == [
-            (f.connection, f.size_bytes) for f in b
-        ]
-
-    def test_validation(self):
-        from repro.traffic.generator import SessionGenerator
-
-        with pytest.raises(ValueError):
-            SessionGenerator(LTE_CELLULAR, 4, 0.5, 1e6, mean_exchanges=0.5)
-        with pytest.raises(ValueError):
-            SessionGenerator(LTE_CELLULAR, 4, 0.5, 1e6, mean_think_s=0.0)

@@ -92,3 +92,20 @@ class TestWaves:
         page = PAGES_BY_NAME["google.com"]
         with pytest.raises(ValueError):
             page_waves(page, [100, 200])
+
+
+class TestWebpageEdges:
+    def test_single_flow_page(self):
+        page = Webpage("one.example", page_bytes=10_000, num_flows=1, waves=3)
+        rng = np.random.default_rng(0)
+        sizes = page_flow_sizes(page, rng)
+        assert sizes == [10_000]
+        waves = page_waves(page, sizes)
+        assert waves == [[10_000]]
+
+    def test_two_flow_page_has_root_then_rest(self):
+        page = Webpage("two.example", page_bytes=10_000, num_flows=2, waves=3)
+        rng = np.random.default_rng(1)
+        waves = page_waves(page, page_flow_sizes(page, rng))
+        assert len(waves) == 2
+        assert len(waves[0]) == 1
