@@ -179,10 +179,6 @@ class MlfqQueue(Generic[T]):
         """Queued bytes across all levels."""
         return self._total_bytes
 
-    def bytes_at_level(self, level: int) -> int:
-        """Queued bytes in queue ``level`` (promoted items count as 0)."""
-        return self._level_bytes[level]
-
     def level_bytes(self) -> list[int]:
         """Queued bytes per level; index 0 includes promoted items."""
         out = list(self._level_bytes)

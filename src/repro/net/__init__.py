@@ -1,7 +1,7 @@
 """Network substrate: packets, TCP-Cubic transport, QoS profiles."""
 
 from repro.net.packet import FiveTuple, Packet
-from repro.net.tcp import TcpFlow, TcpReceiver, CubicState
+from repro.net.tcp import TcpFlow, TcpReceiver
 from repro.net.qos_profile import QosProfile, QCI_TABLE, profile_for_application
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "Packet",
     "TcpFlow",
     "TcpReceiver",
-    "CubicState",
     "QosProfile",
     "QCI_TABLE",
     "profile_for_application",

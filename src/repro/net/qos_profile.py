@@ -35,11 +35,6 @@ class QosProfile:
     traffic_class: TrafficClass
     guaranteed_bitrate_kbps: int = 0
 
-    @property
-    def is_default_bearer(self) -> bool:
-        """True for the best-effort profile every data app lands on."""
-        return self.resource_type == "Non-GBR" and self.qci in (6, 8, 9)
-
 
 #: Subset of TS 23.203 Table 6.1.7 covering the classes in paper Table 1.
 QCI_TABLE: dict[int, QosProfile] = {
@@ -87,8 +82,3 @@ def profile_for_application(application: str) -> QosProfile:
             f"known: {sorted(APPLICATION_QCI)}"
         ) from None
     return QCI_TABLE[qci]
-
-
-def default_bearer() -> QosProfile:
-    """The best-effort profile OutRAN targets (QCI 6)."""
-    return QCI_TABLE[6]

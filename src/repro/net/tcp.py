@@ -19,10 +19,6 @@ retransmission dynamics.  The model implements:
 Connection establishment is not simulated (flows model HTTP exchanges on
 warm connections).  Flow completion time is recorded when the *last byte
 arrives at the receiver* -- the paper's FCT definition.
-
-``CubicState`` (and the ``CUBIC_C``/``CUBIC_BETA`` constants) moved to
-``repro.cc.cubic`` when the policy was extracted; they are re-exported
-here for compatibility.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
-from repro.cc.cubic import CUBIC_BETA, CUBIC_C, CubicCC, CubicState
+from repro.cc.cubic import CubicCC
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
 from repro.sim.engine import Event, EventEngine
 
@@ -42,13 +38,7 @@ MIN_RTO_US = 200_000
 MAX_RTO_US = 60_000_000
 DUPACK_THRESHOLD = 3
 
-__all__ = [
-    "CUBIC_BETA",
-    "CUBIC_C",
-    "CubicState",
-    "TcpFlow",
-    "TcpReceiver",
-]
+__all__ = ["TcpFlow", "TcpReceiver"]
 
 
 class TcpFlow:
@@ -119,11 +109,6 @@ class TcpFlow:
     @cwnd_bytes.setter
     def cwnd_bytes(self, value: float) -> None:
         self.cc.cwnd_bytes = value
-
-    @property
-    def cubic(self):
-        """The CubicState of a Cubic-driven flow (compat accessor)."""
-        return self.cc.cubic
 
     # -- sending -----------------------------------------------------------
 

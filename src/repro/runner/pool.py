@@ -156,6 +156,8 @@ class SweepRunner:
         """Run every task once; duplicates (same key) are collapsed."""
         started = time.monotonic()
         outcome = SweepOutcome()
+        if self.store is not None:
+            self.store.sweep_temp()  # what a killed worker left behind
         by_key: dict[str, object] = {}
         for task in tasks:
             by_key.setdefault(task.key(), task)

@@ -9,7 +9,8 @@ Guarantees:
 
 * **Atomic writes** -- payloads are written to a ``.tmp.<pid>`` sibling
   and ``os.replace``d into place, so a reader never sees a torn file and
-  a worker killed mid-write leaves only a temp file (swept up lazily).
+  a worker killed mid-write leaves only a temp file, which the next
+  sweep over the store removes (:meth:`ResultStore.sweep_temp`).
 * **Corruption = miss** -- an unreadable or schema-mismatched entry is
   deleted and reported as a miss; the run is simply re-executed.
 * **Cross-process sharing** -- several workers (or several sweeps) may
@@ -113,13 +114,19 @@ class ResultStore:
     # -- maintenance -----------------------------------------------------------
 
     def sweep_temp(self) -> int:
-        """Delete leftover temp files from crashed writers; return count."""
+        """Delete the temp files of dead writers; return count.
+
+        The suffix after ``.tmp.`` is the writer's pid.  A file whose
+        writer is alive (a concurrent sweep sharing the store, about to
+        ``os.replace`` it) or whose suffix is no pid is left alone.
+        """
         removed = 0
         if not self.root.exists():
             return 0
         for tmp in self.root.glob("*/*.tmp.*"):
-            self._discard(tmp)
-            removed += 1
+            if _is_dead_pid(tmp.name.rpartition(".")[2]):
+                self._discard(tmp)
+                removed += 1
         return removed
 
     def stats(self) -> dict:
@@ -131,6 +138,20 @@ class ResultStore:
             path.unlink()
         except OSError:
             pass
+
+
+def _is_dead_pid(text: str) -> bool:
+    """Whether ``text`` is the pid of a process that no longer exists."""
+    try:
+        pid = int(text)
+        if pid <= 0:  # os.kill would address a process group
+            return False
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (ValueError, OverflowError, OSError):  # no pid / alive, not ours
+        pass
+    return False
 
 
 def as_store(store: Union[None, str, Path, ResultStore]) -> Optional[ResultStore]:

@@ -301,17 +301,6 @@ class CellSimulation:
             ack.ece,
         )
 
-    def _route_late_ack(self, flow_id: int) -> None:
-        """A duplicate reached the UE after its flow retired.
-
-        The receiver would have answered it with one more ACK, which the
-        finished sender ignored.  Only the ACK's flight is kept, so the
-        engine sees the events of a run that retires nothing
-        (``extra["events"]`` is part of the result fingerprint).
-        """
-        delay = self.config.ul_delay_us + self.config.server_delay_us
-        self.engine.schedule_in(delay, self._ack_arrive, flow_id, 0, (), False)
-
     def _ack_arrive(
         self,
         flow_id: int,
@@ -391,10 +380,8 @@ class CellSimulation:
             # the tracer must know which leg finished the flow.
             self.flow_trace.on_delivery(packet, now_us)
         runtime = self._runtimes.get(packet.flow_id)
-        if runtime is not None:
+        if runtime is not None:  # None: a duplicate of a retired flow ends here
             runtime.receiver.on_data(packet, now_us)
-        elif packet.flow_id in self._flow_sizes:
-            self._route_late_ack(packet.flow_id)
 
     def _on_sdu_dequeued(self, sdu: RlcSdu, delay_us: int) -> None:
         self.metrics.on_queue_delay(sdu.packet.flow_id, delay_us)

@@ -31,6 +31,9 @@ The compiled MAC kernel is process state (a module-level ctypes handle),
 not simulation state: checkpoints carry the *array* state and the
 resuming process re-binds the kernel it has, so a checkpoint written on
 a host with the compiled kernel resumes bit-identically on one without.
+
+Identity is judged on the **outcome** of a run (:func:`result_fingerprint`):
+what it simulated, not how many heap entries the host popped on the way.
 """
 
 from __future__ import annotations
@@ -420,48 +423,43 @@ class SimulationSession:
 # -- byte-identity fingerprints -------------------------------------------
 #
 # CI asserts that a stepped/checkpointed/resumed run equals the one-shot
-# path by comparing these canonical payloads.  Wall-clock-derived fields
-# (harvest rates, decision-latency histograms) are
-# stripped: they measure the host, not the simulation.
+# path by comparing these canonical payloads.  They hold the outcome of
+# a run -- what it simulated -- and nothing of how the host got there
+# (docs/ARCHITECTURE.md, "What identity covers"): the ``engine.``
+# telemetry namespace counts heap entries and wall-clock time, and the
+# decision-latency histogram measures the host.
 
-_WALL_CLOCK_GAUGES = (
-    "engine.wall_seconds",
-    "engine.events_per_wall_s",
-    "engine.wall_s_per_sim_s",
-)
-_WALL_CLOCK_HISTOGRAMS = ("mac.tti.decision_latency_us",)
+_HOST_HISTOGRAM = "mac.tti.decision_latency_us"
 
 
 def canonical_telemetry(snapshot: Optional[dict]) -> Optional[dict]:
-    """A telemetry snapshot with host-dependent values removed."""
+    """A telemetry snapshot without the ``engine.`` names and host timings."""
     if snapshot is None:
         return None
-    out = {
-        "counters": dict(snapshot.get("counters", {})),
-        "gauges": {
+    return {
+        section: {
             name: value
-            for name, value in snapshot.get("gauges", {}).items()
-            if name not in _WALL_CLOCK_GAUGES
-        },
-        "histograms": {
-            name: hist
-            for name, hist in snapshot.get("histograms", {}).items()
-            if name not in _WALL_CLOCK_HISTOGRAMS
-        },
+            for name, value in snapshot.get(section, {}).items()
+            if not name.startswith("engine.") and name != _HOST_HISTOGRAM
+        }
+        for section in ("counters", "gauges", "histograms")
     }
-    return out
 
 
 def result_fingerprint_payload(result: SimResult) -> dict:
-    """Deterministic JSON-ready view of everything a run computed.
+    """Deterministic JSON-ready view of the outcome of a run.
 
-    Covers the FCT records, every metrics series, the summary extras,
-    the (canonicalized) telemetry snapshot, and the flow-trace
-    breakdowns -- the full surface the byte-identity guarantee spans.
+    Covers the FCT records, every metrics series, the summary extras
+    that count a simulated thing (``extra["events"]``, the number of
+    heap entries the engine popped, is mechanism and left out), the
+    (canonicalized) telemetry snapshot, and the flow-trace breakdowns --
+    the full surface the byte-identity guarantee spans.
     """
     c = result._c
     extra = {
-        key: value for key, value in result.extra.items() if key != "capacity_bps"
+        key: value
+        for key, value in result.extra.items()
+        if key not in ("capacity_bps", "events")
     }
     extra["capacity_bps"] = repr(result.extra.get("capacity_bps"))
     return {

@@ -17,7 +17,7 @@ singletons.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 #: Default latency bucket upper edges in microseconds (last bucket is
 #: +inf): spans a fast vectorized TTI (~50 us) to a pathological one.
@@ -176,13 +176,6 @@ class TelemetryRegistry:
                 raise ValueError(f"metric {name} already registered as another type")
 
     # -- introspection ---------------------------------------------------
-
-    def namespaces(self) -> set[str]:
-        """First-level name components with at least one metric."""
-        names: Iterable[str] = (
-            *self._counters, *self._gauges, *self._histograms,
-        )
-        return {name.split(".", 1)[0] for name in names}
 
     def snapshot(self) -> dict:
         """JSON-ready view of every metric's current value."""

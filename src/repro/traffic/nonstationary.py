@@ -85,13 +85,6 @@ class NonStationaryLoad:
     def total_duration_s(self) -> float:
         return sum(phase.duration_s for phase in self.phases)
 
-    def mean_load(self) -> float:
-        """Time-weighted average offered load across phases."""
-        return (
-            sum(phase.duration_s * phase.load for phase in self.phases)
-            / self.total_duration_s
-        )
-
     def generate(self, num_ues: int, capacity_bps: float) -> list[FlowSpec]:
         """All arrivals of the whole schedule, time-ordered."""
         flows: list[FlowSpec] = []

@@ -110,18 +110,26 @@ def test_finished_flows_retire(config, duration_s):
     ],
     ids=["lte-um-lossy", "nr-am-lossy"],
 )
-def test_retirement_is_invisible_in_the_result(config, duration_s):
-    """Same fingerprint -- engine event count included -- as a run that
-    retires nothing, on runs where duplicates do reach the UE after their
-    flow retired (the receiver of the unretired run ACKs them itself)."""
+def test_retirement_is_invisible_in_the_result(config, duration_s, monkeypatch):
+    """Same fingerprint as a run that retires nothing, on runs where
+    duplicates do reach the UE after their flow retired.  The receiver of
+    the unretired run ACKs each of them; the retiring run lets them end
+    at the UE, so it processes exactly that many events fewer."""
+    late = []
+    deliver = CellSimulation._deliver_sdu
+
+    def counting_deliver(sim, ue, sdu, now_us):
+        retired = sdu.packet.flow_id not in sim._runtimes
+        failures = ue.pdcp_rx.decipher_failures
+        deliver(sim, ue, sdu, now_us)
+        if retired and ue.pdcp_rx.decipher_failures == failures:
+            late.append(sdu.packet.flow_id)
+
+    monkeypatch.setattr(CellSimulation, "_deliver_sdu", counting_deliver)
 
     def run(retire):
         sim = CellSimulation(config, scheduler="outran")
-        late = []
-        if retire:
-            route = sim._route_late_ack
-            sim._route_late_ack = lambda flow_id: (late.append(flow_id), route(flow_id))
-        else:
+        if not retire:
             def sample_rtt_only(sender, now_us):
                 if sender.srtt_us is not None:
                     sim.metrics.on_rtt_sample(sender.srtt_us)
@@ -129,12 +137,14 @@ def test_retirement_is_invisible_in_the_result(config, duration_s):
             sim._on_sender_done = sample_rtt_only
         result = sim.run(duration_s, drain_s=0.5)
         assert (len(sim._runtimes) < sim.metrics.flows_started) == retire
-        return result_fingerprint(result), len(late)
+        return result
 
-    retired, late_duplicates = run(retire=True)
-    kept, _ = run(retire=False)
-    assert late_duplicates > 0
-    assert retired == kept
+    kept = run(retire=False)
+    assert not late
+    retired = run(retire=True)
+    assert late
+    assert result_fingerprint(retired) == result_fingerprint(kept)
+    assert kept.extra["events"] - retired.extra["events"] == len(late)
 
 
 def test_tracer_keeps_nothing_per_packet():

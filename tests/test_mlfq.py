@@ -131,7 +131,7 @@ class TestMlfqQueue:
         q.push("b", 1, 1)
         q.boost_all()
         assert q.head_level() == 0
-        assert q.bytes_at_level(3) == 0
+        assert q.level_bytes()[3] == 0
         # Order: level order before boost is preserved (b was higher).
         assert q.pop()[0] == "b"
         assert q.pop()[0] == "a"

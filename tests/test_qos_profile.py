@@ -6,7 +6,6 @@ from repro.net.qos_profile import (
     APPLICATION_QCI,
     QCI_TABLE,
     TrafficClass,
-    default_bearer,
     profile_for_application,
 )
 
@@ -33,7 +32,7 @@ class TestTable1:
         applications all land on the same best-effort bearer."""
         profile = profile_for_application(app)
         assert profile.qci == 6
-        assert profile.is_default_bearer
+        assert profile.resource_type == "Non-GBR"
 
     def test_interactive_and_background_same_service(self):
         web = profile_for_application("web_browsing")
@@ -44,9 +43,6 @@ class TestTable1:
     def test_unknown_application(self):
         with pytest.raises(ValueError):
             profile_for_application("quake")
-
-    def test_default_bearer_is_qci6(self):
-        assert default_bearer().qci == 6
 
     def test_qci_table_priorities_unique(self):
         priorities = [p.priority for p in QCI_TABLE.values()]

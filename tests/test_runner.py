@@ -10,6 +10,8 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -37,6 +39,26 @@ TINY = dict(num_ues=2, duration_s=0.4, load=0.5, seed=3)
 
 def tiny_specs(*schedulers: str) -> list:
     return [RunSpec("lte", sched, **TINY) for sched in schedulers]
+
+
+def seed_temp_files(store_root: Path) -> tuple[list[Path], list[Path]]:
+    """What killed and live writers leave in a store: (dead, to be kept)."""
+    gone = subprocess.Popen([sys.executable, "-c", ""])
+    gone.wait()
+    for shard in ("ab", "session-ckpt"):
+        (store_root / shard).mkdir(exist_ok=True)
+    dead = [
+        store_root / "ab" / f"dead.pkl.tmp.{gone.pid}",
+        store_root / "session-ckpt" / f"dead.ckpt.tmp.{gone.pid}",
+    ]
+    kept = [
+        store_root / "ab" / f"live.pkl.tmp.{os.getpid()}",
+        store_root / "ab" / "odd.pkl.tmp.notapid",
+        store_root / "ab" / "odd.pkl.tmp.0",
+    ]
+    for path in dead + kept:
+        path.write_bytes(b"partial")
+    return dead, kept
 
 
 # -- fault-injecting workers (module-level: must pickle into the pool) -------
@@ -211,12 +233,14 @@ class TestResultStore:
             ResultStore(tmp_path).path_for("../evil")
 
     def test_sweep_temp_removes_leftovers(self, tmp_path, result):
+        """Only a dead writer's temp file goes: a live one is about to be
+        ``os.replace``d into place by whoever shares the store."""
         store = ResultStore(tmp_path)
         store.put("ab" + "2" * 62, result)
-        leftover = tmp_path / "ab" / "dead.pkl.tmp.123"
-        leftover.write_bytes(b"partial")
-        assert store.sweep_temp() == 1
-        assert not leftover.exists()
+        dead, kept = seed_temp_files(tmp_path)
+        assert store.sweep_temp() == len(dead)
+        assert not any(path.exists() for path in dead)
+        assert all(path.exists() for path in kept)
 
     def test_as_store_coercion(self, tmp_path):
         assert as_store(None) is None
@@ -270,6 +294,17 @@ class TestSweepExecution:
         assert [r.avg_fct_ms() for r in second.in_order(specs)] == [
             r.avg_fct_ms() for r in first.in_order(specs)
         ]
+
+    def test_sweep_clears_what_killed_workers_left(self, tmp_path):
+        """``execute`` sweeps the store once, and a store holding both a
+        dead and a live writer's temp files still completes its sweep."""
+        dead, kept = seed_temp_files(tmp_path)
+        specs = tiny_specs("pf", "outran")
+        outcome = run_sweep(specs, jobs=2, store=tmp_path)
+        assert outcome.stats.executed == 2 and not outcome.failures
+        assert not any(path.exists() for path in dead)
+        assert all(path.exists() for path in kept)
+        assert len(ResultStore(tmp_path)) == 2
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):

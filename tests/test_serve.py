@@ -33,6 +33,13 @@ SPEC = {
 #: instrumentation on both sides.
 BARE = dict(SPEC, telemetry=False)
 
+#: Observers put events of their own on the engine; the fingerprint is
+#: the outcome of the run, so they finish with the offline bytes too.
+OBSERVERS = [
+    pytest.param({"heartbeat_s": 0.05}, id="heartbeat"),
+    pytest.param({"ric": {"xapps": ["noop"]}}, id="noop-ric"),
+]
+
 
 def offline_fingerprint() -> str:
     spec = RunSpec(rat="lte", **SPEC)
@@ -79,9 +86,9 @@ WRONG_TYPED = [
 
 
 class TestControllerLifecycle:
-    def test_create_start_step_finish(self):
+    def test_create_start_step_finish(self, observer={}):
         ctl = ServeController()
-        created = ctl.create_session(dict(BARE))
+        created = ctl.create_session(dict(BARE, **observer))
         sid = created["id"]
         assert created["state"] == "new"
         assert created["spec"]["scheduler"] == "outran"
@@ -92,6 +99,10 @@ class TestControllerLifecycle:
         assert done["state"] == "finished"
         assert done["result"]["completed_flows"] > 0
         assert done["fingerprint"] == offline_fingerprint()
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    def test_observed_session_finishes_with_the_offline_bytes(self, observer):
+        self.test_create_start_step_finish(observer)
 
     def test_finish_is_idempotent_over_api(self):
         ctl = ServeController()
@@ -296,8 +307,10 @@ class TestHttpEndToEnd:
         except urllib.error.HTTPError as exc:
             return exc.code, json.loads(exc.read())
 
-    def test_full_session_over_http(self, server, tmp_path):
-        st, created = self.request(server, "POST", "/sessions", dict(BARE))
+    def test_full_session_over_http(self, server, tmp_path, observer={}):
+        st, created = self.request(
+            server, "POST", "/sessions", dict(BARE, **observer)
+        )
         assert st == 200
         sid = created["id"]
         assert self.request(server, "POST", f"/sessions/{sid}/start")[0] == 200
@@ -326,6 +339,10 @@ class TestHttpEndToEnd:
             server, "POST", f"/sessions/{resumed['id']}/finish"
         )
         assert st == 200 and done2["fingerprint"] == done["fingerprint"]
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    def test_observed_session_over_http(self, server, tmp_path, observer):
+        self.test_full_session_over_http(server, tmp_path, observer)
 
     def test_http_error_mapping(self, server):
         assert self.request(server, "GET", "/sessions/zzz")[0] == 404

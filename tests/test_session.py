@@ -8,6 +8,8 @@ through `result_fingerprint`, the same canonical hash CI's serve-smoke
 job uses.
 """
 
+import copy
+import dataclasses
 import json
 import pickle
 import pickletools
@@ -189,6 +191,65 @@ class TestByteIdentity:
         """CellSimulation.run() (deprecated path) routes through a session."""
         result = one_shot()
         assert result.completed_flows > 0
+
+
+class TestIdentityIsTheOutcome:
+    """``result_fingerprint`` covers what a run simulated, not how many
+    heap entries the host popped to simulate it (docs/ARCHITECTURE.md,
+    "What identity covers")."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        cfg = SimConfig.lte_default(num_ues=3, load=0.5, seed=5)
+        return CellSimulation(
+            cfg, scheduler="outran", telemetry=TelemetryRegistry()
+        ).run(DURATION_S)
+
+    @pytest.mark.parametrize(
+        "section,name,moves",
+        [
+            ("extra", "events", False),
+            ("counters", "engine.events_processed", False),
+            ("gauges", "engine.queue_depth", False),
+            ("extra", "tbs_lost", True),
+            ("counters", "tcp.retransmits", True),
+        ],
+    )
+    def test_only_outcome_values_are_hashed(self, result, section, name, moves):
+        changed = copy.deepcopy(result)
+        values = changed.extra if section == "extra" else changed.telemetry[section]
+        values[name] += 1
+        assert (result_fingerprint(changed) != result_fingerprint(result)) == moves
+
+    def test_one_fct_record_moves_the_hash(self, result):
+        changed = copy.deepcopy(result)
+        records = changed._c.records
+        records[0] = dataclasses.replace(records[0], end_us=records[0].end_us + 1)
+        assert result_fingerprint(changed) != result_fingerprint(result)
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_observers_are_invisible_to_identity(self, telemetry):
+        """A heartbeat and a no-op RIC put events of their own on the
+        engine and change nothing the run computes."""
+
+        def run(observe):
+            cfg = SimConfig.lte_default(num_ues=3, load=0.5, seed=5)
+            session = SimulationSession.from_config(
+                cfg, "outran", duration_s=DURATION_S,
+                telemetry=TelemetryRegistry() if telemetry else None,
+            )
+            observe(session)
+            return session.start().finish()
+
+        results = [
+            run(lambda session: None),
+            run(lambda session: session.sim.attach_heartbeat(
+                period_s=0.05, emit=[].append
+            )),
+            run(lambda session: session.attach_ric(xapps=["noop"])),
+        ]
+        assert len({result_fingerprint(r) for r in results}) == 1
+        assert len({r.extra["events"] for r in results}) == 3
 
 
 class TestHypothesisStepBoundaries:
@@ -380,6 +441,14 @@ class TestGoldenCheckpoint:
         result = session.finish()
         assert result_fingerprint(result) == expected["fingerprint"]
         assert result.completed_flows == expected["completed_flows"]
+        # ...which is also what the same case gives in one go today.
+        cfg = SimConfig.lte_default(
+            rlc_mode=expected["rlc_mode"], **expected["config"]
+        )
+        fresh = CellSimulation(cfg, scheduler=expected["scheduler"]).run(
+            expected["duration_s"]
+        )
+        assert result_fingerprint(fresh) == expected["fingerprint"]
 
 
 class TestRicOnSessions:

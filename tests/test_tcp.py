@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cc import CubicState
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
-from repro.net.tcp import CubicState, TcpFlow, TcpReceiver
+from repro.net.tcp import TcpFlow, TcpReceiver
 from repro.sim.engine import EventEngine
 
 FT = FiveTuple(1, 2, 443, 5000)
@@ -116,7 +117,7 @@ class TestLossRecovery:
         sender, _, _, _ = run_flow(
             12 * DEFAULT_MSS, drop_seqs=(drop,), initial_cwnd=12
         )
-        assert sender.cubic.ssthresh_bytes < 1e12  # recovery entered
+        assert sender.cc.cubic.ssthresh_bytes < 1e12  # recovery entered
 
     def test_rto_recovers_tail_loss(self):
         # Drop the final segment: no dupacks possible, RTO must fire.

@@ -117,12 +117,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.histogram("h", edges=(1, 3))
 
-    def test_namespaces(self):
-        reg = TelemetryRegistry()
-        reg.counter("mac.ttis_run")
-        reg.gauge("engine.queue_depth")
-        assert reg.namespaces() == {"mac", "engine"}
-
     def test_snapshot_and_reset(self):
         reg = TelemetryRegistry()
         reg.counter("c").inc(3)
