@@ -6,7 +6,6 @@ from repro.phy.channel import ChannelModel, UeChannel
 from repro.phy.mobility import RandomWalkMobility, StaticMobility
 from repro.phy.scenarios import ChannelScenario, SCENARIOS
 from repro.phy.interference import hexagonal_neighbors, interference_mw
-from repro.phy.tbs import transport_block_bits
 
 __all__ = [
     "Numerology",
@@ -20,7 +19,6 @@ __all__ = [
     "StaticMobility",
     "ChannelScenario",
     "SCENARIOS",
-    "transport_block_bits",
     "hexagonal_neighbors",
     "interference_mw",
 ]

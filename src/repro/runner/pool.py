@@ -28,10 +28,9 @@ so the result set is a pure function of the task list -- serial
 (``jobs=1``) and parallel execution produce identical results, and
 figure text rendered from them is byte-identical.
 
-Progress rides the telemetry subsystem: the runner maintains counters
-and gauges (``runner.*``) in the registry it is given and emits a
-``[heartbeat]``-style sweep-progress line every ``progress_period_s``
-wall seconds.
+Progress: the runner keeps its counts in :class:`SweepStats`
+(``SweepOutcome.stats``) and emits a ``[heartbeat]``-style sweep-progress
+line every ``progress_period_s`` wall seconds.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 from repro.sim.metrics import SimResult
-from repro.telemetry import NULL_REGISTRY, TelemetryRegistry
 from repro.runner.store import ResultStore, as_store
 from repro.runner.worker import run_spec
 
@@ -132,7 +130,6 @@ class SweepRunner:
         max_attempts: int = 3,
         backoff_base_s: float = 0.05,
         run_timeout_s: Optional[float] = None,
-        telemetry: TelemetryRegistry = NULL_REGISTRY,
         progress: Union[None, TextIO, Callable[[str], None]] = None,
         progress_period_s: float = 10.0,
     ) -> None:
@@ -146,7 +143,6 @@ class SweepRunner:
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self.run_timeout_s = run_timeout_s
-        self.telemetry = telemetry
         self._progress = progress
         self.progress_period_s = progress_period_s
 
@@ -171,7 +167,6 @@ class SweepRunner:
                 outcome.stats.store_hits += 1
             else:
                 pending.append(key)
-        self.telemetry.counter("runner.store_hits").inc(outcome.stats.store_hits)
 
         if pending:
             if self.jobs == 1:
@@ -180,7 +175,6 @@ class SweepRunner:
                 self._execute_parallel(pending, by_key, outcome)
 
         outcome.stats.elapsed_s = time.monotonic() - started
-        self.telemetry.gauge("runner.in_flight").set(0)
         self._emit_progress(outcome, in_flight=0, force=True)
         return outcome
 
@@ -240,7 +234,6 @@ class SweepRunner:
 
         def rebuild_pool(reason: str) -> ProcessPoolExecutor:
             outcome.stats.pool_breaks += 1
-            self.telemetry.counter("runner.pool_breaks").inc()
             crashed = list(in_flight.values())
             in_flight.clear()
             deadlines.clear()
@@ -271,7 +264,6 @@ class SweepRunner:
                 else:
                     while ready and len(in_flight) < self.jobs * 2:
                         submit(ready.popleft())
-                self.telemetry.gauge("runner.in_flight").set(len(in_flight))
                 if not in_flight:
                     # Everything outstanding is backing off; sleep to the
                     # earliest retry time.
@@ -333,7 +325,6 @@ class SweepRunner:
     def _record_success(self, key: str, result: SimResult, outcome: SweepOutcome) -> None:
         outcome.results[key] = result
         outcome.stats.executed += 1
-        self.telemetry.counter("runner.executed").inc()
         # The worker persisted before returning; mirror serial/in-parent
         # execution for store=None workers that could not.
         if self.store is not None and key not in self.store:
@@ -350,13 +341,11 @@ class SweepRunner:
         """Record one failed attempt; return True if the run should retry."""
         if attempt < self.max_attempts:
             outcome.stats.retries += 1
-            self.telemetry.counter("runner.retries").inc()
             return True
         outcome.failures[key] = RunFailure(
             task=task, attempts=attempt, error=f"{type(error).__name__}: {error}"
         )
         outcome.stats.quarantined += 1
-        self.telemetry.counter("runner.quarantined").inc()
         return False
 
     # -- progress -------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -41,6 +42,11 @@ def _check_override(name: str, value: Any) -> None:
             f"override {name!r} must be a JSON scalar for stable hashing, "
             f"got {type(value).__name__}"
         )
+
+
+def _is_number(value: Any, kinds=(int, float)) -> bool:
+    """Whether ``value`` is one of ``kinds`` and not a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class RunSpec:
         if self.rat not in ("lte", "nr"):
             raise ValueError(f"rat must be 'lte' or 'nr': {self.rat!r}")
         from repro.traffic.distributions import distribution_by_name
-        from repro.traffic.generator import MAX_LOAD
+        from repro.traffic.generator import MAX_LOAD, MAX_UES
         from repro.traffic.workloads import WORKLOADS
 
         if not isinstance(self.scheduler, str):
@@ -81,15 +87,19 @@ class RunSpec:
                     f"distribution must be a string: {self.distribution!r}"
                 )
             distribution_by_name(self.distribution)
-        # A comparison with NaN or an infinity is false, so this is also
-        # the finiteness check.
-        if (
-            isinstance(self.load, bool)
-            or not isinstance(self.load, (int, float))
-            or not 0.0 < self.load < MAX_LOAD
-        ):
+        # A comparison with NaN or an infinity is false, so the range
+        # checks are also the finiteness checks.
+        if not (_is_number(self.load) and 0.0 < self.load < MAX_LOAD):
             raise ValueError(
                 f"load must be a number in (0, {MAX_LOAD:g}): {self.load!r}"
+            )
+        if not (_is_number(self.duration_s) and 0.0 < self.duration_s < math.inf):
+            raise ValueError(
+                f"duration_s must be a finite number > 0: {self.duration_s!r}"
+            )
+        if not (_is_number(self.num_ues, int) and 1 <= self.num_ues <= MAX_UES):
+            raise ValueError(
+                f"num_ues must be an integer in 1..{MAX_UES}: {self.num_ues!r}"
             )
         if self.workload not in WORKLOADS:
             raise ValueError(

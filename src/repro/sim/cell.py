@@ -124,8 +124,8 @@ class CellSimulation:
     ) -> None:
         self.config = config
         self.engine = EventEngine()
-        #: Telemetry registry (``True`` creates a fresh one; the default is
-        #: the shared no-op registry, so instrumentation costs nothing).
+        #: Telemetry registry the end of the run harvests into (``True``
+        #: creates a fresh one; the default None is off).
         self.telemetry = coerce_registry(telemetry)
         #: Per-flow lifecycle tracer (``True`` creates a fresh one; the
         #: default None leaves every emit point behind an ``is not None``
@@ -133,8 +133,9 @@ class CellSimulation:
         #: stream).
         self.flow_trace = coerce_flow_tracer(flow_trace, config.air_delay_us)
         self._heartbeat: Optional[Heartbeat] = None
-        self._run_wall_ns = 0
         self.scheduler = make_scheduler(scheduler, config)
+        if self.telemetry is not None and hasattr(self.scheduler, "collect_stats"):
+            self.scheduler.collect_stats = True
         self._use_mlfq = _uses_mlfq(self.scheduler, config)
         self._rng = np.random.default_rng(config.seed)
         self.channel = ChannelModel(
@@ -165,7 +166,6 @@ class CellSimulation:
             self.engine,
             self.metrics,
             np.random.default_rng(config.seed + 2),
-            telemetry=self.telemetry,
         )
         #: Endpoints of the flows whose sender has not finished; a flow
         #: retires (``_on_sender_done``) into ``_retired_tcp`` below.
@@ -450,7 +450,8 @@ class CellSimulation:
         if self._heartbeat is not None:
             self._heartbeat.stop()
         self._harvest_counters()
-        self._harvest_telemetry()
+        if self.telemetry is not None:
+            self._harvest_telemetry(self.telemetry)
         self._harvested = True
 
     def _build_result(self) -> SimResult:
@@ -572,8 +573,8 @@ class CellSimulation:
         return self.flow_trace.event_count
 
     def telemetry_snapshot(self) -> Optional[dict]:
-        """Registry snapshot (None when telemetry is disabled)."""
-        if not self.telemetry.enabled:
+        """Registry snapshot (None when telemetry is off)."""
+        if self.telemetry is None:
             return None
         return self.telemetry.snapshot()
 
@@ -583,46 +584,26 @@ class CellSimulation:
         The end-of-run path folds lifetime counters into the attached
         registry exactly once; a live scrape instead harvests the same
         pure reads into a throwaway registry, so it can run any number of
-        times without perturbing the final accounting.  Works even with
-        telemetry disabled -- the scrape pays the harvest cost, the
-        simulation hot paths pay nothing.
+        times without perturbing the final accounting, and two scrapes at
+        one simulated position are equal.  Works with telemetry off too:
+        the scrape pays the harvest cost, the running cell pays nothing.
         """
-        if self._harvested and self.telemetry.enabled:
-            return self.telemetry_snapshot() or {}
+        if self._harvested and self.telemetry is not None:
+            return self.telemetry_snapshot()
         live = TelemetryRegistry()
         self._harvest_telemetry(live)
-        snapshot = live.snapshot()
-        if self.telemetry.enabled:
-            # Live-instrumented metrics (per-TTI latency histograms) exist
-            # only in the attached registry; overlay them.
-            snapshot["histograms"].update(self.telemetry.snapshot()["histograms"])
-        return snapshot
+        return live.snapshot()
 
-    def _harvest_telemetry(self, reg: Optional[TelemetryRegistry] = None) -> None:
-        """Fold every layer's lifetime counters into the registry.
+    def _harvest_telemetry(self, reg: TelemetryRegistry) -> None:
+        """Fold every layer's lifetime counters into ``reg``.
 
-        Pure reads: harvesting cannot perturb the simulation, and the
-        plain-integer counters it collects cost the hot paths nothing when
-        telemetry is disabled.  ``reg`` overrides the attached registry
-        (live scrapes harvest into a throwaway one).
+        Pure reads of simulated state: harvesting cannot perturb the
+        simulation, and what it writes is the same for every host that
+        ran the same seed.
         """
-        if reg is None:
-            reg = self.telemetry
-        if not reg.enabled:
-            return
         # engine --------------------------------------------------------
-        stats = self.engine.stats()
-        reg.counter("engine.events_processed").inc(stats["events_processed"])
-        reg.gauge("engine.queue_depth").set(stats["queue_depth"])
-        wall_s = self._run_wall_ns / 1e9
-        reg.gauge("engine.wall_seconds").set(wall_s)
-        if wall_s > 0:
-            reg.gauge("engine.events_per_wall_s").set(
-                stats["events_processed"] / wall_s
-            )
-            reg.gauge("engine.wall_s_per_sim_s").set(
-                wall_s / max(stats["now_us"] / 1e6, 1e-9)
-            )
+        reg.counter("engine.events_processed").inc(self.engine.events_processed)
+        reg.gauge("engine.queue_depth").set(self.engine.pending())
         # MAC -----------------------------------------------------------
         self.enb.harvest_telemetry(reg)
         # RLC / PDCP / MLFQ ---------------------------------------------

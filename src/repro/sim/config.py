@@ -83,10 +83,6 @@ class SimConfig:
     ul_delay_slots: int = 8
     #: Transport-block error probability (AM case study uses > 0).
     radio_bler: float = 0.0
-    #: Transport-block sizing: "per_rb" (idealized sum of per-RB rates),
-    #: "worst_rb" (conservative single-MCS link adaptation), or
-    #: "mean_rb" (mean-CQI link adaptation).  See repro.phy.tbs.
-    link_adaptation: str = "per_rb"
     #: MAC-layer HARQ (fast retransmission of failed transport blocks).
     harq_enabled: bool = True
     harq_rtt_ttis: int = 8
@@ -133,10 +129,9 @@ class SimConfig:
             raise ValueError(
                 f"unknown rlc_overflow_policy: {self.rlc_overflow_policy!r}"
             )
-        if self.link_adaptation not in ("per_rb", "worst_rb", "mean_rb"):
-            raise ValueError(
-                f"unknown link_adaptation: {self.link_adaptation!r}"
-            )
+        for name in ("server_delay_us", "air_delay_slots", "ul_delay_slots"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
         from repro.cc import AQM_NAMES, CC_NAMES
         from repro.traffic.workloads import TRAFFIC_KINDS
 

@@ -16,7 +16,6 @@ Every TTI the :class:`XNodeB`:
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.mac.harq import HarqEntity
 from repro.mac.kernels import SchedArrays
 from repro.mac.scheduler import MacScheduler
 from repro.phy.channel import ChannelModel
-from repro.phy.tbs import transport_block_bits
 from repro.rlc.am import AmStatus
 from repro.rlc.pdu import RlcPdu
 from repro.sim.config import SimConfig
@@ -35,7 +33,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import UeContext
 from repro.telemetry.flowtrace import FlowTracer
-from repro.telemetry.registry import TelemetryRegistry, coerce_registry
+from repro.telemetry.registry import TelemetryRegistry
 
 
 class XNodeB:
@@ -50,7 +48,6 @@ class XNodeB:
         engine: EventEngine,
         metrics: MetricsCollector,
         rng: np.random.Generator,
-        telemetry: Optional[TelemetryRegistry] = None,
     ) -> None:
         self.config = config
         self.scheduler = scheduler
@@ -60,7 +57,6 @@ class XNodeB:
         self.metrics = metrics
         self._rng = rng
         self._rates = channel.rate_matrix_bits()
-        self._cqi = channel.cqi_matrix()
         # The clairvoyant baselines declare the oracle columns they read;
         # nothing is refreshed for a scheduler that declares none.
         self._oracle = bool(scheduler.oracle_columns)
@@ -98,16 +94,6 @@ class XNodeB:
         self.tbs_lost = 0
         #: Optional per-TTI scheduling trace (attach via enable_trace()).
         self.trace: SchedulingTrace | None = None
-        self._tel = coerce_registry(telemetry)
-        # Decision-latency histogram only when telemetry is live (the two
-        # perf_counter_ns stamps per TTI are skipped entirely otherwise).
-        self._lat_hist = (
-            self._tel.histogram("mac.tti.decision_latency_us")
-            if self._tel.enabled
-            else None
-        )
-        if self._tel.enabled and hasattr(scheduler, "collect_stats"):
-            scheduler.collect_stats = True
 
     def enable_trace(self) -> SchedulingTrace:
         """Start recording per-TTI scheduling decisions."""
@@ -129,8 +115,6 @@ class XNodeB:
     def refresh_rates(self) -> None:
         """Recompute the rate matrix after a CQI reporting instant."""
         self._rates = self.channel.rate_matrix_bits()
-        if self.config.link_adaptation != "per_rb":
-            self._cqi = self.channel.cqi_matrix()
 
     # -- ingress (packets arriving from the core network) ---------------------
 
@@ -194,35 +178,17 @@ class XNodeB:
         owner = None
         grant_bits = np.zeros(len(self.ues))
         if backlogged:
-            if self._lat_hist is not None:
-                t0 = perf_counter_ns()
-                owner = self.scheduler.allocate(self._rates, table, now)
-                self._lat_hist.observe((perf_counter_ns() - t0) / 1e3)
-            else:
-                owner = self.scheduler.allocate(self._rates, table, now)
+            owner = self.scheduler.allocate(self._rates, table, now)
             valid = owner >= 0
             if valid.any():
                 rb_idx = np.nonzero(valid)[0]
                 owners = owner[rb_idx]
-                if self.config.link_adaptation == "per_rb":
-                    grant_bits = np.bincount(
-                        owners,
-                        weights=self._rates[owners, rb_idx],
-                        minlength=len(self.ues),
-                    ).astype(float)
-                else:
-                    cqi_table = self.channel.cqi_table
-                    re_per_rb = self.config.grid.data_re_per_rb()
-                    for ue_index in np.unique(owners):
-                        owned = rb_idx[owners == ue_index]
-                        grant_bits[ue_index] = transport_block_bits(
-                            self.config.link_adaptation,
-                            self._rates[ue_index],
-                            self._cqi[ue_index],
-                            owned,
-                            cqi_table,
-                            re_per_rb,
-                        )
+                # A UE's grant is the sum of the per-RB rates it owns.
+                grant_bits = np.bincount(
+                    owners,
+                    weights=self._rates[owners, rb_idx],
+                    minlength=len(self.ues),
+                ).astype(float)
                 for ue_index in np.nonzero(grant_bits)[0]:
                     if self._flowtrace is not None:
                         since = since_us[ue_index]
@@ -323,19 +289,12 @@ class XNodeB:
 
     # -- telemetry -------------------------------------------------------------
 
-    def harvest_telemetry(self, reg=None) -> None:
-        """Fold the MAC layer's lifetime counters into the registry.
+    def harvest_telemetry(self, reg: TelemetryRegistry) -> None:
+        """Fold the MAC layer's lifetime counters into ``reg``.
 
-        Called once, at the end of a run; counters accumulate when several
-        cells share one registry (multi-cell runs, benchmark suites).
-        Passing ``reg`` harvests into that registry instead of the
-        attached one -- live mid-run scrapes use a throwaway registry so
-        the end-of-run harvest still starts from zero.
+        Pure reads; the cell decides which registry (its own at the end
+        of a run, a throwaway one for a live scrape).
         """
-        if reg is None:
-            reg = self._tel
-        if not reg.enabled:
-            return
         reg.counter("mac.ttis_run").inc(self.ttis_run)
         reg.counter("mac.tbs_lost").inc(self.tbs_lost)
         if self._harq is not None:

@@ -56,7 +56,6 @@ class EventEngine:
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self.now_us: int = 0
-        self._running = False
         self.events_processed: int = 0
 
     @property
@@ -89,13 +88,10 @@ class EventEngine:
         """Process events in order until the clock reaches ``end_us``.
 
         The clock is left exactly at ``end_us`` even when the queue drains
-        early, so back-to-back ``run_until`` calls observe monotonic time.
+        early, so back-to-back ``run_until`` calls never see it run backwards.
         """
-        self._running = True
         queue = self._queue
-        while queue and self._running:
-            if queue[0][0] > end_us:
-                break
+        while queue and queue[0][0] <= end_us:
             time_us, _, fn, args = heapq.heappop(queue)
             if fn is None:
                 continue
@@ -104,36 +100,10 @@ class EventEngine:
             fn(*args)
         if self.now_us < end_us:
             self.now_us = end_us
-        self._running = False
-
-    def run(self) -> None:
-        """Process every pending event (including ones newly scheduled)."""
-        self._running = True
-        queue = self._queue
-        while queue and self._running:
-            time_us, _, fn, args = heapq.heappop(queue)
-            if fn is None:
-                continue
-            self.now_us = time_us
-            self.events_processed += 1
-            fn(*args)
-        self._running = False
-
-    def stop(self) -> None:
-        """Stop the loop after the currently executing event returns."""
-        self._running = False
 
     def pending(self) -> int:
         """Number of queued events, including cancelled tombstones."""
         return len(self._queue)
-
-    def stats(self) -> dict:
-        """Telemetry-harvest view of the loop's lifetime counters."""
-        return {
-            "events_processed": self.events_processed,
-            "queue_depth": len(self._queue),
-            "now_us": self.now_us,
-        }
 
 
 class PeriodicTask:

@@ -32,7 +32,7 @@ class PooledResult:
             raise ValueError("need at least one cell result")
         self.cells = list(results)
         #: Pooled telemetry snapshot: counters accumulate across cells
-        #: (the cells share one registry); None when not instrumented.
+        #: (the cells share one registry); None when telemetry is off.
         self.telemetry = telemetry
 
     @property

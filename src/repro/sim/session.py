@@ -21,11 +21,10 @@ uninterrupted one.  Two properties make that hold:
 * ``EventEngine.run_until(t)`` leaves the clock exactly at ``t`` even
   when the queue drains early, so splitting one ``run_until`` into many
   is invisible to event ordering; sessions only ever pause *between*
-  ``run_until`` slices (never via ``engine.stop()``, which would jump
-  the clock).
+  ``run_until`` slices.
 * Every callback held by long-lived simulation state is a bound method
   or :func:`functools.partial` -- no closures -- so pickling needs no
-  custom machinery beyond stream/singleton handling in telemetry.
+  custom machinery beyond the heartbeat's stream handling.
 
 The compiled MAC kernel is process state (a module-level ctypes handle),
 not simulation state: checkpoints carry the *array* state and the
@@ -41,10 +40,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 from pathlib import Path
-from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import microseconds
@@ -56,7 +55,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 class SessionError(RuntimeError):
@@ -81,10 +80,10 @@ class SimulationSession:
         duration_s: float,
         drain_s: float = 2.0,
     ) -> None:
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive: {duration_s}")
-        if drain_s < 0:
-            raise ValueError(f"drain must be non-negative: {drain_s}")
+        if not 0 < duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive: {duration_s}")
+        if not 0 <= drain_s < math.inf:
+            raise ValueError(f"drain_s must be finite and non-negative: {drain_s}")
         self.sim = sim
         self.duration_s = duration_s
         self.drain_s = drain_s
@@ -180,9 +179,7 @@ class SimulationSession:
         else:
             target = self._end_us
         target = min(max(target, self.now_us), self._end_us)
-        t0 = perf_counter_ns()
         self.sim.engine.run_until(target)
-        self.sim._run_wall_ns += perf_counter_ns() - t0
         self._steps += 1
         return self.progress()
 
@@ -426,24 +423,27 @@ class SimulationSession:
 # path by comparing these canonical payloads.  They hold the outcome of
 # a run -- what it simulated -- and nothing of how the host got there
 # (docs/ARCHITECTURE.md, "What identity covers"): the ``engine.``
-# telemetry namespace counts heap entries and wall-clock time, and the
-# decision-latency histogram measures the host.
-
-_HOST_HISTOGRAM = "mac.tti.decision_latency_us"
+# telemetry namespace counts heap entries, which is mechanism; every
+# other name in a snapshot is outcome.
 
 
 def canonical_telemetry(snapshot: Optional[dict]) -> Optional[dict]:
-    """A telemetry snapshot without the ``engine.`` names and host timings."""
+    """A telemetry snapshot without the ``engine.`` names."""
     if snapshot is None:
         return None
-    return {
+    canonical = {
         section: {
             name: value
-            for name, value in snapshot.get(section, {}).items()
-            if not name.startswith("engine.") and name != _HOST_HISTOGRAM
+            for name, value in snapshot[section].items()
+            if not name.startswith("engine.")
         }
-        for section in ("counters", "gauges", "histograms")
+        for section in ("counters", "gauges")
     }
+    # Snapshots once had a third section, which always hashed as empty; the
+    # key stays in the payload so that every fingerprint pinned for a run
+    # with a registry attached (golden files, perf history) still matches.
+    canonical["histograms"] = {}
+    return canonical
 
 
 def result_fingerprint_payload(result: SimResult) -> dict:

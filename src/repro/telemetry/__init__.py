@@ -1,15 +1,15 @@
-"""Unified telemetry: counters/gauges/histograms, heartbeats, flow traces.
+"""Unified telemetry: counters/gauges, heartbeats, flow traces.
 
 The subsystem has five pieces, all dependency-free:
 
 * :mod:`repro.telemetry.registry` -- a :class:`TelemetryRegistry` of named
-  counters, gauges, and fixed-bucket histograms.  The :data:`NULL_REGISTRY`
-  singleton implements the same interface as no-ops, so instrumented code
-  never branches on "is telemetry on?" in cold paths.
+  counters and gauges, filled by harvesting the plain integers the layers
+  keep; ``None`` is "off".
 * :mod:`repro.telemetry.exporters` -- snapshot serialization to JSON and
   Prometheus-style text exposition.
 * :mod:`repro.telemetry.heartbeat` -- a periodic run-health line (sim
-  time, events/s, active flows, trace memory) for long runs.
+  time, events/s, active flows, trace memory) for long runs; the one
+  place in the package that reads a host clock.
 * :mod:`repro.telemetry.kpi` -- windowed per-cell KPI snapshots (FCT
   percentiles, queue occupancy, per-MLFQ-level backlog): the indication
   payload of the Near-RT RIC loop (:mod:`repro.ric`).
@@ -23,13 +23,7 @@ touches an RNG or mutates simulator state, so same-seed runs with and
 without telemetry produce identical results (asserted by the test suite).
 """
 
-from repro.telemetry.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import Counter, Gauge, TelemetryRegistry
 from repro.telemetry.exporters import snapshot_to_json, snapshot_to_prometheus
 from repro.telemetry.flowtrace import (
     COMPONENTS,
@@ -46,8 +40,6 @@ __all__ = [
     "TelemetryRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
-    "NULL_REGISTRY",
     "snapshot_to_json",
     "snapshot_to_prometheus",
     "Heartbeat",

@@ -46,9 +46,7 @@ def snapshot_to_prometheus(
 ) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
-    Counters and gauges become single samples; histograms become the
-    conventional cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count``.
+    Every counter and gauge becomes one ``# TYPE`` line and one sample.
     """
     lines: list[str] = []
     for name, value in snapshot.get("counters", {}).items():
@@ -59,16 +57,6 @@ def snapshot_to_prometheus(
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_prom_value(value)}")
-    for name, hist in snapshot.get("histograms", {}).items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for edge, count in zip(hist["edges"], hist["counts"]):
-            cumulative += count
-            lines.append(f'{prom}_bucket{{le="{edge:g}"}} {cumulative}')
-        lines.append(f'{prom}_bucket{{le="+Inf"}} {hist["count"]}')
-        lines.append(f"{prom}_sum {_prom_value(hist['sum'])}")
-        lines.append(f"{prom}_count {hist['count']}")
     text = "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)

@@ -1,7 +1,7 @@
 """Per-flow FCT provenance tracing: span events and latency breakdown.
 
 OutRAN's whole argument is about *where* flow completion time is spent.
-The aggregate counters/histograms of :mod:`repro.telemetry.registry`
+The aggregate counters and gauges of :mod:`repro.telemetry.registry`
 answer "how slow is the p99" but not "why is *this* flow's p99 high".
 The :class:`FlowTracer` answers that question: it records timestamped
 events as each flow's bytes cross TCP -> core transport -> PDCP -> RLC ->

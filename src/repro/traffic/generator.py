@@ -24,6 +24,8 @@ from repro.traffic.distributions import EmpiricalDistribution
 SHORT_FLOW_BYTES = 10_000
 #: Cell loads are fractions of the cell capacity in ``(0, MAX_LOAD)``.
 MAX_LOAD = 4.0
+#: Most UEs a declared run may ask for (the largest committed cell has 200).
+MAX_UES = 1_000
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ TOY = ["--ues", "3", "--duration", "0.5"]
 COMPARE = ["run", "--compare", "pf", "outran", "srjf", *TOY]
 
 #: Output flag -> suffix of the stored copy of the file it writes.
-STORED = {"--json": ".json", "--ric-report": ".ric-report.json"}
+STORED = {"--json": ".json", "--ric-report": ".ric-report.json",
+          "--telemetry": ".telemetry.json"}
 
 #: case name -> (argv, output flags whose file is stored with the stdout)
 CASES = {
@@ -52,6 +53,9 @@ CASES = {
                      ("--json",)),
     "run-ric-hillclimb": (["run", "--ric", "--ric-period", "50", *TOY],
                           ("--json", "--ric-report")),
+    # The snapshot is a function of the run: nothing in it is host time.
+    "run-telemetry": (["run", "--rlc-mode", "am", "--bler", "0.1", *TOY],
+                      ("--json", "--telemetry")),
     "explain-pf-outran": (["explain", "--scheduler", "pf", "outran", *TOY],
                           ("--json",)),
     "help-root": (["--help"], ()),

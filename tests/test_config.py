@@ -39,3 +39,17 @@ class TestRefusedValues:
     def test_transparent_mode_is_not_an_option(self):
         with pytest.raises(ValueError, match="rlc_mode"):
             SimConfig.lte_default(num_ues=2, rlc_mode="tm")
+
+    def test_link_adaptation_is_not_a_field(self):
+        with pytest.raises(TypeError, match="link_adaptation"):
+            SimConfig.lte_default(num_ues=2, link_adaptation="worst_rb")
+
+    @pytest.mark.parametrize(
+        "name", ["server_delay_us", "air_delay_slots", "ul_delay_slots"]
+    )
+    def test_negative_delay_rejected(self, name):
+        """Refused where it enters, not as `negative delay` at the first
+        event a started run schedules."""
+        with pytest.raises(ValueError, match=name):
+            SimConfig.lte_default(num_ues=2, **{name: -1})
+        assert getattr(SimConfig.lte_default(num_ues=2, **{name: 0}), name) == 0

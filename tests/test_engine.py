@@ -16,6 +16,10 @@ from repro.sim.engine import (
     seconds,
 )
 
+#: Later than anything a test below schedules: ``run_until`` to here
+#: drains the queue.
+HORIZON_US = 1_000_000
+
 
 class TestConversions:
     def test_seconds(self):
@@ -39,7 +43,7 @@ class TestScheduling:
         engine.schedule_at(30, fired.append, "c")
         engine.schedule_at(10, fired.append, "a")
         engine.schedule_at(20, fired.append, "b")
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert fired == ["a", "b", "c"]
 
     def test_same_time_fifo_order(self):
@@ -47,20 +51,20 @@ class TestScheduling:
         fired = []
         for tag in range(5):
             engine.schedule_at(100, fired.append, tag)
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_schedule_in_is_relative(self):
         engine = EventEngine()
         seen = []
         engine.schedule_at(50, lambda: engine.schedule_in(25, lambda: seen.append(engine.now_us)))
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert seen == [75]
 
     def test_schedule_into_past_raises(self):
         engine = EventEngine()
         engine.schedule_at(10, lambda: None)
-        engine.run()
+        engine.run_until(HORIZON_US)
         with pytest.raises(ValueError):
             engine.schedule_at(5, lambda: None)
 
@@ -74,7 +78,7 @@ class TestScheduling:
         fired = []
         event = engine.schedule_at(10, fired.append, "x")
         event.cancel()
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert fired == []
 
     def test_events_scheduled_during_run_fire(self):
@@ -87,14 +91,14 @@ class TestScheduling:
                 engine.schedule_in(10, chain, n + 1)
 
         engine.schedule_at(0, chain, 0)
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert fired == [0, 1, 2, 3]
 
     def test_events_processed_counter(self):
         engine = EventEngine()
         for t in range(5):
             engine.schedule_at(t, lambda: None)
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert engine.events_processed == 5
 
 
@@ -121,19 +125,6 @@ class TestRunUntil:
         engine.schedule_at(1000, fired.append, "edge")
         engine.run_until(1000)
         assert fired == ["edge"]
-
-    def test_stop_halts_processing(self):
-        engine = EventEngine()
-        fired = []
-
-        def first():
-            fired.append(1)
-            engine.stop()
-
-        engine.schedule_at(1, first)
-        engine.schedule_at(2, fired.append, 2)
-        engine.run()
-        assert fired == [1]
 
     def test_monotonic_now_across_runs(self):
         engine = EventEngine()
@@ -180,7 +171,7 @@ def test_property_fire_order_matches_sorted_times(times):
     fired = []
     for t in times:
         engine.schedule_at(t, lambda t=t: fired.append(t))
-    engine.run()
+    engine.run_until(HORIZON_US)
     assert fired == sorted(times)
 
 
@@ -246,7 +237,7 @@ def test_property_interleaved_schedule_cancel_run(ops):
             )
         assert recorder.fired == expected
         assert engine.pending() == sum(not row[2] for row in model)
-    engine.run()
+    engine.run_until(HORIZON_US)
     expected += sorted(
         (row[0], tag) for tag, row in enumerate(model) if not row[1] and not row[2]
     )
@@ -273,7 +264,7 @@ def test_cancelled_handle_lets_go_of_fn_and_args():
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert engine.pending() == 1
-    engine.run()
+    engine.run_until(HORIZON_US)
     assert engine.pending() == 0 and engine.events_processed == 0
 
 
@@ -296,7 +287,7 @@ class TestEngineEdges:
             later.cancel()
 
         engine.schedule_at(10, first)
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert fired == ["early"]
 
     def test_pending_counts_tombstones(self):
@@ -304,5 +295,5 @@ class TestEngineEdges:
         event = engine.schedule_at(10, lambda: None)
         event.cancel()
         assert engine.pending() == 1
-        engine.run()
+        engine.run_until(HORIZON_US)
         assert engine.pending() == 0

@@ -60,6 +60,14 @@ def test_noop_xapp_is_invisible():
     assert stored("run-ric-noop.json") == stored("run-lte-default.json")
 
 
+def test_telemetry_is_invisible_and_has_two_sections():
+    assert stored("run-telemetry.stdout.txt") == stored("run-am-lossy.stdout.txt")
+    assert stored("run-telemetry.json") == stored("run-am-lossy.json")
+    assert set(json.loads(stored("run-telemetry.telemetry.json"))) == {
+        "counters", "gauges",
+    }
+
+
 def test_explain_takes_cc_flags_and_equals_the_spec_session(tmp_path, capsys):
     """`explain --cc/--ecn-k/--workload` is the same run a spec describes."""
     scale = ["--ues", "3", "--load", "0.8", "--duration", "0.5", "--seed", "42"]

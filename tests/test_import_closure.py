@@ -174,3 +174,29 @@ def test_every_module_is_on_a_committed_path():
 
     modules = {m for m in files if not is_package(m)}
     assert modules - reached == OFF_PATH_ALLOWED
+
+
+#: The packages a cell executes while it runs.
+SIMULATED = {"sim", "mac", "rlc", "pdcp", "net", "cc", "core", "phy", "traffic"}
+#: The modules outside them that read a host clock, each with what for;
+#: ``serve/`` may (lock and join timeouts), cost is ``benchmarks/perf``'s.
+CLOCK_READERS = {
+    "telemetry/heartbeat.py",  # the live rate on the health line
+    "runner/pool.py",  # worker deadlines, retry backoff, progress period
+}
+
+
+def test_the_simulated_stack_reads_no_host_clock():
+    """Static walk: nothing a running cell executes imports ``time``, so
+    nothing it records (telemetry, results, checkpoints) can depend on
+    the host that ran it."""
+    readers = {
+        path.relative_to(SRC / "repro").as_posix()
+        for path in (SRC / "repro").rglob("*.py")
+        if any(
+            module.split(".")[0] == "time"
+            for module, _ in _imports(ast.parse(path.read_text()))
+        )
+    }
+    assert {r for r in readers if r.split("/")[0] in SIMULATED} == set()
+    assert {r for r in readers if not r.startswith("serve/")} == CLOCK_READERS

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import CellSimulation, SimConfig
 from repro.core.outran import OutranScheduler
 from repro.mac.bsr import BufferStatusReport
 from repro.mac.pf import (
@@ -295,3 +296,27 @@ class TestExpPf:
         cfg = SimConfig.lte_default(num_ues=2)
         assert make_scheduler("mlwdf", cfg).name == "mlwdf"
         assert make_scheduler("exppf", cfg).name == "exppf"
+
+
+class TestBetScheduler:
+    def test_bet_equalizes_service(self):
+        from repro.mac.bsr import BufferStatusReport
+        from repro.mac.pf import BlindEqualThroughputScheduler
+        from repro.mac.scheduler import UeSchedState
+
+        bet = BlindEqualThroughputScheduler()
+        ues = []
+        for i in range(2):
+            ue = UeSchedState(i, i)
+            ue.bsr = BufferStatusReport(ue_id=i, total_bytes=1000)
+            ues.append(ue)
+        ues[0].ewma_bps = 1e7
+        ues[1].ewma_bps = 1e5
+        rates = np.array([[1000.0], [10.0]])  # channel-blind: 1 still wins
+        owner = bet.allocate(rates, ues, 0)
+        assert owner[0] == 1
+
+    def test_bet_available_via_factory(self):
+        cfg = SimConfig.lte_default(num_ues=3, load=0.4, seed=2)
+        res = CellSimulation(cfg, scheduler="bet").run(duration_s=1.0)
+        assert res.completed_flows > 0

@@ -31,7 +31,7 @@ from repro.runner import (
 )
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
-from repro.telemetry import TelemetryRegistry
+from repro.traffic.generator import MAX_UES
 
 #: Tiny-but-real simulation scale so every test stays fast.
 TINY = dict(num_ues=2, duration_s=0.4, load=0.5, seed=3)
@@ -135,6 +135,22 @@ class TestRunSpec:
     def test_bad_rat_rejected(self):
         with pytest.raises(ValueError):
             RunSpec("wifi", "pf")
+
+    @pytest.mark.parametrize("field,value", [
+        ("duration_s", float("inf")), ("duration_s", float("nan")),
+        ("duration_s", 0), ("duration_s", "1"), ("duration_s", True),
+        ("num_ues", 0), ("num_ues", MAX_UES + 1), ("num_ues", 2.5),
+        ("num_ues", True),
+    ])
+    def test_scale_out_of_range_rejected(self, field, value):
+        """A run that could not start (or never return) is refused where
+        it is declared, and validation leaves the store keys alone."""
+        with pytest.raises(ValueError, match=field):
+            RunSpec("lte", "pf", **{field: value})
+        assert RunSpec("lte", "pf", num_ues=MAX_UES).num_ues == MAX_UES
+        assert RunSpec("lte", "pf").key() == (
+            "ee9968091cc32f92d0407e106070d925affe2e79f95388b865d7b85825f01d37"
+        )
 
     def test_to_config_matches_direct_construction(self):
         spec = RunSpec(
@@ -310,11 +326,16 @@ class TestSweepExecution:
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
 
-    def test_telemetry_counters_maintained(self, tmp_path):
-        registry = TelemetryRegistry()
-        run_sweep(tiny_specs("pf"), jobs=1, store=tmp_path, telemetry=registry)
-        names = dict(registry.snapshot()["counters"])
-        assert names.get("runner.executed") == 1
+    def test_stats_count_what_the_sweep_did(self, tmp_path):
+        """``SweepOutcome.stats`` is the one record of a sweep's counts."""
+        first = run_sweep(tiny_specs("pf"), jobs=1, store=tmp_path).stats
+        assert (first.total, first.executed, first.store_hits) == (1, 1, 0)
+        again = run_sweep(tiny_specs("pf"), jobs=1, store=tmp_path).stats
+        assert (again.total, again.executed, again.store_hits) == (1, 0, 1)
+        assert set(again.as_dict()) == {
+            "total", "store_hits", "executed", "retries", "pool_breaks",
+            "quarantined", "elapsed_s",
+        }
 
     def test_progress_lines_emitted(self, tmp_path):
         lines = []

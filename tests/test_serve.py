@@ -17,7 +17,11 @@ import pytest
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_spec
 from repro.serve import ApiError, ReproServer, ServeController
-from repro.sim.session import result_fingerprint
+from repro.sim.session import (
+    SimulationSession,
+    canonical_telemetry,
+    result_fingerprint,
+)
 
 SPEC = {
     "scheduler": "outran",
@@ -82,6 +86,16 @@ WRONG_TYPED = [
     ("/sessions", dict(SPEC, overrides={"cc": "bbr"}), "bad_spec", "cc"),
     ("/sessions", dict(SPEC, overrides={"rlc_mode": "tm"}), "bad_spec",
      "rlc_mode"),
+    ("/sessions", dict(SPEC, overrides={"link_adaptation": "worst_rb"}),
+     "bad_spec", "link_adaptation"),
+    # 1e400 in a JSON body parses to inf: these two were a 500 (OverflowError),
+    # the negative delay registered a session that could never start, and
+    # the 10^8-UE cell never came back.
+    ("/sessions", dict(SPEC, duration_s=float("inf")), "bad_spec", "duration_s"),
+    ("/sessions", dict(SPEC, drain_s=float("inf")), "bad_spec", "drain_s"),
+    ("/sessions", dict(SPEC, overrides={"server_delay_us": -5}), "bad_spec",
+     "server_delay_us"),
+    ("/sessions", dict(SPEC, num_ues=100_000_000), "bad_spec", "num_ues"),
 ]
 
 
@@ -267,6 +281,45 @@ class TestMetricsAndTelemetry:
         assert desc["telemetry"]["counters"]
         ctl.finish(sid)
 
+    @pytest.mark.parametrize("flow_trace", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"rlc_mode": "am", "radio_bler": 0.1}],
+        ids=["um", "am-lossy"],
+    )
+    def test_one_snapshot_however_the_run_is_driven(
+        self, overrides, flow_trace, tmp_path
+    ):
+        """One-shot, stepped, checkpointed + resumed and served runs of
+        one spec end with the same snapshot outside ``engine.*``."""
+        spec = RunSpec(rat="lte", **SPEC, overrides=overrides)
+
+        def session():
+            return spec.session(telemetry=True, flow_trace=flow_trace).start()
+
+        one_shot = session().finish().telemetry
+        assert set(one_shot) == {"counters", "gauges"}
+
+        stepped = session()
+        for n_ttis in (1, 137, 59, 700):
+            stepped.step(n_ttis=n_ttis)
+        stepped.checkpoint(tmp_path / "mid.ckpt")
+        resumed = SimulationSession.resume(tmp_path / "mid.ckpt")
+        resumed.step(until_us=1_500_000)
+        assert stepped.finish().telemetry == one_shot
+        assert resumed.finish().telemetry == one_shot
+
+        ctl = ServeController(checkpoint_dir=tmp_path)
+        body = dict(SPEC, overrides=overrides, flow_trace=flow_trace,
+                    heartbeat_s=0.05)
+        sid = ctl.create_session(body)["id"]
+        ctl.start(sid)
+        ctl.step(sid, {"n_ttis": 211})
+        ctl.metrics()  # a scrape mid-run takes nothing from the final count
+        ctl.finish(sid)
+        served = ctl.describe(sid, telemetry=True)["telemetry"]
+        assert served != one_shot  # the heartbeat's own events, in engine.*
+        assert canonical_telemetry(served) == canonical_telemetry(one_shot)
+
     def test_heartbeat_lines_surface_in_healthz(self, tmp_path):
         ctl = ServeController(checkpoint_dir=tmp_path)
         sid = ctl.create_session(dict(SPEC, heartbeat_s=0.1))["id"]
@@ -343,6 +396,19 @@ class TestHttpEndToEnd:
     @pytest.mark.parametrize("observer", OBSERVERS)
     def test_observed_session_over_http(self, server, tmp_path, observer):
         self.test_full_session_over_http(server, tmp_path, observer)
+
+    def test_scrapes_repeat_and_the_last_equals_the_offline_snapshot(self, server):
+        sid = self.request(server, "POST", "/sessions", dict(SPEC))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        self.request(server, "POST", f"/sessions/{sid}/step", {"n_ttis": 150})
+        first = self.request(server, "GET", "/metrics")
+        assert first[0] == 200 and "repro_mac_ttis_run 150" in first[1]
+        assert self.request(server, "GET", "/metrics") == first
+        self.request(server, "POST", f"/sessions/{sid}/finish")
+        st, desc = self.request(server, "GET", f"/sessions/{sid}?telemetry=1")
+        offline = RunSpec(rat="lte", **SPEC).session(telemetry=True)
+        assert st == 200
+        assert desc["telemetry"] == offline.start().finish().telemetry
 
     def test_http_error_mapping(self, server):
         assert self.request(server, "GET", "/sessions/zzz")[0] == 404

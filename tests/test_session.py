@@ -30,6 +30,7 @@ from repro.sim.session import (
     CheckpointError,
     SessionError,
     SimulationSession,
+    canonical_telemetry,
     result_fingerprint,
     result_fingerprint_payload,
 )
@@ -107,6 +108,11 @@ class TestStateMachine:
             SimulationSession(make_sim(), 0.0)
         with pytest.raises(ValueError):
             SimulationSession(make_sim(), 1.0, drain_s=-1.0)
+        # 1e400 in a JSON body: refused here, not an OverflowError later.
+        with pytest.raises(ValueError, match="duration_s"):
+            SimulationSession(make_sim(), float("inf"))
+        with pytest.raises(ValueError, match="drain_s"):
+            SimulationSession(make_sim(), 1.0, drain_s=float("inf"))
 
     def test_step_argument_validation(self):
         session = SimulationSession(make_sim(), DURATION_S).start()
@@ -221,6 +227,27 @@ class TestIdentityIsTheOutcome:
         values[name] += 1
         assert (result_fingerprint(changed) != result_fingerprint(result)) == moves
 
+    def test_every_name_outside_engine_moves_the_hash(self, result):
+        """The rule is one prefix: ``engine.*`` is mechanism, every other
+        name a real snapshot carries is outcome."""
+        assert set(result.telemetry) == {"counters", "gauges"}
+        baseline = result_fingerprint(result)
+        names = [(s, n) for s, values in result.telemetry.items() for n in values]
+        assert len(names) > 30
+        for section, name in names:
+            changed = copy.deepcopy(result)
+            changed.telemetry[section][name] += 1
+            moved = result_fingerprint(changed) != baseline
+            assert moved == (not name.startswith("engine.")), name
+
+    def test_canonical_telemetry_drops_engine_names_and_nothing_else(self, result):
+        canonical = canonical_telemetry(result.telemetry)
+        for section, values in result.telemetry.items():
+            kept = {n: v for n, v in values.items() if not n.startswith("engine.")}
+            assert canonical.pop(section) == kept and len(kept) < len(values)
+        # What is left is the empty section pinned fingerprints were cut with.
+        assert canonical == {"histograms": {}}
+
     def test_one_fct_record_moves_the_hash(self, result):
         changed = copy.deepcopy(result)
         records = changed._c.records
@@ -306,8 +333,10 @@ class TestCheckpointFormat:
         # crossing stamps on Packet, v5 graphs the one MAC row per UE
         # (CellSimulation, XNodeB, UeContext), v6 graphs the one fader and
         # the one copy of the radio state (ChannelModel, UeChannel,
-        # UeContext, FlowRuntime): refuse, never half-load.
-        for version in (1, 2, 3, 4, 5, 6):
+        # UeContext, FlowRuntime), v7 graphs the registry that is None when
+        # off and has no third section (CellSimulation, XNodeB,
+        # EventEngine, TelemetryRegistry): refuse, never half-load.
+        for version in (1, 2, 3, 4, 5, 6, 7):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())

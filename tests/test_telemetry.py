@@ -1,9 +1,9 @@
 """Tests for the telemetry subsystem: registry, exporters,
 heartbeat, simulation wiring, and the observability invariants.
 
-The load-bearing invariant: enabling telemetry must never
-change simulation outcomes (same seed => identical results), and the
-disabled path must be a true no-op.
+The load-bearing invariants: enabling telemetry must never change
+simulation outcomes (same seed => identical results), and a snapshot is
+a function of the run -- same seed => the same bytes.
 """
 
 import json
@@ -16,15 +16,15 @@ from repro import CellSimulation, SimConfig
 from repro.cli import main
 from repro.sim.engine import EventEngine
 from repro.sim.multicell import MultiCellSimulation
+from repro.sim.session import SimulationSession
 from repro.sim.trace import SchedulingTrace
 from repro.telemetry import (
-    NULL_REGISTRY,
     Heartbeat,
     TelemetryRegistry,
     snapshot_to_json,
     snapshot_to_prometheus,
 )
-from repro.telemetry.registry import Histogram, coerce_registry
+from repro.telemetry.registry import coerce_registry
 
 
 def small_config(**kwargs):
@@ -49,118 +49,33 @@ class TestCounter:
         assert counter.value == 0
 
 
-class TestHistogram:
-    def test_bucket_edges_are_inclusive_upper_bounds(self):
-        hist = Histogram("lat", edges=(10, 20))
-        for value in (5, 10, 15, 20, 25):
-            hist.observe(value)
-        # <=10: {5, 10}; <=20: {15, 20}; overflow: {25}
-        assert hist.counts == [2, 2, 1]
-        assert hist.count == 5
-        assert hist.total == 75
-        assert hist.mean() == 15.0
-
-    def test_empty_mean_is_nan(self):
-        assert np.isnan(Histogram("h", edges=(1,)).mean())
-
-    def test_edges_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(1, 1))
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(2, 1))
-        with pytest.raises(ValueError):
-            Histogram("h", edges=())
-
-    def test_quantile_interpolates_within_buckets(self):
-        hist = Histogram("lat", edges=(10, 20, 40))
-        for value in (5, 5, 15, 15, 15, 15, 35, 35, 35, 35):
-            hist.observe(value)
-        # counts: [2, 4, 4, 0]; ranks are uniform inside each bucket.
-        assert hist.quantile(0.0) == 0.0
-        assert hist.quantile(0.2) == 10.0  # exactly the 2/10 boundary
-        assert hist.quantile(0.5) == pytest.approx(10 + 10 * 3 / 4)
-        assert hist.quantile(1.0) == 40.0
-
-    def test_quantile_overflow_clamps_to_last_edge(self):
-        hist = Histogram("lat", edges=(10,))
-        hist.observe(5)
-        hist.observe(1000)  # overflow bucket
-        assert hist.quantile(0.99) == 10.0
-
-    def test_quantile_empty_is_nan_and_range_checked(self):
-        hist = Histogram("lat", edges=(10,))
-        assert np.isnan(hist.quantile(0.5))
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-        with pytest.raises(ValueError):
-            hist.quantile(-0.1)
-
-
 class TestRegistry:
     def test_memoized_by_name(self):
         reg = TelemetryRegistry()
         assert reg.counter("a.b") is reg.counter("a.b")
         assert reg.gauge("a.g") is reg.gauge("a.g")
-        assert reg.histogram("a.h") is reg.histogram("a.h")
 
     def test_name_collision_across_types(self):
         reg = TelemetryRegistry()
         reg.counter("a.b")
         with pytest.raises(ValueError):
             reg.gauge("a.b")
+        reg.gauge("a.g")
         with pytest.raises(ValueError):
-            reg.histogram("a.b")
-
-    def test_histogram_edge_mismatch_rejected(self):
-        reg = TelemetryRegistry()
-        reg.histogram("h", edges=(1, 2))
-        with pytest.raises(ValueError):
-            reg.histogram("h", edges=(1, 3))
+            reg.counter("a.g")
 
     def test_snapshot_and_reset(self):
         reg = TelemetryRegistry()
         reg.counter("c").inc(3)
         reg.gauge("g").set(1.5)
-        reg.histogram("h", edges=(10,)).observe(4)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"c": 3}
-        assert snap["gauges"] == {"g": 1.5}
-        assert snap["histograms"]["h"] == {
-            "edges": [10.0], "counts": [1, 0], "count": 1, "sum": 4.0,
-            "p50": 5.0, "p95": 9.5, "p99": 9.9,
-        }
+        assert reg.snapshot() == {"counters": {"c": 3}, "gauges": {"g": 1.5}}
         reg.reset()
-        snap = reg.snapshot()
-        assert snap["counters"] == {"c": 0}
-        assert snap["histograms"]["h"]["count"] == 0
-        assert snap["histograms"]["h"]["p99"] is None
+        assert reg.snapshot() == {"counters": {"c": 0}, "gauges": {"g": 0.0}}
 
-
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        assert NULL_REGISTRY.enabled is False
-        assert TelemetryRegistry().enabled is True
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
-    def test_metrics_are_shared_noops(self):
-        counter = NULL_REGISTRY.counter("anything")
-        assert counter is NULL_REGISTRY.counter("something.else")
-        counter.inc(10 ** 9)
-        assert counter.value == 0
-        gauge = NULL_REGISTRY.gauge("g")
-        gauge.set(5)
-        assert gauge.value == 0.0
-        hist = NULL_REGISTRY.histogram("h")
-        hist.observe(1.0)
-        assert hist.count == 0
-
-    def test_coercion(self):
-        assert coerce_registry(None) is NULL_REGISTRY
-        assert coerce_registry(False) is NULL_REGISTRY
-        fresh = coerce_registry(True)
-        assert fresh.enabled and fresh is not NULL_REGISTRY
+    def test_none_is_off(self):
+        assert coerce_registry(None) is None
+        assert coerce_registry(False) is None
+        assert isinstance(coerce_registry(True), TelemetryRegistry)
         reg = TelemetryRegistry()
         assert coerce_registry(reg) is reg
         with pytest.raises(TypeError):
@@ -172,10 +87,6 @@ class TestExporters:
         reg = TelemetryRegistry()
         reg.counter("mac.ttis_run").inc(7)
         reg.gauge("engine.queue_depth").set(3)
-        hist = reg.histogram("mac.tti.decision_latency_us", edges=(10, 20))
-        hist.observe(5)
-        hist.observe(15)
-        hist.observe(99)
         return reg.snapshot()
 
     def test_json_roundtrip_and_file(self, tmp_path):
@@ -190,12 +101,12 @@ class TestExporters:
         assert path.read_text() == text
         assert "# TYPE repro_mac_ttis_run counter" in text
         assert "repro_mac_ttis_run 7" in text
-        assert "repro_engine_queue_depth 3" in text
-        # Buckets are cumulative; +Inf equals the total count.
-        assert 'repro_mac_tti_decision_latency_us_bucket{le="10"} 1' in text
-        assert 'repro_mac_tti_decision_latency_us_bucket{le="20"} 2' in text
-        assert 'repro_mac_tti_decision_latency_us_bucket{le="+Inf"} 3' in text
-        assert "repro_mac_tti_decision_latency_us_count 3" in text
+        assert text == (
+            "# TYPE repro_mac_ttis_run counter\n"
+            "repro_mac_ttis_run 7\n"
+            "# TYPE repro_engine_queue_depth gauge\n"
+            "repro_engine_queue_depth 3.0\n"
+        )
 
 
 class TestHeartbeat:
@@ -237,10 +148,37 @@ class TestSimulationTelemetry:
         assert counters["rlc.tx.pdus_built"] > 0
         assert counters["tcp.packets_sent"] > 0
         assert counters["sim.flows_completed"] > 0
-        assert snap["gauges"]["engine.wall_seconds"] > 0
-        assert snap["histograms"]["mac.tti.decision_latency_us"]["count"] > 0
+        assert set(snap) == {"counters", "gauges"}
         # outran-specific epsilon stats were switched on by the wiring
         assert counters["mac.epsilon.rb_assignments"] > 0
+
+    def test_same_seed_writes_the_same_bytes(self):
+        """Nothing in a snapshot comes from the host: two runs of one
+        seed serialize to the same JSON and the same exposition text."""
+        def run():
+            sim = CellSimulation(
+                small_config(), scheduler="outran", telemetry=True, flow_trace=True
+            )
+            return sim.run(duration_s=0.5).telemetry
+
+        first, second = run(), run()
+        assert snapshot_to_json(first) == snapshot_to_json(second)
+        assert snapshot_to_prometheus(first) == snapshot_to_prometheus(second)
+
+    def test_live_scrape_is_repeatable_and_leaves_the_final_count_alone(self):
+        session = SimulationSession.from_config(
+            small_config(), "outran", duration_s=0.5, telemetry=True
+        ).start()
+        session.step(n_ttis=200)
+        scrapes = [session.sim.live_telemetry_snapshot() for _ in range(2)]
+        assert scrapes[0] == scrapes[1]
+        assert scrapes[0]["counters"]["mac.ttis_run"] == 200
+        final = session.finish().telemetry
+        unscraped = CellSimulation(
+            small_config(), scheduler="outran", telemetry=True
+        ).run(0.5).telemetry
+        assert final == unscraped
+        assert session.sim.live_telemetry_snapshot() == final
 
     def test_disabled_run_has_no_snapshot(self):
         result = CellSimulation(small_config(), scheduler="pf").run(duration_s=0.5)
@@ -323,6 +261,7 @@ class TestCliObservability:
         path = tmp_path / "out.telemetry.json"
         assert main(self.ARGS + ["--telemetry", str(path)]) == 0
         data = json.loads(path.read_text())
+        assert set(data) == {"counters", "gauges"}
         assert data["counters"]["mac.ttis_run"] > 0
         assert data["counters"]["engine.events_processed"] > 0
 
