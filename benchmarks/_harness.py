@@ -36,7 +36,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.runner import ResultStore, RunSpec, SweepRunner
+from repro.runner.pool import SweepRunner
+from repro.runner.spec import RunSpec
+from repro.runner.store import ResultStore
 from repro.sim.metrics import SimResult
 
 QUICK = os.environ.get("REPRO_BENCH_FULL", "0") != "1"

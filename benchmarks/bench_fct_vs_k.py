@@ -21,7 +21,7 @@ pytest-benchmark like every other figure script.  Full scale via
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec
+from repro.runner.spec import RunSpec
 
 from _harness import once, record, scale
 

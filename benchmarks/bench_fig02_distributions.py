@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec
+from repro.runner.spec import RunSpec
 from repro.traffic.distributions import LTE_CELLULAR, MIRAGE_MOBILE_APP
 
 from _harness import once, record

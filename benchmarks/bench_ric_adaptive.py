@@ -23,10 +23,10 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core.mlfq import MlfqConfig
-from repro.ric import HillClimbXApp
+from repro.ric.hillclimb import HillClimbXApp
 from repro.sim.config import SimConfig
 from repro.sim.session import SimulationSession
-from repro.traffic import NonStationaryLoad
+from repro.traffic.nonstationary import NonStationaryLoad
 
 from _harness import improvement_pct, once, record, scale
 

@@ -16,40 +16,30 @@ Quickstart::
     session = SimulationSession.from_config(cfg, "outran", duration_s=5.0)
     result = session.start().finish()
     print(result.fct_summary())
+
+Importing the package loads nothing else: the names below resolve on
+first access, and every other name is imported from the module that
+defines it (``repro.sim.metrics.SimResult``, ``repro.mac.pf...``).
 """
 
-from repro.sim.config import SimConfig
-from repro.sim.cell import CellSimulation, SimResult
-from repro.sim.session import SimulationSession
-from repro.core.outran import OutranScheduler
-from repro.core.mlfq import MlfqQueue, MlfqConfig
-from repro.mac.pf import (
-    MaxThroughputScheduler,
-    ProportionalFairScheduler,
-    RoundRobinScheduler,
-)
-from repro.mac.srjf import SrjfScheduler
-from repro.mac.qos import CqaScheduler, PssScheduler
-from repro.sim.multicell import MultiCellSimulation, PooledResult
-from repro.telemetry import TelemetryRegistry
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "CellSimulation",
-    "SimResult",
-    "SimulationSession",
-    "OutranScheduler",
-    "MlfqQueue",
-    "MlfqConfig",
-    "ProportionalFairScheduler",
-    "MaxThroughputScheduler",
-    "RoundRobinScheduler",
-    "SrjfScheduler",
-    "PssScheduler",
-    "CqaScheduler",
-    "MultiCellSimulation",
-    "PooledResult",
-    "TelemetryRegistry",
-]
+#: Public name -> defining module, imported when the name is first read.
+_LAZY = {
+    "SimConfig": "repro.sim.config",
+    "SimulationSession": "repro.sim.session",
+    "CellSimulation": "repro.sim.cell",
+    "MultiCellSimulation": "repro.sim.multicell",
+    "TelemetryRegistry": "repro.telemetry.registry",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name]), name)
+    return value

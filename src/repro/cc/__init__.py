@@ -4,50 +4,48 @@ The package sits between ``repro.net`` (the TCP mechanics) and
 ``repro.rlc`` (the buffer the AQM watches): senders delegate window
 policy to a :class:`~repro.cc.base.CongestionControl`, and the RLC
 transmitter consults an :class:`~repro.cc.aqm.EcnMarker` when one is
-configured.  ``make_cc`` is the registry the simulation wires through
-``SimConfig.cc`` / ``repro run --cc``.
+configured.  ``make_cc`` / ``make_aqm`` are the registries the simulation
+wires through ``SimConfig.cc`` / ``SimConfig.aqm``; each imports the
+implementation it builds, so validating a name loads none.
 """
 
 from __future__ import annotations
 
-from repro.cc.aqm import AQM_NAMES, EcnMarker, make_aqm
-from repro.cc.base import CongestionControl
-from repro.cc.cubic import CUBIC_BETA, CUBIC_C, CubicCC, CubicState
-from repro.cc.dctcp import DCTCP_G, DctcpCC
-from repro.net.packet import DEFAULT_MSS
+from typing import TYPE_CHECKING, Optional
 
-_CC_REGISTRY = {
-    "cubic": CubicCC,
-    "dctcp": DctcpCC,
-}
+if TYPE_CHECKING:
+    from repro.cc.aqm import EcnMarker
+    from repro.cc.base import CongestionControl
+    from repro.sim.config import SimConfig
+
 #: Valid ``SimConfig.cc`` / ``--cc`` values.
-CC_NAMES = tuple(_CC_REGISTRY)
+CC_NAMES = ("cubic", "dctcp")
+#: Valid ``SimConfig.aqm`` values.
+AQM_NAMES = ("droptail", "red")
 
 
-def make_cc(
-    name: str, mss: int = DEFAULT_MSS, initial_cwnd_segments: int = 10
-) -> CongestionControl:
+def make_cc(name: str, initial_cwnd_segments: int = 10) -> "CongestionControl":
     """Build a congestion controller by registry name."""
-    try:
-        cls = _CC_REGISTRY[name]
-    except KeyError:
+    if name == "cubic":
+        from repro.cc.cubic import CubicCC as cls
+    elif name == "dctcp":
+        from repro.cc.dctcp import DctcpCC as cls
+    else:
         raise ValueError(
             f"unknown congestion control {name!r}; expected one of {CC_NAMES}"
-        ) from None
-    return cls(mss=mss, initial_cwnd_segments=initial_cwnd_segments)
+        )
+    return cls(initial_cwnd_segments=initial_cwnd_segments)
 
 
-__all__ = [
-    "AQM_NAMES",
-    "CC_NAMES",
-    "CUBIC_BETA",
-    "CUBIC_C",
-    "DCTCP_G",
-    "CongestionControl",
-    "CubicCC",
-    "CubicState",
-    "DctcpCC",
-    "EcnMarker",
-    "make_aqm",
-    "make_cc",
-]
+def make_aqm(config: "SimConfig", ue_index: int) -> Optional["EcnMarker"]:
+    """Build the configured marker for one UE (None = drop-tail only)."""
+    if config.aqm == "droptail":
+        return None
+    from repro.cc.aqm import EcnMarker
+
+    return EcnMarker(
+        config.ecn_min_sdus,
+        config.ecn_max_sdus,
+        mark_prob=config.ecn_mark_prob,
+        seed=(config.seed + 13) * 1009 + ue_index,
+    )

@@ -17,13 +17,6 @@ deterministic and the whole object graph picklable for checkpoints.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from repro.sim.config import SimConfig
-
-#: Valid ``SimConfig.aqm`` values.
-AQM_NAMES = ("droptail", "red")
 
 
 class EcnMarker:
@@ -65,15 +58,3 @@ class EcnMarker:
             f"EcnMarker(min={self.min_sdus}, max={self.max_sdus}, "
             f"p={self.mark_prob})"
         )
-
-
-def make_aqm(config: "SimConfig", ue_index: int) -> Optional[EcnMarker]:
-    """Build the configured marker for one UE (None = drop-tail only)."""
-    if config.aqm == "droptail":
-        return None
-    return EcnMarker(
-        config.ecn_min_sdus,
-        config.ecn_max_sdus,
-        mark_prob=config.ecn_mark_prob,
-        seed=(config.seed + 13) * 1009 + ue_index,
-    )

@@ -47,10 +47,10 @@ from typing import Optional, Sequence
 from repro.analysis.compare import comparison_table
 from repro.analysis.tables import format_table
 from repro.cc import CC_NAMES
-from repro.runner import RunSpec, SweepRunner, SweepSpec
+from repro.runner.spec import RunSpec, SweepSpec
 from repro.sim.cell import SCHEDULER_NAMES
 from repro.sim.metrics import SimResult
-from repro.telemetry import snapshot_to_json, snapshot_to_prometheus
+from repro.telemetry.exporters import snapshot_to_json, snapshot_to_prometheus
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -221,7 +221,7 @@ def _per_scheduler_path(base: str, scheduler: str, multi: bool) -> str:
 def _print_workload_metrics(result: SimResult, workload: str) -> None:
     """Per-workload quality metrics below the FCT summary."""
     if workload == "rpc":
-        from repro.traffic import rpc_latencies_ms
+        from repro.traffic.workloads import rpc_latencies_ms
 
         latencies = rpc_latencies_ms(result)
         if latencies:
@@ -232,7 +232,7 @@ def _print_workload_metrics(result: SimResult, workload: str) -> None:
                 f"p95 {p95:.1f} ms"
             )
     elif workload == "video":
-        from repro.traffic import video_rebuffer_ratio
+        from repro.traffic.workloads import video_rebuffer_ratio
 
         ratio = video_rebuffer_ratio(result)
         if ratio is not None:
@@ -371,6 +371,8 @@ def run_main(args: argparse.Namespace) -> int:
                 "(observability needs the simulation in-process; run serially)"
             )
         # --compare over the sweep runner: N workers, identical output.
+        from repro.runner.pool import SweepRunner
+
         specs = [_spec_from_args(args, name) for name in schedulers]
         runner = SweepRunner(jobs=args.jobs, store=None, progress=sys.stderr)
         outcome = runner.execute(specs).raise_on_failure()
@@ -519,6 +521,8 @@ def sweep_main(args: argparse.Namespace) -> int:
         sweep.validate()  # fail fast, before the worker pool spins up
     except (OSError, ValueError, TypeError) as exc:
         args.error(f"bad sweep spec {args.spec!r}: {exc}")
+    from repro.runner.pool import SweepRunner
+
     specs = sweep.expand()
     runner = SweepRunner(
         jobs=args.jobs,
@@ -614,8 +618,8 @@ def serve_main(args: argparse.Namespace) -> int:
     """``python -m repro serve``: run the session control server."""
     import asyncio
 
-    from repro.serve import ReproServer, ServeController
-    from repro.serve.controller import DEFAULT_CHUNK_TTIS
+    from repro.serve.controller import DEFAULT_CHUNK_TTIS, ServeController
+    from repro.serve.http import ReproServer
 
     controller = ServeController(chunk_ttis=args.chunk_ttis or DEFAULT_CHUNK_TTIS)
     server = ReproServer(controller, host=args.host, port=args.port)

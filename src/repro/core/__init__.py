@@ -1,22 +1,1 @@
 """OutRAN's contribution: intra-user MLFQ + inter-user epsilon scheduling."""
-
-from repro.core.flow_table import FlowTable, FlowState
-from repro.core.mlfq import MlfqConfig, MlfqQueue
-from repro.core.thresholds import geometric_thresholds, optimize_thresholds
-from repro.core.inter_user import relaxed_candidates, reselect_users
-from repro.core.outran import OutranScheduler
-from repro.core.handover import export_flow_state, import_flow_state
-
-__all__ = [
-    "FlowTable",
-    "FlowState",
-    "MlfqConfig",
-    "MlfqQueue",
-    "geometric_thresholds",
-    "optimize_thresholds",
-    "relaxed_candidates",
-    "reselect_users",
-    "OutranScheduler",
-    "export_flow_state",
-    "import_flow_state",
-]

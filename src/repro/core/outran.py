@@ -34,6 +34,8 @@ DEFAULT_EPSILON = 0.2
 class OutranScheduler(MacScheduler):
     """Epsilon-relaxed inter-user flow scheduler over a legacy metric."""
 
+    intra_user_mlfq = True
+
     def __init__(
         self,
         legacy: Optional[MetricScheduler] = None,

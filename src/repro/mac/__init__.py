@@ -1,32 +1,1 @@
 """MAC layer: per-TTI RB allocation and the scheduler zoo."""
-
-from repro.mac.scheduler import MacScheduler, MetricScheduler, UeSchedState
-from repro.mac.gbr import GbrConfig, GbrReservingScheduler
-from repro.mac.harq import HarqEntity, HarqProcess
-from repro.mac.pf import (
-    BlindEqualThroughputScheduler,
-    MaxThroughputScheduler,
-    ProportionalFairScheduler,
-    RoundRobinScheduler,
-)
-from repro.mac.srjf import SrjfScheduler
-from repro.mac.qos import CqaScheduler, PssScheduler
-from repro.mac.bsr import BufferStatusReport
-
-__all__ = [
-    "MacScheduler",
-    "MetricScheduler",
-    "UeSchedState",
-    "ProportionalFairScheduler",
-    "MaxThroughputScheduler",
-    "RoundRobinScheduler",
-    "BlindEqualThroughputScheduler",
-    "GbrConfig",
-    "GbrReservingScheduler",
-    "HarqEntity",
-    "HarqProcess",
-    "SrjfScheduler",
-    "PssScheduler",
-    "CqaScheduler",
-    "BufferStatusReport",
-]

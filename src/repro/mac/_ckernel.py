@@ -14,8 +14,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +41,10 @@ def _compile(source: str) -> Optional[Path]:
     so_path = cache / f"owner_kernel_{digest}.so"
     if so_path.exists():
         return so_path
+    # A cache miss is the only path that needs the compiler tooling.
+    import subprocess
+    import tempfile
+
     try:
         cache.mkdir(parents=True, exist_ok=True)
         with tempfile.NamedTemporaryFile(

@@ -87,6 +87,11 @@ class MacScheduler(ABC):
     #: scheduler's.
     oracle_columns: tuple[str, ...] = ()
 
+    #: Whether the UEs' RLC buffers drain in MLFQ order under this
+    #: scheduler (OutRAN's intra-user half) unless ``SimConfig.use_mlfq``
+    #: says otherwise.
+    intra_user_mlfq: bool = False
+
     @abstractmethod
     def allocate(self, rates: np.ndarray, ues: UeTable, now_us: int) -> np.ndarray:
         """Return ``owner`` of shape ``(num_rbs,)``: UE index or -1.

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
-from repro.cc.cubic import CubicCC
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
 from repro.sim.engine import Event, EventEngine
 
@@ -43,6 +42,12 @@ __all__ = ["TcpFlow", "TcpReceiver"]
 
 class TcpFlow:
     """Sending side of one downlink flow, living at the remote server."""
+
+    #: ``(deadline_us, rank)`` the queued RTO timer re-queues itself at
+    #: when it comes up; None while the timer is the deadline.  A class
+    #: default, so a sender resumed from a checkpoint that predates the
+    #: lazy timer reads "the timer is the deadline" -- which it was.
+    _rto_due: Optional[tuple[int, int]] = None
 
     def __init__(
         self,
@@ -75,12 +80,12 @@ class TcpFlow:
         self.snd_una = 0  # lowest unacknowledged byte
         self.snd_nxt = 0  # next new byte to send
         self.max_sent = 0  # highest byte ever transmitted
+        if cc is None:
+            from repro.cc.cubic import CubicCC
+
+            cc = CubicCC(mss=mss, initial_cwnd_segments=initial_cwnd_segments)
         #: Window policy; holds cwnd_bytes (Cubic unless injected).
-        self.cc: CongestionControl = (
-            cc
-            if cc is not None
-            else CubicCC(mss=mss, initial_cwnd_segments=initial_cwnd_segments)
-        )
+        self.cc: CongestionControl = cc
         self.dupacks = 0
         self.recovery_point: Optional[int] = None
         #: SACK scoreboard: merged, sorted, disjoint byte intervals the
@@ -91,6 +96,7 @@ class TcpFlow:
         self.rttvar_us: float = 0.0
         self.rto_us = 1_000_000
         self.rto_backoff = 1
+        #: The one queued retransmission timer (see ``_arm_rto``).
         self._rto_event: Optional[Event] = None
         self._send_times: dict[int, int] = {}  # seq -> send time (RTT samples)
         self.done = False
@@ -332,17 +338,42 @@ class TcpFlow:
     # -- RTO -----------------------------------------------------------------
 
     def _arm_rto(self) -> None:
+        """(Re)start the retransmission timer from now.
+
+        One heap entry per sender, not one per ACK: a queued timer that
+        comes up no later than the new deadline is left alone and
+        re-queues itself then (``_on_rto``); only a deadline that moved
+        *earlier* costs a cancel and a push.  Every arm reserves the rank
+        an eager push would take and the entry that fires carries the last
+        arm's, so same-microsecond order against TTI ticks and other
+        senders' timers is that of one push per arm.
+        """
+        if self.done or self.snd_una >= self.size_bytes:
+            self._cancel_rto()
+            return
+        timer = self._rto_event
+        rank = self.engine.reserve_rank()
+        deadline = self.engine.now_us + self.rto_us * self.rto_backoff
+        if timer is not None:
+            if timer[0] <= deadline:
+                self._rto_due = (deadline, rank)
+                return
+            timer.cancel()
+        self._rto_due = None
+        self._rto_event = self.engine.schedule_ranked(deadline, rank, self._on_rto)
+
+    def _cancel_rto(self) -> None:
         if self._rto_event is not None:
             self._rto_event.cancel()
-            self._rto_event = None
-        if self.done or self.snd_una >= self.size_bytes:
-            return
-        self._rto_event = self.engine.schedule_in(
-            self.rto_us * self.rto_backoff, self._on_rto
-        )
+            self._rto_event = self._rto_due = None
 
     def _on_rto(self) -> None:
         if self.done:
+            return
+        due = self._rto_due
+        if due is not None:  # came up early: the deadline moved on since
+            self._rto_due = None
+            self._rto_event = self.engine.schedule_ranked(*due, self._on_rto)
             return
         self._rto_event = None
         self.rto_firings += 1
@@ -373,9 +404,7 @@ class TcpFlow:
 
     def _finish(self, now_us: int) -> None:
         self.done = True
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._cancel_rto()
         if self.on_sender_done is not None:
             self.on_sender_done(self, now_us)
 

@@ -1,5 +1,1 @@
 """PDCP layer: header inspection, SN numbering, ciphering."""
-
-from repro.pdcp.entity import PdcpEntity, PdcpReceiver, CipheredPdu
-
-__all__ = ["PdcpEntity", "PdcpReceiver", "CipheredPdu"]

@@ -113,7 +113,7 @@ class UeChannel:
             )
         else:
             sinr = rx_dbm - noise_dbm - scenario.interference_margin_db
-        return float(np.clip(sinr, scenario.sinr_floor_db, scenario.sinr_cap_db))
+        return float(min(max(sinr, scenario.sinr_floor_db), scenario.sinr_cap_db))
 
     def _row(self, matrix: np.ndarray) -> np.ndarray:
         row = matrix[self._index]
@@ -152,6 +152,9 @@ class ChannelModel:
         self._mean_sinr = np.empty(0)
         self._sinr_db = np.empty((0, grid.num_subbands))
         self._cqi = np.empty((0, grid.num_subbands), dtype=np.int64)
+        # While UEs are being added the three are views of these buffers,
+        # which double when full: U calls copy O(U) rows, not O(U^2).
+        self._room: Optional[tuple[np.ndarray, ...]] = None
         # Cell-wide fader, built at the first update_all after an add_ue.
         self._fader: Optional[_Ar1Fader] = None
         self._last_update_s = 0.0
@@ -170,15 +173,23 @@ class ChannelModel:
         shadowing_db = np.random.default_rng(self._rng.integers(2**63)).normal(
             scale=self.scenario.shadowing_std_db
         )
-        channel = UeChannel(
-            self, len(self.ue_channels), ue_id, mobility, shadowing_db
-        )
+        index = len(self.ue_channels)
+        channel = UeChannel(self, index, ue_id, mobility, shadowing_db)
         self.ue_channels.append(channel)
-        mean = channel.mean_sinr_db()
-        row = np.full((1, self.grid.num_subbands), mean)
-        self._mean_sinr = np.append(self._mean_sinr, mean)
-        self._sinr_db = np.concatenate([self._sinr_db, row])
-        self._cqi = np.concatenate([self._cqi, self.cqi_table.from_sinr_db(row)])
+        room = self._room
+        if room is None or index == len(room[0]):
+            room = self._room = tuple(
+                np.concatenate(
+                    [rows, np.empty((max(index, 8), *rows.shape[1:]), rows.dtype)]
+                )
+                for rows in (self._mean_sinr, self._sinr_db, self._cqi)
+            )
+        means, sinr_db, cqi = room
+        means[index] = sinr_db[index] = channel.mean_sinr_db()
+        cqi[index] = self.cqi_table.from_sinr_db(sinr_db[index])
+        self._mean_sinr, self._sinr_db, self._cqi = (
+            rows[: index + 1] for rows in room
+        )
         self._fader = None
         return channel
 
@@ -196,6 +207,7 @@ class ChannelModel:
                 self._cqi.shape, self.scenario.doppler_hz(), self._rng
             )
             self._last_update_s = self._last_mobility_s = now_s
+            self._room = None  # the steps below replace what it backs
             return
         dt = now_s - self._last_update_s
         if dt <= 0:

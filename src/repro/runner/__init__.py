@@ -18,38 +18,11 @@ on-disk content-hash-keyed :class:`ResultStore`:
 See ``docs/RUNNER.md`` for the sweep-spec format, store layout, and
 resume semantics.  Quickstart::
 
-    from repro.runner import RunSpec, run_sweep
+    from repro.runner.pool import run_sweep
+    from repro.runner.spec import RunSpec
     specs = [RunSpec("lte", sched, load=0.7, num_ues=20, duration_s=4.0)
              for sched in ("pf", "outran")]
     outcome = run_sweep(specs, jobs=4, store="results/.store")
     for spec, result in zip(specs, outcome.in_order(specs)):
         print(spec.label(), result.avg_fct_ms())
 """
-
-from repro.runner.spec import RunSpec, SweepSpec, dedupe
-from repro.runner.store import ResultStore, as_store
-from repro.runner.worker import execute_spec, run_spec
-from repro.runner.pool import (
-    RunFailure,
-    SweepOutcome,
-    SweepRunner,
-    SweepStats,
-    backoff_delay,
-    run_sweep,
-)
-
-__all__ = [
-    "RunSpec",
-    "SweepSpec",
-    "dedupe",
-    "ResultStore",
-    "as_store",
-    "execute_spec",
-    "run_spec",
-    "RunFailure",
-    "SweepOutcome",
-    "SweepRunner",
-    "SweepStats",
-    "backoff_delay",
-    "run_sweep",
-]

@@ -15,21 +15,12 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from repro.cc import make_cc
-from repro.core.outran import DEFAULT_EPSILON, OutranScheduler
-from repro.mac.pf import (
-    BlindEqualThroughputScheduler,
-    MaxThroughputScheduler,
-    ProportionalFairScheduler,
-    RoundRobinScheduler,
-)
-from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
 from repro.mac.scheduler import MacScheduler
-from repro.mac.srjf import SrjfScheduler
 from repro.net.packet import FiveTuple, Packet
 from repro.net.tcp import TcpFlow, TcpReceiver
 from repro.pdcp.entity import CipheredPdu
@@ -39,13 +30,15 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import EventEngine, PeriodicTask, microseconds
 from repro.sim.enb import XNodeB
 from repro.sim.metrics import FctRecord, MetricsCollector, SimResult
-from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import FlowRuntime, UeContext
-from repro.telemetry.flowtrace import FlowTracer, coerce_flow_tracer
-from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 from repro.traffic.generator import FlowSpec
 from repro.traffic.workloads import make_generator
+
+if TYPE_CHECKING:
+    from repro.sim.trace import SchedulingTrace
+    from repro.telemetry.flowtrace import FlowTracer
+    from repro.telemetry.heartbeat import Heartbeat
 
 SERVER_IP = 0x0A00_0001
 UE_IP_BASE = 0x0B00_0000
@@ -54,61 +47,74 @@ UE_IP_BASE = 0x0B00_0000
 _TCP_COUNTERS = ("packets_sent", "retransmits", "rto_firings", "ecn_ce_acks")
 
 
-def _outran(epsilon: float = DEFAULT_EPSILON):
-    """Factory for OutRAN over PF at one epsilon."""
-    return lambda tf: OutranScheduler(ProportionalFairScheduler(tf), epsilon)
-
-
-#: Scheduler name -> factory taking the fairness window in seconds.
-#: ``outran`` is epsilon 0.2 over PF, ``mlfq_strict`` epsilon 1 (the
-#: strict-MLFQ comparison of Figure 7); ``outran:<eps>`` is additionally
-#: accepted for other epsilons.
-_SCHEDULERS = {
-    "pf": ProportionalFairScheduler,
-    "mt": MaxThroughputScheduler,
-    "rr": RoundRobinScheduler,
-    "bet": BlindEqualThroughputScheduler,
-    "srjf": SrjfScheduler,
-    "pss": PssScheduler,
-    "cqa": CqaScheduler,
-    "mlwdf": MlwdfScheduler,
-    "exppf": ExpPfScheduler,
-    "mlfq_strict": _outran(1.0),
-    "outran": _outran(),
-}
-SCHEDULER_NAMES = tuple(_SCHEDULERS)
-
-
-def _scheduler_factory(spec: str):
-    """The factory a name selects, or None when the name is unknown."""
-    name = spec.lower()
-    if name.startswith("outran:"):
-        try:
-            return _outran(float(name.split(":", 1)[1]))
-        except ValueError:
-            return None
-    return _SCHEDULERS.get(name)
+#: Scheduler names.  ``outran`` is epsilon 0.2 over PF, ``mlfq_strict``
+#: epsilon 1 (the strict-MLFQ comparison of Figure 7); ``outran:<eps>`` is
+#: additionally accepted for other epsilons.
+SCHEDULER_NAMES = (
+    "pf", "mt", "rr", "bet", "srjf", "pss", "cqa", "mlwdf", "exppf",
+    "mlfq_strict", "outran",
+)
 
 
 def is_scheduler_name(spec: str) -> bool:
-    """Whether ``make_scheduler`` would accept this name."""
-    return _scheduler_factory(spec) is not None
+    """Whether ``make_scheduler`` would accept this name (loads nothing)."""
+    name = spec.lower()
+    if name.startswith("outran:"):
+        try:
+            float(name.split(":", 1)[1])
+        except ValueError:
+            return False
+        return True
+    return name in SCHEDULER_NAMES
 
 
 def make_scheduler(spec: Union[str, MacScheduler], config: SimConfig) -> MacScheduler:
-    """Build a scheduler from a name (instances pass through)."""
+    """Build a scheduler from a name (instances pass through), importing
+    only the module that implements it."""
     if isinstance(spec, MacScheduler):
         return spec
-    factory = _scheduler_factory(spec)
-    if factory is None:
+    if not is_scheduler_name(spec):
         raise ValueError(f"unknown scheduler {spec!r}")
-    return factory(config.fairness_window_s)
+    name = spec.lower()
+    window_s = config.fairness_window_s
+    if name in ("pf", "mt", "rr", "bet"):
+        from repro.mac import pf
+
+        return {
+            "pf": pf.ProportionalFairScheduler,
+            "mt": pf.MaxThroughputScheduler,
+            "rr": pf.RoundRobinScheduler,
+            "bet": pf.BlindEqualThroughputScheduler,
+        }[name](window_s)
+    if name == "srjf":
+        from repro.mac.srjf import SrjfScheduler
+
+        return SrjfScheduler(window_s)
+    if name in ("pss", "cqa", "mlwdf", "exppf"):
+        from repro.mac import qos
+
+        return {
+            "pss": qos.PssScheduler,
+            "cqa": qos.CqaScheduler,
+            "mlwdf": qos.MlwdfScheduler,
+            "exppf": qos.ExpPfScheduler,
+        }[name](window_s)
+    from repro.core.outran import DEFAULT_EPSILON, OutranScheduler
+    from repro.mac.pf import ProportionalFairScheduler
+
+    if name == "outran":
+        epsilon = DEFAULT_EPSILON
+    elif name == "mlfq_strict":
+        epsilon = 1.0
+    else:
+        epsilon = float(name.split(":", 1)[1])
+    return OutranScheduler(ProportionalFairScheduler(window_s), epsilon)
 
 
 def _uses_mlfq(scheduler: MacScheduler, config: SimConfig) -> bool:
     if config.use_mlfq is not None:
         return config.use_mlfq
-    return isinstance(scheduler, OutranScheduler)
+    return scheduler.intra_user_mlfq
 
 
 class CellSimulation:
@@ -131,7 +137,11 @@ class CellSimulation:
         #: default None leaves every emit point behind an ``is not None``
         #: guard, so untraced runs execute the identical instruction
         #: stream).
-        self.flow_trace = coerce_flow_tracer(flow_trace, config.air_delay_us)
+        self.flow_trace: Optional[FlowTracer] = None
+        if flow_trace is not None and flow_trace is not False:
+            from repro.telemetry.flowtrace import coerce_flow_tracer
+
+            self.flow_trace = coerce_flow_tracer(flow_trace, config.air_delay_us)
         self._heartbeat: Optional[Heartbeat] = None
         self.scheduler = make_scheduler(scheduler, config)
         if self.telemetry is not None and hasattr(self.scheduler, "collect_stats"):
@@ -542,6 +552,8 @@ class CellSimulation:
         """
         if self._heartbeat is not None:
             return self._heartbeat
+        from repro.telemetry.heartbeat import Heartbeat
+
         heartbeat = Heartbeat(
             self.engine,
             period_s=period_s,

@@ -16,24 +16,26 @@ Every TTI the :class:`XNodeB`:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.mac.bsr import IDLE_LEVEL
-from repro.mac.harq import HarqEntity
 from repro.mac.kernels import SchedArrays
 from repro.mac.scheduler import MacScheduler
 from repro.phy.channel import ChannelModel
-from repro.rlc.am import AmStatus
 from repro.rlc.pdu import RlcPdu
 from repro.sim.config import SimConfig
 from repro.sim.engine import US_PER_SEC, EventEngine
 from repro.sim.metrics import MetricsCollector
-from repro.sim.trace import SchedulingTrace
 from repro.sim.ue import UeContext
-from repro.telemetry.flowtrace import FlowTracer
-from repro.telemetry.registry import TelemetryRegistry
+
+if TYPE_CHECKING:
+    from repro.mac.harq import HarqEntity
+    from repro.rlc.am import AmStatus
+    from repro.sim.trace import SchedulingTrace
+    from repro.telemetry.flowtrace import FlowTracer
+    from repro.telemetry.registry import TelemetryRegistry
 
 
 class XNodeB:
@@ -76,6 +78,8 @@ class XNodeB:
         #: applied at the top of the next TTI, never mid-allocation.
         self._pending_controls: list[Callable[[], None]] = []
         if config.harq_enabled:
+            from repro.mac.harq import HarqEntity
+
             self._harq: list[HarqEntity] | None = [
                 HarqEntity(
                     np.random.default_rng(rng.integers(2**63)),
@@ -98,6 +102,8 @@ class XNodeB:
     def enable_trace(self) -> SchedulingTrace:
         """Start recording per-TTI scheduling decisions."""
         if self.trace is None:
+            from repro.sim.trace import SchedulingTrace
+
             self.trace = SchedulingTrace(
                 len(self.ues), self.config.grid.num_rbs
             )

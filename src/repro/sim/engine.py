@@ -78,6 +78,27 @@ class EventEngine:
         heapq.heappush(self._queue, event)
         return event
 
+    def reserve_rank(self) -> int:
+        """Take the next same-microsecond rank without queueing anything.
+
+        For a caller that keeps one heap entry where it would push one per
+        call (``TcpFlow``'s lazy RTO): the order of every other event, and
+        of its own eventual ``schedule_ranked``, stays what it would be.
+        """
+        return next(self._seq)
+
+    def schedule_ranked(
+        self, time_us: int, rank: int, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``fn(*args)`` at ``time_us`` under a reserved rank."""
+        if time_us < self.now_us:
+            raise ValueError(
+                f"cannot schedule into the past: {time_us} < now {self.now_us}"
+            )
+        event = Event((time_us, rank, fn, args))
+        heapq.heappush(self._queue, event)
+        return event
+
     def schedule_in(self, delay_us: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay_us`` microseconds from now."""
         if delay_us < 0:

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.cc.aqm import make_aqm
+from repro.cc import make_aqm
 from repro.core.flow_table import FlowTable
 from repro.core.mlfq import MlfqConfig
 from repro.pdcp.entity import PdcpEntity, PdcpReceiver
 from repro.phy.channel import UeChannel
-from repro.rlc.am import AmReceiver, AmTransmitter
 from repro.rlc.pdu import RlcSdu
-from repro.rlc.um import UmReceiver, UmTransmitter
 from repro.sim.config import SimConfig
 
 if TYPE_CHECKING:
     from repro.net.tcp import TcpFlow, TcpReceiver
+    from repro.rlc.am import AmReceiver, AmTransmitter
+    from repro.rlc.um import UmReceiver, UmTransmitter
     from repro.traffic.generator import FlowSpec
 
 #: Idle five-tuples are treated as new flows after this long (section 4.2).
@@ -81,9 +81,13 @@ class UeContext:
         self.rlc: Union[UmTransmitter, AmTransmitter]
         self.rlc_rx: Union[UmReceiver, AmReceiver]
         if config.rlc_mode == "am":
+            from repro.rlc.am import AmReceiver, AmTransmitter
+
             self.rlc = AmTransmitter(index, **rlc_kwargs)
             self.rlc_rx = AmReceiver(deliver=self._deliver)
         else:
+            from repro.rlc.um import UmReceiver, UmTransmitter
+
             self.rlc = UmTransmitter(index, **rlc_kwargs)
             self.rlc_rx = UmReceiver(
                 deliver=self._deliver,
@@ -107,7 +111,7 @@ class UeContext:
 
     @property
     def is_am(self) -> bool:
-        return isinstance(self.rlc, AmTransmitter)
+        return self.config.rlc_mode == "am"
 
     def has_backlog(self) -> bool:
         """Cheap check whether the UE needs a grant this TTI."""

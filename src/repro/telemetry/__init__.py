@@ -22,29 +22,3 @@ Observability must never perturb the simulation: nothing in this package
 touches an RNG or mutates simulator state, so same-seed runs with and
 without telemetry produce identical results (asserted by the test suite).
 """
-
-from repro.telemetry.registry import Counter, Gauge, TelemetryRegistry
-from repro.telemetry.exporters import snapshot_to_json, snapshot_to_prometheus
-from repro.telemetry.flowtrace import (
-    COMPONENTS,
-    FlowBreakdown,
-    FlowTracer,
-    coerce_flow_tracer,
-)
-from repro.telemetry.heartbeat import Heartbeat
-from repro.telemetry.kpi import CellKpiSnapshot, KpiCollector
-
-__all__ = [
-    "CellKpiSnapshot",
-    "KpiCollector",
-    "TelemetryRegistry",
-    "Counter",
-    "Gauge",
-    "snapshot_to_json",
-    "snapshot_to_prometheus",
-    "Heartbeat",
-    "FlowTracer",
-    "FlowBreakdown",
-    "COMPONENTS",
-    "coerce_flow_tracer",
-]

@@ -54,6 +54,8 @@ class EmpiricalDistribution:
         self._log_sizes = np.log(np.asarray(sizes, dtype=float))
         self._probs = np.asarray(probs, dtype=float)
         self._sizes = np.asarray(sizes, dtype=float)
+        #: ``(samples, seed) -> mean()``: the draw is a pure function of them.
+        self._means: dict[tuple[int, int], float] = {}
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw ``n`` flow sizes in bytes (integer, >= 1).
@@ -112,13 +114,19 @@ class EmpiricalDistribution:
         Summed chunk by chunk from one generator, so the draw never
         holds ``samples`` values at once.  Sizes are integers and the
         total is far below 2**53, so the sum -- and hence the mean -- is
-        exact whatever the chunking.
+        exact whatever the chunking.  Drawn once per ``(samples, seed)``:
+        every generator built on a named distribution asks for it.
         """
-        rng = np.random.default_rng(seed)
-        total = 0
-        for start in range(0, samples, _MEAN_CHUNK):
-            total += int(self.sample(rng, min(_MEAN_CHUNK, samples - start)).sum())
-        return total / samples
+        key = (samples, seed)
+        if key not in self._means:
+            rng = np.random.default_rng(seed)
+            total = 0
+            for start in range(0, samples, _MEAN_CHUNK):
+                total += int(
+                    self.sample(rng, min(_MEAN_CHUNK, samples - start)).sum()
+                )
+            self._means[key] = total / samples
+        return self._means[key]
 
 
 #: Huang et al. [41] LTE downlink TCP flows.  Anchors: median ~2.9 KB,

@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from repro.cc import AQM_NAMES, CC_NAMES, EcnMarker, make_aqm, make_cc
+from repro.cc import AQM_NAMES, CC_NAMES, make_aqm, make_cc
+from repro.cc.aqm import EcnMarker
 from repro.cc.cubic import CubicCC
 from repro.cc.dctcp import DctcpCC
 from repro.net.tcp import DEFAULT_MSS, TcpFlow
@@ -21,7 +22,7 @@ from repro.runner.spec import RunSpec, SweepSpec
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.session import SimulationSession, result_fingerprint
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry.registry import TelemetryRegistry
 
 DURATION_S = 0.4
 

@@ -179,7 +179,7 @@ class TestOneFeed:
     @pytest.mark.parametrize("scheduler", ["pss", "gbr[outran]"])
     def test_no_table_is_built_inside_a_tti(self, scheduler, monkeypatch):
         from repro.mac import kernels
-        from repro.runner import RunSpec
+        from repro.runner.spec import RunSpec
         from repro.sim.session import SimulationSession
 
         built = []

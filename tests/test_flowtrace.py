@@ -25,12 +25,14 @@ from repro.analysis.breakdown import (
     dominant_component,
 )
 from repro.cli import main
-from repro.telemetry import COMPONENTS, FlowTracer, coerce_flow_tracer
 from repro.telemetry.flowtrace import (
     _RLC_DROP,
     _TCP_RETX,
+    COMPONENTS,
     LAYER_TRACKS,
     FlowBreakdown,
+    FlowTracer,
+    coerce_flow_tracer,
 )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.runner import RunSpec
+from repro.runner.spec import RunSpec
 from repro.sim.session import result_fingerprint_payload
 from tests.golden.cli.regenerate import CASES, CLI_DIR, STORED, run_case
 

@@ -1,8 +1,10 @@
-"""A simulation run imports numpy and the stack it executes -- no scipy.
+"""A simulation run imports numpy and the stack it executes -- no scipy,
+and no module of this package that the run does not execute.
 
 scipy costs ~1 s and ~60 MB per process; it used to sit under every
 run, sweep worker and CLI call through top-level imports of modules a
-run never calls.  Each case runs in a fresh interpreter so that what
+run never calls, and every package ``__init__`` used to import all of
+its submodules.  Each case runs in a fresh interpreter so that what
 pytest or another test imported does not count.
 """
 
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -32,7 +36,7 @@ from dataclasses import replace
 
 from repro.sim.config import SimConfig
 from repro.sim.session import SimulationSession
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry.registry import TelemetryRegistry
 
 incast = SimConfig.lte_default(
     num_ues=4, seed=3, cc="dctcp", aqm="red", ecn_min_sdus=30, ecn_max_sdus=30
@@ -67,6 +71,51 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert run_fresh(LIFECYCLE, tmp_path).strip() == "[]"
 
 
+#: What an LTE / UM / Cubic / drop-tail cell under ``outran`` never executes.
+UNUSED_BY_A_PLAIN_RUN = [
+    "repro.rlc.am", "repro.cc.dctcp", "repro.mac.qos", "repro.mac.gbr",
+    "repro.mac.srjf", "repro.telemetry.flowtrace", "repro.telemetry.kpi",
+    "repro.telemetry.heartbeat", "repro.telemetry.exporters",
+    "repro.traffic.webpage", "repro.traffic.nonstationary",
+    "repro.sim.multicell", "repro.sim.trace", "repro.core.handover",
+    "repro.core.thresholds", "repro.phy.interference", "repro.net.qos_profile",
+    # the kernel loader's cache hit needs no compiler tooling
+    "subprocess", "tempfile",
+]
+
+PLAIN_RUN = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+
+import repro.sim.config
+print(len(loaded()))
+
+from repro.sim.config import SimConfig
+from repro.sim.session import SimulationSession
+
+config = SimConfig.lte_default(num_ues=4, seed=1)
+session = SimulationSession.from_config(config, "outran", duration_s=0.3, drain_s=0.2)
+assert session.start().finish().completed_flows > 0
+print(len(loaded()))
+print(sorted(m for m in %r if m in sys.modules))
+"""
+
+
+def test_a_run_loads_only_what_it_executes(tmp_path):
+    from repro.mac import _ckernel
+
+    if _ckernel.load() is None:  # also warms the cache the child reads
+        pytest.skip("no C compiler: every load is a cache miss here")
+    config_only, plain_run, unused = run_fresh(
+        PLAIN_RUN % UNUSED_BY_A_PLAIN_RUN, tmp_path
+    ).splitlines()
+    assert int(config_only) <= 12
+    assert int(plain_run) <= 46
+    assert unused == "[]"
+
+
 OFFLINE_TOOLS = """
 import sys
 
@@ -95,8 +144,6 @@ OFF_PATH_ALLOWED = {
     "repro.analysis.validation",
     # paper section 7's flow-state transfer (EXPERIMENTS.md, Fig. 13)
     "repro.core.handover",
-    # named by _CC_REGISTRY; the incast_dctcp workload and cc-smoke run it
-    "repro.cc.dctcp",
 }
 
 
@@ -116,31 +163,27 @@ def _imports(tree: ast.AST):
             yield from _imports(node)
 
 
-def _bound_by(init_tree: ast.AST, name: str):
-    """The ``from X import name`` in a package ``__init__`` that binds
-    ``name``; None when the package defines the name itself."""
-    for module, names in _imports(init_tree):
-        if names and name in names:
-            return module
-    return None
+def _bound_by(init_tree: ast.AST) -> dict:
+    """``name -> defining module`` of the lazy facade in ``repro/__init__``
+    (the ``_LAZY`` table its module ``__getattr__`` resolves)."""
+    for node in ast.iter_child_nodes(init_tree):
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_LAZY":
+            return ast.literal_eval(node.value)
+    raise AssertionError("repro/__init__.py has no _LAZY table")
 
 
 def test_every_module_is_on_a_committed_path():
     """Static walk (nothing is executed) from what a committed number
-    runs: the CLI, every benchmark, every example.  ``from pkg import
-    Name`` is followed through the package's re-export to the module
-    that defines ``Name``; a package ``__init__``'s other imports are
-    not, or every re-exported island would count as used."""
+    runs: the CLI, every benchmark, every example.  ``from repro import
+    Name`` is followed through the lazy facade to the module that defines
+    ``Name``; no other package re-exports anything to follow (``repro.ric``
+    and ``repro.serve`` keep lists for interactive use, and nothing on the
+    walk imports from them), so a sub-package is walked like a module."""
     files = {}
     for path in (SRC / "repro").rglob("*.py"):
         parts = path.relative_to(SRC).with_suffix("").parts
         files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
-    trees = {}
-
-    def tree(path):
-        if path not in trees:
-            trees[path] = ast.parse(path.read_text())
-        return trees[path]
+    facade = _bound_by(ast.parse(files["repro"].read_text()))
 
     def is_package(module):
         return files[module].name == "__init__.py"
@@ -149,29 +192,29 @@ def test_every_module_is_on_a_committed_path():
     todo = []
 
     def reach(module, names=None):
+        if module == "repro":
+            for name in names or ():
+                reach(facade[name])
+            return
         if module not in files:
             return
-        if not is_package(module):
-            if module not in reached:
-                reached.add(module)
-                todo.append(files[module])
-            return
-        for name in names or ():
-            if f"{module}.{name}" in files:
-                reach(f"{module}.{name}")
-            else:
-                source = _bound_by(tree(files[module]), name)
-                if source is not None:
-                    reach(source, [name])
+        if module not in reached:
+            reached.add(module)
+            todo.append(files[module])
+        if is_package(module):
+            for name in names or ():
+                reach(f"{module}.{name}")  # ``from pkg import submodule``
 
     reach("repro.cli")
     reach("repro.__main__")
     todo += sorted((REPO / "benchmarks").rglob("*.py"))
     todo += sorted((REPO / "examples").glob("*.py"))
     while todo:
-        for module, names in _imports(tree(todo.pop())):
+        for module, names in _imports(ast.parse(todo.pop().read_text())):
             reach(module, names)
 
+    # Walking a re-exporting ``__init__`` would count every island it lists.
+    assert not reached & {"repro.ric", "repro.serve"}
     modules = {m for m in files if not is_package(m)}
     assert modules - reached == OFF_PATH_ALLOWED
 

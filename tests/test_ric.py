@@ -27,7 +27,7 @@ from repro.ric.xapp import XAPP_FACTORIES
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.sim.session import SimulationSession
-from repro.traffic import NonStationaryLoad
+from repro.traffic.nonstationary import NonStationaryLoad
 
 #: The tunable state of a default OutRAN cell (epsilon 0.2, the paper's
 #: MLFQ ladder, periodic boost disabled).

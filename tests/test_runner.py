@@ -17,18 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import (
-    ResultStore,
-    RunSpec,
-    SweepOutcome,
-    SweepRunner,
-    SweepSpec,
-    as_store,
-    backoff_delay,
-    dedupe,
-    run_spec,
-    run_sweep,
-)
+from repro.runner.pool import SweepOutcome, SweepRunner, backoff_delay, run_sweep
+from repro.runner.spec import RunSpec, SweepSpec, dedupe
+from repro.runner.store import ResultStore, as_store
+from repro.runner.worker import run_spec
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
 from repro.traffic.generator import MAX_UES

@@ -34,7 +34,7 @@ from repro.sim.session import (
     result_fingerprint,
     result_fingerprint_payload,
 )
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry.registry import TelemetryRegistry
 
 DURATION_S = 0.4
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc import CubicState
+from repro.cc.cubic import CubicState
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
 from repro.net.tcp import TcpFlow, TcpReceiver
 from repro.sim.engine import EventEngine

@@ -1,5 +1,7 @@
 """Property-based tests: TCP completes under arbitrary loss patterns."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -150,3 +152,136 @@ def test_property_rtt_sampler_pops_exactly_the_acked(size_segments, loss, seed):
     tx.start()
     engine.run_until(600_000_000)
     assert tx.done
+
+
+# -- the lazy retransmission timer ------------------------------------------
+
+
+class EagerRtoFlow(TcpFlow):
+    """The timer the lazy one must be indistinguishable from: cancel the
+    queued entry and push a new one on every arm."""
+
+    def _arm_rto(self):
+        self._cancel_rto()
+        if not self.done and self.snd_una < self.size_bytes:
+            self._rto_event = self.engine.schedule_in(
+                self.rto_us * self.rto_backoff, self._on_rto
+            )
+
+
+class CheckedRtoFlow(TcpFlow):
+    """The sender under test, its timer's contract asserted around every
+    arm and every wake-up."""
+
+    armed = None  # (deadline_us, rank) of the last arm
+    cancels = 0  # arms that moved the deadline earlier: one tombstone each
+
+    def _arm_rto(self):
+        engine, timer = self.engine, self._rto_event
+        pending = engine.pending()
+        rank = next(copy.copy(engine._seq))  # what an eager push would take
+        super()._arm_rto()
+        deadline = engine.now_us + self.rto_us * self.rto_backoff
+        self.armed = (deadline, rank)
+        if timer is not None and timer[0] <= deadline:
+            assert engine.pending() == pending  # a later deadline queues nothing
+        else:
+            assert engine.pending() == pending + 1
+            self.cancels += timer is not None
+        self.check_heap()
+
+    def _on_rto(self):
+        entry, armed, fired = self._rto_event, self.armed, self.rto_firings
+        super()._on_rto()
+        if self.rto_firings > fired:  # fired, not an early wake-up
+            assert armed == (self.engine.now_us, entry[1])
+
+    def check_heap(self):
+        """One queued timer per running sender, none for a finished one,
+        and no entry without a cause: ``pending()`` is the hops in flight,
+        the timers, and one tombstone per earlier deadline or finish."""
+        queue, flows = self.engine._queue, self.peers
+        for flow in flows:
+            timers = sum(entry[2] == flow._on_rto for entry in queue)
+            assert timers == (flow.packets_sent > 0 and not flow.done)
+        causes = sum(flow.cancels + flow.done for flow in flows)
+        assert sum(entry[2] is None for entry in queue) <= causes
+        assert self.engine.pending() <= self.hops[0] + len(flows) + causes
+
+
+class _Log(list):
+    """The tracer hooks a sender calls, as one ordered record."""
+
+    def on_tcp_tx(self, flow_id, packet, now_us):
+        self.append((now_us, "tx", flow_id, packet.seq, packet.is_retx))
+
+    def on_tcp_rto(self, flow_id, now_us):
+        self.append((now_us, "rto", flow_id))
+
+    def on_tcp_recovery(self, flow_id, now_us):
+        self.append((now_us, "recovery", flow_id))
+
+
+def run_flows(flow_cls, sizes, loss, ack_loss, ece, seed):
+    """Senders of ``flow_cls`` sharing one engine; every data packet and
+    ACK draws its fate (drop, delay from a few values so that deadlines
+    collide in one microsecond, ECE) from one seeded stream."""
+    engine = EventEngine()
+    rng = np.random.default_rng(seed)
+    log, hops = _Log(), [0]
+    senders, receivers = [], []
+
+    def hop(fn, *args):
+        hops[0] += 1
+        engine.schedule_in(int(rng.choice((5_000, 5_000, 7_000))), arrive, fn, *args)
+
+    def arrive(fn, *args):
+        hops[0] -= 1
+        fn(*args)
+
+    def route_data(i, packet):
+        if rng.random() >= loss:
+            hop(lambda: receivers[i].on_data(packet, engine.now_us))
+
+    def route_ack(i, ack):
+        if rng.random() >= ack_loss:
+            hop(senders[i].on_ack, ack.ack_seq, ack.sack_blocks, bool(rng.random() < ece))
+
+    for i, size in enumerate(sizes):
+        receivers.append(
+            TcpReceiver(i, FT, size, send_ack=lambda ack, i=i: route_ack(i, ack))
+        )
+        sender = flow_cls(
+            engine, i, FT, size, route_data=lambda p, i=i: route_data(i, p),
+            min_rto_us=20_000, initial_cwnd_segments=4, tracer=log,
+        )
+        sender.peers, sender.hops = senders, hops
+        senders.append(sender)
+        engine.schedule_at(1_000 * (i // 2), sender.start)
+    engine.run_until(600_000_000)
+    return engine, senders, log
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    loss=st.floats(0.0, 0.3),
+    ack_loss=st.floats(0.0, 0.3),
+    ece=st.floats(0.0, 0.5),
+    seed=st.integers(0, 10_000),
+)
+def test_property_lazy_rto_is_the_eager_timer_with_one_heap_entry(
+    sizes, loss, ack_loss, ece, seed
+):
+    """Every RTO fires at exactly the last arm's time + ``rto_us *
+    rto_backoff`` under the rank reserved at that arm, so the whole
+    record -- sends, recoveries and timeouts of several senders, in
+    order -- is the eager timer's; a finished sender leaves no live timer
+    and the heap holds no entry without a cause (``check_heap``)."""
+    sizes = [n * DEFAULT_MSS for n in sizes]
+    engine, lazy, lazy_log = run_flows(CheckedRtoFlow, sizes, loss, ack_loss, ece, seed)
+    _, eager, eager_log = run_flows(EagerRtoFlow, sizes, loss, ack_loss, ece, seed)
+    assert lazy_log == eager_log
+    assert [tx.rto_firings for tx in lazy] == [tx.rto_firings for tx in eager]
+    assert all(tx.done for tx in lazy)
+    assert not any(entry[2] for entry in engine._queue)

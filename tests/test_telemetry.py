@@ -18,13 +18,9 @@ from repro.sim.engine import EventEngine
 from repro.sim.multicell import MultiCellSimulation
 from repro.sim.session import SimulationSession
 from repro.sim.trace import SchedulingTrace
-from repro.telemetry import (
-    Heartbeat,
-    TelemetryRegistry,
-    snapshot_to_json,
-    snapshot_to_prometheus,
-)
-from repro.telemetry.registry import coerce_registry
+from repro.telemetry.exporters import snapshot_to_json, snapshot_to_prometheus
+from repro.telemetry.heartbeat import Heartbeat
+from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 
 
 def small_config(**kwargs):

@@ -1,5 +1,7 @@
 """Tests for flow-size distributions and arrival generation."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,7 +64,11 @@ class TestEmpiricalDistribution:
             distribution_by_name("nope")
 
     def test_mean_deterministic(self):
-        assert LTE_CELLULAR.mean() == LTE_CELLULAR.mean()
+        """The memo hands back what a fresh draw computes, per (samples, seed)."""
+        fresh = copy.deepcopy(LTE_CELLULAR)
+        fresh._means.clear()
+        assert fresh.mean() == LTE_CELLULAR.mean() == LTE_CELLULAR.mean()
+        assert LTE_CELLULAR.mean(samples=1_000, seed=1) != LTE_CELLULAR.mean()
 
 
 class TestPoissonGenerator:

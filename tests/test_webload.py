@@ -7,7 +7,7 @@ import pytest
 
 from repro import CellSimulation, SimConfig
 from repro.sim.webload import PAGE_FLOW_ID_BASE, PageLoadSession, measure_plt
-from repro.traffic import (
+from repro.traffic.nonstationary import (
     PHASE_FLOW_ID_STRIDE,
     LoadPhase,
     NonStationaryLoad,

@@ -202,7 +202,7 @@ class TestEndToEnd:
         assert result_fingerprint(result) == baseline
 
     def test_workload_through_sweep_runner(self, tmp_path):
-        from repro.runner import SweepRunner
+        from repro.runner.pool import SweepRunner
         from repro.runner.spec import SweepSpec
 
         sweep = SweepSpec(
