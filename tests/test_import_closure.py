@@ -5,7 +5,9 @@ scipy costs ~1 s and ~60 MB per process; it used to sit under every
 run, sweep worker and CLI call through top-level imports of modules a
 run never calls, and every package ``__init__`` used to import all of
 its submodules.  Each case runs in a fresh interpreter so that what
-pytest or another test imported does not count.
+pytest or another test imported does not count, and with ``-S`` because
+a ``.pth`` line in site-packages runs before any script and what it
+imports (``certifi`` brings ``tempfile``, say) is not the run's.
 """
 
 import ast
@@ -21,9 +23,12 @@ SRC = REPO / "src"
 
 
 def run_fresh(script: str, tmp_path) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    """Run ``script`` in ``python -S`` on the parent's path: no site hook
+    runs first, and every directory site added is still searched."""
+    path = [str(SRC)] + [entry for entry in sys.path if entry]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
