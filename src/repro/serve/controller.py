@@ -23,7 +23,7 @@ from typing import Optional, Union
 from repro.ric.guardrails import GuardrailRejection
 from repro.runner.spec import RunSpec
 from repro.sim.session import CheckpointError, SessionError, SimulationSession
-from repro.sim.session import result_fingerprint
+from repro.sim.session import _reclaim_dead_graphs, result_fingerprint
 from repro.telemetry.exporters import snapshot_to_prometheus
 
 #: Default background-run slice: 1000 TTIs (1 simulated second in LTE)
@@ -235,6 +235,20 @@ class ServeController:
         except CheckpointError as exc:
             raise ApiError(400, "bad_checkpoint", str(exc))
         return self._register(_SessionHandle(session))
+
+    def delete_session(self, sid: str) -> dict:
+        """DELETE /sessions/{id} -- drop a session and reclaim its graph.
+
+        Checkpoint files the session wrote are left where they are.
+        """
+        handle = self._handle(sid)
+        if handle.running_in_background:
+            raise ApiError(409, "running", "pause the background run first")
+        with self._locked(handle), self._registry_lock:
+            self._handles.pop(sid, None)
+        del handle  # the last reference, or the collection cannot free it
+        _reclaim_dead_graphs()
+        return {"id": sid, "deleted": True}
 
     # -- inspection -------------------------------------------------------
 

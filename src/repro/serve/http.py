@@ -14,6 +14,7 @@ POST   /sessions                        create (RunSpec-shaped body)
 POST   /sessions/resume                 {"path": NAME} restore a checkpoint
 GET    /sessions                        list
 GET    /sessions/{id}                   inspect (?telemetry=1 for a snapshot)
+DELETE /sessions/{id}                   drop the session and reclaim its graph
 POST   /sessions/{id}/start             schedule the workload
 POST   /sessions/{id}/step              {"n_ttis": N} or {"until_us": T}
 POST   /sessions/{id}/run               background run ({"chunk_ttis": N})
@@ -177,6 +178,8 @@ class ReproServer:
                 sid = parts[2]
                 verb = parts[3] if len(parts) > 3 else None
                 if verb is None:
+                    if method == "DELETE":
+                        return 200, await call(ctl.delete_session, sid), None
                     if method != "GET":
                         return 405, _method_not_allowed(method), None
                     telemetry = query.get("telemetry", ["0"])[0] not in ("0", "false", "")

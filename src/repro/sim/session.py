@@ -37,6 +37,7 @@ what it simulated, not how many heap entries the host popped on the way.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -66,6 +67,17 @@ class CheckpointError(RuntimeError):
     """A checkpoint file could not be written or restored."""
 
 
+def _reclaim_dead_graphs() -> None:
+    """One full collection: frees simulation graphs nothing refers to.
+
+    A dropped graph is cyclic (the engine's heap holds bound methods of
+    the objects that hold the engine), so refcounting never frees it, and
+    a steady-state run allocates about as much as it frees, so the
+    automatic collector seldom reaches the oldest generation.
+    """
+    gc.collect()
+
+
 class SimulationSession:
     """Resumable execution of one cell simulation.
 
@@ -73,6 +85,11 @@ class SimulationSession:
     ``finished``.  :meth:`step` and :meth:`checkpoint` require
     ``running``; :meth:`resume` restores a ``running`` session from disk.
     """
+
+    #: Set on a session :meth:`resume` returns; its first :meth:`step`
+    #: deletes it again, so later checkpoints pickle no extra key.  A
+    #: class-level default, so checkpoints written before it existed load.
+    _reclaim_on_step = False
 
     def __init__(
         self,
@@ -179,6 +196,12 @@ class SimulationSession:
         else:
             target = self._end_us
         target = min(max(target, self.now_us), self._end_us)
+        if self._reclaim_on_step:
+            # The caller of resume() has usually just dropped the session
+            # this one replaces; by now nothing refers to that graph, and
+            # without a full collection it lives until the process exits.
+            del self._reclaim_on_step
+            _reclaim_dead_graphs()
         self.sim.engine.run_until(target)
         self._steps += 1
         return self.progress()
@@ -321,6 +344,7 @@ class SimulationSession:
                 f"not {cls.__name__}"
             )
         session._resumed = True
+        session._reclaim_on_step = True
         return session
 
     # -- runtime tuning (serve / RIC control surface) ---------------------

@@ -10,6 +10,7 @@ not one Python object per packet.
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -255,3 +256,32 @@ def test_per_packet_history_is_bytes_not_objects(record, bytes_per_item):
     record(100)
     retained, _ = retained_by(lambda: record(n))
     assert retained / n <= bytes_per_item
+
+
+@pytest.mark.parametrize("first_call", ["step", "finish"])
+def test_a_resume_reclaims_the_session_it_replaced(first_call, tmp_path):
+    """The session a resume replaces is cyclic garbage (engine <-> bound
+    methods) that refcounting never frees; the resumed session's first
+    step collects it, whether or not the automatic collector ever runs."""
+    path = tmp_path / "replaced.ckpt"
+    automatic = gc.isenabled()
+    gc.disable()
+    try:
+        original = SimulationSession.from_config(
+            SimConfig.lte_default(num_ues=3, load=0.5, seed=1),
+            duration_s=0.2, drain_s=0.1,
+        ).start()
+        original.step(n_ttis=50)
+        original.checkpoint(path)
+        resumed = SimulationSession.resume(path)
+        replaced = weakref.ref(original.sim)
+        del original
+        assert replaced() is not None
+        if first_call == "step":
+            resumed.step(n_ttis=1)
+        else:
+            resumed.finish()
+        assert replaced() is None
+    finally:
+        if automatic:
+            gc.enable()

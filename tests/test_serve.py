@@ -6,11 +6,13 @@ HTTP front-end over a real loopback socket with urllib, including the
 serve-vs-offline fingerprint identity the CI serve-smoke job asserts.
 """
 
+import gc
 import json
 import socket
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -198,6 +200,46 @@ class TestControllerValidation:
             assert ctl.list_sessions() == listed
             assert ctl.step(sid, {"n_ttis": 5})["state"] == "running"
         assert ctl.create_session(dict(SPEC))["id"] == "s2"  # no id burnt either
+
+
+class TestDeleteSession:
+    def test_delete_drops_the_session_and_reclaims_its_graph(self, tmp_path):
+        ctl = ServeController(checkpoint_dir=tmp_path)
+        kept = ctl.create_session(dict(SPEC))["id"]
+        sid = ctl.create_session(dict(SPEC, heartbeat_s=0.1))["id"]
+        ctl.start(sid)
+        ctl.step(sid, {"n_ttis": 150})
+        ctl.checkpoint(sid, {"path": "deleted.ckpt"})
+        deleted = weakref.ref(ctl._handles[sid].session.sim)
+        automatic = gc.isenabled()
+        gc.disable()  # the graph is cyclic: only the route's collection frees it
+        try:
+            assert ctl.delete_session(sid) == {"id": sid, "deleted": True}
+            assert deleted() is None
+        finally:
+            if automatic:
+                gc.enable()
+        assert api_error(ctl.describe, sid).status == 404
+        assert ctl.healthz()["sessions"] == 1
+        assert [s["id"] for s in ctl.list_sessions()["sessions"]] == [kept]
+        err = api_error(ctl.delete_session, sid)
+        assert (err.status, err.error) == (404, "unknown_session")
+        # The checkpoint outlives the session it came from.
+        resumed = ctl.resume_session({"path": "deleted.ckpt"})
+        assert resumed["now_us"] == 150_000
+
+    def test_delete_while_running_in_the_background_is_a_409(self):
+        ctl = ServeController(chunk_ttis=10)
+        # Long enough that the run cannot end before the DELETE arrives.
+        sid = ctl.create_session(dict(SPEC, duration_s=5.0))["id"]
+        ctl.start(sid)
+        ctl.run(sid)
+        err = api_error(ctl.delete_session, sid)
+        assert (err.status, err.error) == (409, "running")
+        ctl.pause(sid)
+        assert ctl.describe(sid)["state"] == "running"
+        ctl.delete_session(sid)
+        assert ctl.healthz()["sessions"] == 0
 
 
 class TestBackgroundRun:
@@ -396,6 +438,18 @@ class TestHttpEndToEnd:
     @pytest.mark.parametrize("observer", OBSERVERS)
     def test_observed_session_over_http(self, server, tmp_path, observer):
         self.test_full_session_over_http(server, tmp_path, observer)
+
+    def test_delete_over_http(self, server):
+        sid = self.request(server, "POST", "/sessions", dict(SPEC))[1]["id"]
+        self.request(server, "POST", f"/sessions/{sid}/start")
+        assert self.request(server, "GET", "/healthz")[1]["sessions"] == 1
+        st, body = self.request(server, "DELETE", f"/sessions/{sid}")
+        assert (st, body) == (200, {"id": sid, "deleted": True})
+        st, body = self.request(server, "GET", f"/sessions/{sid}")
+        assert (st, body["error"]) == (404, "unknown_session")
+        assert self.request(server, "GET", "/healthz")[1]["sessions"] == 0
+        st, body = self.request(server, "DELETE", f"/sessions/{sid}")
+        assert (st, body["error"]) == (404, "unknown_session")
 
     def test_scrapes_repeat_and_the_last_equals_the_offline_snapshot(self, server):
         sid = self.request(server, "POST", "/sessions", dict(SPEC))[1]["id"]
