@@ -8,14 +8,15 @@ control surface is testable without sockets.
 Concurrency model: the HTTP layer may call the controller from executor
 threads, and ``run`` drives a session from a dedicated background thread
 in chunked steps.  Every touch of a session goes through its handle's
-lock; the background runner releases the lock between chunks, so
-``inspect`` and ``/metrics`` interleave with a running simulation at
-chunk granularity instead of blocking for the rest of the run.
+lock; the background runner lets a waiting caller in at each chunk
+boundary (``_SessionHandle.turnstile``), so ``inspect`` and ``/metrics``
+wait out at most the chunk in progress, not the rest of the run.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from pathlib import Path
 from typing import Optional, Union
@@ -89,6 +90,9 @@ class _SessionHandle:
         self.session = session
         self.spec = spec
         self.lock = threading.Lock()
+        #: Held by a caller waiting for ``lock``; the background runner
+        #: passes it before each chunk, so that caller goes first.
+        self.turnstile = threading.Lock()
         self.pause_requested = threading.Event()
         self.thread: Optional[threading.Thread] = None
         self.run_error: Optional[str] = None
@@ -137,12 +141,17 @@ class ServeController:
 
     def _locked(self, handle: _SessionHandle):
         """Acquire a handle's lock or 503 if a background chunk holds it."""
-        if not handle.lock.acquire(timeout=LOCK_TIMEOUT_S):
-            raise ApiError(
-                503, "busy",
-                f"session {handle.id} is mid-step; retry shortly",
-            )
-        return _Unlocker(handle.lock)
+        deadline = time.monotonic() + LOCK_TIMEOUT_S
+        if handle.turnstile.acquire(timeout=LOCK_TIMEOUT_S):
+            try:
+                locked = handle.lock.acquire(timeout=max(deadline - time.monotonic(), 0))
+            finally:
+                handle.turnstile.release()
+            if locked:
+                return _Unlocker(handle.lock)
+        raise ApiError(
+            503, "busy", f"session {handle.id} is mid-step; retry shortly"
+        )
 
     # -- session creation -------------------------------------------------
 
@@ -322,6 +331,8 @@ class ServeController:
         def _loop() -> None:
             try:
                 while not handle.pause_requested.is_set():
+                    with handle.turnstile:
+                        pass
                     with handle.lock:
                         if session.done:
                             break

@@ -80,6 +80,26 @@ def jain_index(values: Sequence[float]) -> float:
     return float(arr.sum() ** 2 / (arr.size * total_sq))
 
 
+_INT32 = range(-(2**31), 2**31)
+
+
+def append_row(log: array, values: tuple) -> array:
+    """Append ``values`` to ``log`` and return it, or, when ``log`` is an
+    ``array('i')`` and a value does not fit, to its ``array('q')`` copy."""
+    try:
+        log.extend(values)
+    except OverflowError:
+        if log.typecode != "i":
+            raise
+        # extend() stopped at the first value out of range: drop what it
+        # already appended of this row, then widen and append it whole.
+        appended = next(i for i, v in enumerate(values) if v not in _INT32)
+        del log[len(log) - appended:]
+        log = array("q", log)
+        log.extend(values)
+    return log
+
+
 class MetricsCollector:
     """Accumulates per-TTI and per-flow measurements during a run."""
 
@@ -98,9 +118,9 @@ class MetricsCollector:
         self.se_samples: list[tuple[int, float]] = []
         self.fairness_samples: list[tuple[int, float]] = []
         # One sample per dequeued SDU / per finished sender: typed columns
-        # (16 B and 8 B a sample), read through queue_delays().
-        self._queue_delay_flow_ids = array("q")
-        self._queue_delay_us = array("q")
+        # (8 B a sample each), read through queue_delays().
+        self._queue_delay_flow_ids = array("i")
+        self._queue_delay_us = array("i")
         self.rtt_samples_us = array("d")
         self._window_ue_bits = np.zeros(num_ues)
         self.total_ue_bits = np.zeros(num_ues)
@@ -159,8 +179,10 @@ class MetricsCollector:
         self.records.append(record)
 
     def on_queue_delay(self, flow_id: int, delay_us: int) -> None:
-        self._queue_delay_flow_ids.append(flow_id)
-        self._queue_delay_us.append(delay_us)
+        self._queue_delay_flow_ids = append_row(
+            self._queue_delay_flow_ids, (flow_id,)
+        )
+        self._queue_delay_us = append_row(self._queue_delay_us, (delay_us,))
 
     def queue_delays(self) -> Iterator[tuple[int, int]]:
         """``(flow_id, delay_us)`` of every dequeued SDU, in dequeue order."""

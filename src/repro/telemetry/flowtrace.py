@@ -63,6 +63,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from repro.sim.metrics import append_row
+
 if TYPE_CHECKING:  # circular-import-free type hints only
     from repro.net.packet import Packet
     from repro.rlc.pdu import RlcSdu
@@ -221,8 +223,8 @@ class FlowTracer:
         self._flows: dict[int, _FlowTrace] = {}
         self._breakdowns: list[FlowBreakdown] = []
         #: Instant/span rows feeding the Chrome trace export, ``_ROW``
-        #: integers each (40 B an event, no per-event objects).
-        self._events = array("q")
+        #: integers each (20 B an event, 40 B once ``append_row`` widens it).
+        self._events = array("i")
         #: Completions whose completing packet was missing a crossing stamp
         #: (should be zero; a non-zero count flags an instrumentation gap).
         self.incomplete_flows = 0
@@ -381,7 +383,7 @@ class FlowTracer:
     def _emit(
         self, ts_us: int, ue_index: int, kind: int, a: int = 0, b: int = 0
     ) -> None:
-        self._events.extend((ts_us, ue_index, kind, a, b))
+        self._events = append_row(self._events, (ts_us, ue_index, kind, a, b))
 
     def _emit_flow_spans(self, b: FlowBreakdown) -> None:
         """Span rows of the breakdown just appended to ``_breakdowns``."""

@@ -9,6 +9,7 @@ not one Python object per packet.
 """
 
 import gc
+import inspect
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -20,6 +21,7 @@ from repro.core.flow_table import FlowTable
 from repro.net.packet import FiveTuple, Packet
 from repro.rlc.am import AmReceiver
 from repro.rlc.pdu import RlcPdu, RlcSdu, SduSegment
+from repro.sim import metrics
 from repro.sim.metrics import MetricsCollector
 from repro.sim.session import SimulationSession, result_fingerprint
 from repro.telemetry import flowtrace
@@ -183,10 +185,11 @@ def test_tracer_keeps_nothing_per_packet():
     kept = snapshot.filter_traces(
         [tracemalloc.Filter(True, flowtrace.__file__)]
     ).statistics("filename")
-    # The event column (reallocated as it grows, 40 B a row plus the
+    # The event column (reallocated as it grows, 20 B a row plus the
     # array's over-allocation) and the last delivery's stamps.
+    assert tracer._events.typecode == "i"
     assert sum(stat.count for stat in kept) <= 2
-    assert sum(stat.size for stat in kept) <= 50 * tracer.event_count + 256
+    assert sum(stat.size for stat in kept) <= 25 * tracer.event_count + 256
 
 
 def test_idle_flow_table_entries_expire(monkeypatch):
@@ -247,8 +250,9 @@ def _am_in_order(n):
 
 @pytest.mark.parametrize(
     "record,bytes_per_item",
-    # Measured 17, 41 and 0 B an item; 129, 202 and 269 B at the parent commit.
-    [(_queue_delays, 20), (_mac_grants, 48), (_am_in_order, 1)],
+    # Measured 8.5, 20.4 and 0 B an item (17 and 41 B while the logs were
+    # 64-bit; 129, 202 and 269 B as Python objects).
+    [(_queue_delays, 10), (_mac_grants, 25), (_am_in_order, 1)],
     ids=["queue-delay", "flowtrace-event", "am-receiver-sn"],
 )
 def test_per_packet_history_is_bytes_not_objects(record, bytes_per_item):
@@ -256,6 +260,32 @@ def test_per_packet_history_is_bytes_not_objects(record, bytes_per_item):
     record(100)
     retained, _ = retained_by(lambda: record(n))
     assert retained / n <= bytes_per_item
+
+
+def test_queue_delay_history_is_one_narrow_row_per_sdu():
+    """A UM cell keeps 8 B of queue-delay history per dequeued SDU (two
+    32-bit columns plus over-allocation): measured 8.3 B, and 16.6 B
+    while the columns were 64-bit."""
+    config = SimConfig.lte_default(num_ues=4, load=0.8, seed=2)
+    assert config.rlc_mode == "um"
+    lines, first = inspect.getsourcelines(MetricsCollector.on_queue_delay)
+    on_queue_delay = [
+        tracemalloc.Filter(True, metrics.__file__, lineno, all_frames=True)
+        for lineno in range(first, first + len(lines))
+    ]
+    gc.collect()
+    tracemalloc.start(2)  # append_row's realloc and the frame calling it
+    try:
+        sim = CellSimulation(config, scheduler="outran")
+        sim.run(1.0, drain_s=DRAIN_S)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    sdus = sum(1 for _ in sim.metrics.queue_delays())
+    kept = snapshot.filter_traces(on_queue_delay).statistics("filename")
+    assert sdus >= 2_000
+    assert sum(stat.size for stat in kept) / sdus <= 10
 
 
 @pytest.mark.parametrize("first_call", ["step", "finish"])

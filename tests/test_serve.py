@@ -272,6 +272,26 @@ class TestBackgroundRun:
         assert "run_error" not in desc
         assert ctl.finish(sid)["fingerprint"] == offline_fingerprint()
 
+    def test_inspection_waits_out_at_most_the_chunk_in_progress(self):
+        """The runner lets a waiting describe() in at the next chunk
+        boundary.  With a plain lock it took the lock straight back, so
+        a describe() waited many chunks or got a 503 ``busy``."""
+        ctl = ServeController(chunk_ttis=1000)  # 0.1-0.3 s of host time
+        sid = ctl.create_session(dict(BARE, duration_s=30.0))["id"]
+        ctl.start(sid)
+        ctl.run(sid)
+        session = ctl._handle(sid).session
+        try:
+            for _ in range(6):
+                time.sleep(0.02)  # the runner is mid-chunk
+                before = session._steps  # one int: safe to read unlocked
+                desc = ctl.describe(sid)
+                assert desc["background"] is True
+                assert desc["steps"] - before <= 1
+            assert desc["steps"] >= 3
+        finally:
+            ctl.pause(sid)
+
     def test_checkpoint_mid_background_refused(self, tmp_path):
         ctl = ServeController(chunk_ttis=50, checkpoint_dir=tmp_path)
         sid = ctl.create_session(dict(SPEC))["id"]

@@ -467,7 +467,10 @@ class TestGoldenCheckpoint:
         expected = json.loads(self.META.read_text())
         session = SimulationSession.resume(self.CKPT)
         assert session.now_us == expected["checkpoint_now_us"]
+        # Written with 64-bit logs; they keep appending as they are.
+        assert session.sim.metrics._queue_delay_us.typecode == "q"
         result = session.finish()
+        assert session.sim.metrics._queue_delay_us.typecode == "q"
         assert result_fingerprint(result) == expected["fingerprint"]
         assert result.completed_flows == expected["completed_flows"]
         # ...which is also what the same case gives in one go today.
