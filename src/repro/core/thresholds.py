@@ -95,7 +95,9 @@ def optimize_thresholds(
     """Find good MLFQ thresholds for a flow-size sample via global search.
 
     Uses differential evolution over log-spaced thresholds (the search
-    space spans several decades), then sorts and rounds the result.
+    space spans several decades), then sorts and rounds the result.  No
+    gradient polish: finite differences across the model's ``inf`` for
+    tied thresholds give ``inf - inf``, a NaN gradient.
     """
     from scipy import optimize
 
@@ -118,7 +120,7 @@ def optimize_thresholds(
         seed=seed,
         maxiter=maxiter,
         tol=1e-4,
-        polish=True,
+        polish=False,
     )
     thresholds = np.sort(10.0 ** np.asarray(result.x))
     # De-duplicate after rounding: equal thresholds would make a queue dead.

@@ -10,7 +10,7 @@ users by the shortness of their head flow (Appendix B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 #: Level a report without a head level (empty buffer, plain FIFO) sorts
 #: at in the inter-user comparison; worse than any real level.
@@ -22,18 +22,11 @@ class BufferStatusReport:
     """Snapshot of one UE's downlink RLC buffer for the MAC scheduler."""
 
     ue_id: int
+    #: Data volume: the Tx Q, plus the Retx and Ctrl queues in AM.
     total_bytes: int
     #: Level (0 = highest priority) of the head MLFQ queue; None when the
     #: buffer is empty or the RLC runs a plain FIFO.
     head_level: Optional[int] = None
-    #: Queued bytes per MLFQ level (empty for FIFO entities).
-    level_bytes: tuple[int, ...] = ()
-    #: Age of the head-of-line SDU in microseconds (for CQA).
-    hol_delay_us: int = 0
-    #: Bytes pending retransmission (served before new data in AM mode).
-    retx_bytes: int = 0
-    #: Bytes of RLC control PDUs (served first in AM mode).
-    ctrl_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.total_bytes < 0:
@@ -42,7 +35,7 @@ class BufferStatusReport:
     @property
     def has_data(self) -> bool:
         """True when the UE needs a transmission opportunity."""
-        return (self.total_bytes + self.retx_bytes + self.ctrl_bytes) > 0
+        return self.total_bytes > 0
 
 
 def empty_report(ue_id: int) -> BufferStatusReport:

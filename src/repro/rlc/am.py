@@ -21,14 +21,13 @@ paper observes when AM timers are left at defaults.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.mlfq import MlfqConfig
 from repro.mac.bsr import BufferStatusReport
 from repro.net.packet import Packet
-from repro.rlc.pdu import RLC_HEADER_BYTES, RlcPdu, RlcSdu, SduSegment
-from repro.rlc.um import DEFAULT_CAPACITY_SDUS, MIN_SEGMENT_BYTES, UmTransmitter
+from repro.rlc.pdu import RLC_HEADER_BYTES, RlcPdu, RlcSdu
+from repro.rlc.um import MIN_SEGMENT_BYTES, UmTransmitter
 
 STATUS_PDU_BYTES = 12
 #: NS-3 LENA defaults the paper's case study uses.
@@ -58,40 +57,25 @@ class _UnackedPdu:
     retx_count: int = 0
 
 
-class AmTransmitter:
+class AmTransmitter(UmTransmitter):
     """Transmitting RLC AM entity for one UE.
 
-    Composes a :class:`UmTransmitter` for the Tx Q (so the MLFQ intra-user
-    scheduling is shared code) and adds SN tracking, the Retx/Ctrl queues,
-    polling, and retransmission timers.
+    The UM entity's Tx Q (so the MLFQ intra-user scheduling is shared
+    code) plus SN tracking, the Ctrl and Retx queues served ahead of it,
+    polling, and retransmission timers.  Keyword arguments other than
+    ``poll_pdu`` and ``t_poll_retransmit_us`` configure the Tx Q as for
+    :class:`UmTransmitter`.
     """
 
     def __init__(
         self,
         ue_id: int,
-        mlfq_config: Optional[MlfqConfig] = None,
-        capacity_sdus: int = DEFAULT_CAPACITY_SDUS,
-        overflow_policy: str = "drop_incoming",
-        promote_segments: bool = True,
+        *,
         poll_pdu: int = DEFAULT_POLL_PDU,
         t_poll_retransmit_us: int = DEFAULT_T_POLL_RETRANSMIT_US,
-        on_sdu_dropped: Optional[Callable[[RlcSdu], None]] = None,
-        on_sdu_dequeued: Optional[Callable[[RlcSdu, int], None]] = None,
-        on_sdu_first_tx: Optional[Callable[[RlcSdu], None]] = None,
-        aqm=None,
+        **tx_queue_kwargs,
     ) -> None:
-        self.ue_id = ue_id
-        self._tx = UmTransmitter(
-            ue_id,
-            mlfq_config=mlfq_config,
-            capacity_sdus=capacity_sdus,
-            overflow_policy=overflow_policy,
-            promote_segments=promote_segments,
-            on_sdu_dropped=on_sdu_dropped,
-            on_sdu_dequeued=on_sdu_dequeued,
-            on_sdu_first_tx=on_sdu_first_tx,
-            aqm=aqm,
-        )
+        super().__init__(ue_id, **tx_queue_kwargs)
         self.poll_pdu = max(poll_pdu, 1)
         self.t_poll_retransmit_us = t_poll_retransmit_us
         self._next_sn = 0
@@ -108,14 +92,25 @@ class AmTransmitter:
     # -- upper-layer interface --------------------------------------------
 
     def write_sdu(self, packet: Packet, level: int, now_us: int) -> Optional[RlcSdu]:
-        """Enqueue a downlink packet into the Tx Q."""
-        return self._tx.write_sdu(packet, level, now_us)
+        # Defined, not inherited, like ``CongestionControl.on_rtt_sample``:
+        # ``benchmarks/perf/layers.py`` wraps it by name, ``spans.py::resolve``
+        # wraps only what a class defines itself, and CI fails on
+        # ``trace.missing_targets != 0``.
+        return super().write_sdu(packet, level, now_us)
 
     def queue_control(self, status: AmStatus) -> None:
         """Queue a control PDU this entity owes its peer."""
         self._ctrl_queue.append(status)
 
     # -- MAC interface -----------------------------------------------------
+
+    def has_backlog(self) -> bool:
+        """Whether any of the three queues holds something to send."""
+        return (
+            self.queue.total_bytes > 0
+            or bool(self._ctrl_queue)
+            or any(sn in self._unacked for sn in self._retx_queue)
+        )
 
     def build_transmissions(
         self, grant_bytes: int, now_us: int
@@ -150,10 +145,10 @@ class AmTransmitter:
             retx = RlcPdu(segments=entry.pdu.segments, sn=sn, is_retx=True)
             out.append(retx)
             self.retx_transmissions += 1
-            if self._tx.tracer is not None:
-                self._tx.tracer.on_rlc_am_retx(self.ue_id, sn, now_us)
+            if self.tracer is not None:
+                self.tracer.on_rlc_am_retx(self.ue_id, sn, now_us)
         if budget > RLC_HEADER_BYTES + MIN_SEGMENT_BYTES:
-            pdu = self._tx.build_pdu(budget, now_us)
+            pdu = self.build_pdu(budget, now_us)
             if pdu is not None:
                 pdu.sn = self._next_sn
                 self._next_sn += 1
@@ -199,8 +194,7 @@ class AmTransmitter:
             self.spurious_retx += 1
 
     def buffer_status(self, now_us: int) -> BufferStatusReport:
-        """BSR including Retx and Ctrl backlogs (served first in AM)."""
-        base = self._tx.buffer_status(now_us)
+        """BSR whose data volume counts Tx + Retx + Ctrl bytes (TS 38.322)."""
         retx_bytes = sum(
             self._unacked[sn].wire_bytes
             for sn in self._retx_queue
@@ -208,61 +202,10 @@ class AmTransmitter:
         )
         ctrl_bytes = sum(status.wire_bytes for status in self._ctrl_queue)
         return BufferStatusReport(
-            ue_id=self.ue_id,
-            total_bytes=base.total_bytes,
-            head_level=base.head_level,
-            level_bytes=base.level_bytes,
-            hol_delay_us=base.hol_delay_us,
-            retx_bytes=retx_bytes,
-            ctrl_bytes=ctrl_bytes,
+            self.ue_id,
+            self.queue.total_bytes + retx_bytes + ctrl_bytes,
+            self.queue.head_level(),
         )
-
-    def boost_priorities(self) -> None:
-        """Priority reset passthrough to the Tx Q."""
-        self._tx.boost_priorities()
-
-    @property
-    def tracer(self):
-        """Flow-lifecycle tracer (lives on the inner Tx entity)."""
-        return self._tx.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tx.tracer = value
-
-    @property
-    def queue(self):
-        """The MLFQ Tx queue, under the name the UM entity gives its own."""
-        return self._tx.queue
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes waiting in the Tx Q (new data only)."""
-        return self._tx.buffered_bytes
-
-    @property
-    def buffered_sdus(self) -> int:
-        return self._tx.buffered_sdus
-
-    @property
-    def sdus_dropped(self) -> int:
-        return self._tx.sdus_dropped
-
-    @property
-    def sdus_sent(self) -> int:
-        return self._tx.sdus_sent
-
-    @property
-    def pdus_built(self) -> int:
-        return self._tx.pdus_built
-
-    @property
-    def segments_sent(self) -> int:
-        return self._tx.segments_sent
-
-    @property
-    def sdus_marked(self) -> int:
-        return self._tx.sdus_marked
 
     @property
     def unacked_count(self) -> int:

@@ -111,6 +111,17 @@ class UmTransmitter:
             self.tracer.on_rlc_enqueue(sdu, now_us)
         return sdu
 
+    # -- MAC interface: the two questions the xNodeB asks every entity -----
+
+    def has_backlog(self) -> bool:
+        """Whether the entity needs a grant this TTI."""
+        return self.queue.total_bytes > 0
+
+    def build_transmissions(self, grant_bytes: int, now_us: int) -> list[RlcPdu]:
+        """Fill the grant from the Tx Q: one PDU, or none."""
+        pdu = self.build_pdu(grant_bytes, now_us)
+        return [] if pdu is None else [pdu]
+
     def build_pdu(self, grant_bytes: int, now_us: int) -> Optional[RlcPdu]:
         """Assemble one RLC PDU of at most ``grant_bytes`` wire bytes."""
         if grant_bytes <= RLC_HEADER_BYTES + MIN_SEGMENT_BYTES:
@@ -160,16 +171,8 @@ class UmTransmitter:
 
     def buffer_status(self, now_us: int) -> BufferStatusReport:
         """BSR carrying total bytes plus the OutRAN priority attribute."""
-        hol_delay_us = 0
-        if self.queue:
-            sdu, _ = self.queue.peek()
-            hol_delay_us = max(now_us - sdu.enqueued_us, 0)
         return BufferStatusReport(
-            ue_id=self.ue_id,
-            total_bytes=self.queue.total_bytes,
-            head_level=self.queue.head_level(),
-            level_bytes=tuple(self.queue.level_bytes()),
-            hol_delay_us=hol_delay_us,
+            self.ue_id, self.queue.total_bytes, self.queue.head_level()
         )
 
     @property

@@ -629,7 +629,7 @@ class CellSimulation:
         flows_tracked = packets_observed = demotions = boosts = 0
         for ue in self.ues:
             for key in rlc_tx:
-                rlc_tx[key] += getattr(ue.rlc, key, 0)
+                rlc_tx[key] += getattr(ue.rlc, key)
             for key in rlc_am:
                 rlc_am[key] += getattr(ue.rlc, key, 0)
             rx_delivered += getattr(ue.rlc_rx, "sdus_delivered", 0)

@@ -165,8 +165,8 @@ class XNodeB:
         for ue in self.ues:
             i = ue.index
             harq_bytes = self._harq[i].pending_bytes if self._harq is not None else 0
-            if ue.has_backlog() or harq_bytes:
-                head_level = ue.rlc.buffer_status(now).head_level
+            if ue.rlc.has_backlog() or harq_bytes:
+                head_level = ue.rlc.queue.head_level()
                 if harq_bytes:
                     # HARQ retransmissions outrank new data: advertise them
                     # like RLC retx backlog at the top priority.
@@ -249,13 +249,7 @@ class XNodeB:
                         False,
                     )
         # 2. New data within the leftover grant.
-        if ue.is_am:
-            items: list[Union[RlcPdu, AmStatus]] = ue.rlc.build_transmissions(
-                budget, now
-            )
-        else:
-            pdu = ue.rlc.build_pdu(budget, now)
-            items = [pdu] if pdu is not None else []
+        items = ue.rlc.build_transmissions(budget, now)
         if items:
             tx_bytes = sum(item.wire_bytes for item in items)
             sent_bits += tx_bytes * 8
@@ -284,7 +278,7 @@ class XNodeB:
         for item in items:
             if isinstance(item, RlcPdu):
                 status = ue.rlc_rx.receive_pdu(item, now)
-                if status is not None and ue.is_am:
+                if status is not None:  # only an AM receiver answers
                     self.engine.schedule_in(
                         self.config.ul_delay_us, self._deliver_status, ue, status
                     )

@@ -109,19 +109,6 @@ class UeContext:
         self.pdcp.tracer = tracer
         self.rlc.tracer = tracer
 
-    @property
-    def is_am(self) -> bool:
-        return self.config.rlc_mode == "am"
-
-    def has_backlog(self) -> bool:
-        """Cheap check whether the UE needs a grant this TTI."""
-        if self.rlc.buffered_bytes > 0:
-            return True
-        if self.is_am:
-            bsr = self.rlc.buffer_status(0)
-            return bsr.retx_bytes > 0 or bsr.ctrl_bytes > 0
-        return False
-
     def refresh_oracle(
         self, now_us: int, qos_oracle: bool
     ) -> tuple[Optional[int], int, int]:

@@ -169,36 +169,56 @@ def run_case(name):
     }
 
 
-#: The golden *checkpoint*: a mid-run session snapshot whose resume must
-#: keep producing the pinned fingerprint.  Catches checkpoint-format
+#: The golden *checkpoints*: mid-run session snapshots whose resume must
+#: keep producing the pinned fingerprint.  Catch checkpoint-format
 #: breakage (renamed attributes, changed pickle layout) that the JSON
-#: corpus cannot see.  (scheduler, rlc_mode, duration_s, checkpoint TTI)
-SESSION_CASE = ("outran", "um", 0.4, 150)
+#: corpus cannot see.  name -> (scheduler, rlc_mode, config overrides,
+#: duration_s, checkpoint TTI)
+SESSION_CASES = {
+    "session-outran-um": ("outran", "um", {}, 0.4, 150),
+    "session-outran-am-lossy": ("outran", "am", {"radio_bler": 0.1}, 0.4, 150),
+}
 
 
-def regen_session_checkpoint():
-    from repro import CellSimulation, SimConfig
-    from repro.sim.session import SimulationSession, result_fingerprint
+def session_case_config(name):
+    from repro import SimConfig
 
-    scheduler, rlc_mode, duration_s, ckpt_ttis = SESSION_CASE
-    cfg = SimConfig.lte_default(rlc_mode=rlc_mode, **BASE_KWARGS)
+    _, rlc_mode, overrides, _, _ = SESSION_CASES[name]
+    return SimConfig.lte_default(rlc_mode=rlc_mode, **BASE_KWARGS, **overrides)
+
+
+def session_case_at_checkpoint(name):
+    """The case's session, started and stepped to its checkpoint TTI."""
+    from repro import CellSimulation
+    from repro.sim.session import SimulationSession
+
+    scheduler, _, _, duration_s, ckpt_ttis = SESSION_CASES[name]
     session = SimulationSession(
-        CellSimulation(cfg, scheduler=scheduler), duration_s
+        CellSimulation(session_case_config(name), scheduler=scheduler),
+        duration_s,
     ).start()
     session.step(n_ttis=ckpt_ttis)
-    ckpt_path = GOLDEN_DIR / "session-outran-um.ckpt"
+    return session
+
+
+def regen_session_checkpoint(name):
+    from repro.sim.session import result_fingerprint
+
+    scheduler, rlc_mode, overrides, duration_s, _ = SESSION_CASES[name]
+    session = session_case_at_checkpoint(name)
+    ckpt_path = GOLDEN_DIR / f"{name}.ckpt"
     meta = session.checkpoint(ckpt_path)
     result = session.finish()
     payload = {
         "scheduler": scheduler,
         "rlc_mode": rlc_mode,
         "duration_s": duration_s,
-        "config": BASE_KWARGS,
+        "config": dict(BASE_KWARGS, **overrides),
         "checkpoint_now_us": meta["now_us"],
         "completed_flows": result.completed_flows,
         "fingerprint": result_fingerprint(result),
     }
-    meta_path = GOLDEN_DIR / "session-outran-um.json"
+    meta_path = GOLDEN_DIR / f"{name}.json"
     meta_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {ckpt_path.relative_to(GOLDEN_DIR.parent.parent)} "
           f"(v{meta['version']}, {meta['bytes']} bytes at t={meta['now_us']}us) "
@@ -214,7 +234,8 @@ def main():
         )
         print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)} "
               f"({payload['summary']['completed_flows']} flows)")
-    regen_session_checkpoint()
+    for name in SESSION_CASES:
+        regen_session_checkpoint(name)
     return 0
 
 

@@ -110,7 +110,7 @@ class TestBacklogScan:
         sim.enb._harq[1].on_initial_failure([], 500, 0.1, 0)
         sim.enb.on_tti()
         table = sim.enb._table
-        assert not sim.ues[1].has_backlog()
+        assert not sim.ues[1].rlc.has_backlog()
         assert table.active.tolist() == [False, True, False]
         assert table.head_levels[1] == 0
 

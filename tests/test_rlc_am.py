@@ -1,6 +1,7 @@
 """Tests for the RLC AM entities (retransmission machinery)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mlfq import MlfqConfig
 from repro.net.packet import FiveTuple, Packet
@@ -125,13 +126,14 @@ class TestBufferStatus:
     def test_reports_retx_and_ctrl_bytes(self):
         tx = AmTransmitter(0)
         tx.write_sdu(make_packet(), 0, 0)
-        drain(tx)
+        (pdu,) = drain(tx)
         tx.receive_status(AmStatus(ack_sn=1, nacks=(0,)), 10)
         tx.queue_control(AmStatus(ack_sn=0))
+        sdu = tx.write_sdu(make_packet(500), 0, 15)
         bsr = tx.buffer_status(20)
-        assert bsr.retx_bytes > 0
-        assert bsr.ctrl_bytes == STATUS_PDU_BYTES
-        assert bsr.has_data
+        # The data volume is Tx + Retx + Ctrl, the TS 38.322 figure.
+        assert bsr.total_bytes == sdu.size + pdu.wire_bytes + STATUS_PDU_BYTES
+        assert bsr.has_data and tx.has_backlog()
 
     def test_mlfq_priority_passthrough(self):
         config = MlfqConfig(num_queues=2, thresholds=(100,))
@@ -200,3 +202,51 @@ class TestAmReceiver:
         assert retx and retx[0].is_retx
         rx.receive_pdu(retx[0], 40)
         assert len(delivered) == 2
+
+
+#: One step of a random AM schedule: enqueue, grant, peer STATUS (its
+#: cumulative ACK as a fraction of the SNs sent, NACKs as a bit mask of
+#: the eight SNs below it), an owed control PDU, or the clock moving on
+#: (past t-PollRetransmit when the step is large enough).
+AM_STEP = st.one_of(
+    st.tuples(st.just("write"), st.integers(40, 3000), st.integers(0, 3)),
+    st.tuples(st.just("build"), st.integers(0, 4000)),
+    st.tuples(st.just("status"), st.floats(0.0, 1.0), st.integers(0, 255)),
+    st.tuples(st.just("ctrl")),
+    st.tuples(st.just("wait"), st.integers(1, 12_000)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(AM_STEP, max_size=60))
+def test_property_backlog_scan_matches_report(steps):
+    """The xNodeB's scan (``has_backlog`` + the Tx Q's head level) says
+    what the buffer status report says, whatever the three queues hold."""
+    config = MlfqConfig(num_queues=4, thresholds=(1_000, 10_000, 100_000))
+    tx = AmTransmitter(
+        0,
+        mlfq_config=config,
+        capacity_sdus=6,
+        overflow_policy="drop_lowest",
+        poll_pdu=1,
+        t_poll_retransmit_us=5_000,
+    )
+    now = 0
+    for step in steps:
+        kind = step[0]
+        if kind == "write":
+            tx.write_sdu(make_packet(step[1]), step[2], now)
+        elif kind == "build":
+            drain(tx, grant=step[1], now=now)
+        elif kind == "status":
+            ack_sn = round(step[1] * tx._next_sn)
+            below = range(max(ack_sn - 8, 0), ack_sn)
+            nacks = tuple(sn for i, sn in enumerate(below) if step[2] >> i & 1)
+            tx.receive_status(AmStatus(ack_sn=ack_sn, nacks=nacks), now)
+        elif kind == "ctrl":
+            tx.queue_control(AmStatus(ack_sn=0))
+        else:
+            now += step[1]
+        bsr = tx.buffer_status(now)
+        assert tx.has_backlog() == bsr.has_data
+        assert bsr.head_level == tx.queue.head_level()

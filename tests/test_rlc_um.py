@@ -1,6 +1,7 @@
 """Tests for the RLC UM transmitter and receiver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mlfq import MlfqConfig
 from repro.net.packet import FiveTuple, Packet
@@ -126,7 +127,6 @@ class TestBufferStatus:
         bsr = tx.buffer_status(now_us=5_000)
         assert bsr.head_level == 2
         assert bsr.total_bytes == 140
-        assert bsr.hol_delay_us == 5_000
 
     def test_empty_buffer_report(self):
         tx = UmTransmitter(0)
@@ -189,3 +189,30 @@ class TestUmReceiver:
         rx.receive_pdu(last, 20)
         assert delivered == []
         assert rx.pending_partials == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.integers(40, 3000), st.integers(0, 3)),
+            st.tuples(st.just("build"), st.integers(0, 4000)),
+        ),
+        max_size=60,
+    )
+)
+def test_property_backlog_scan_matches_report(steps):
+    """The xNodeB's scan (``has_backlog`` + the Tx Q's head level) says
+    what the buffer status report says, through drops and segmentation."""
+    config = MlfqConfig(num_queues=4, thresholds=(1_000, 10_000, 100_000))
+    tx = UmTransmitter(
+        0, mlfq_config=config, capacity_sdus=6, overflow_policy="drop_lowest"
+    )
+    for now, step in enumerate(steps):
+        if step[0] == "write":
+            tx.write_sdu(make_packet(step[1]), step[2], now)
+        else:
+            tx.build_transmissions(step[1], now)
+        bsr = tx.buffer_status(now)
+        assert tx.has_backlog() == bsr.has_data
+        assert bsr.head_level == tx.queue.head_level()

@@ -10,10 +10,12 @@ job uses.
 
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 import pickletools
-from collections import Counter
+import types
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,11 @@ from repro.sim.session import (
     result_fingerprint_payload,
 )
 from repro.telemetry.registry import TelemetryRegistry
+from tests.golden.regenerate import (
+    SESSION_CASES,
+    session_case_at_checkpoint,
+    session_case_config,
+)
 
 DURATION_S = 0.4
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -72,6 +79,45 @@ def pickled_instances(payload: bytes) -> Counter:
         else:
             tops.append(arg if isinstance(arg, str) else None)
     return built
+
+
+def pickled_layout(path) -> tuple[int, dict[str, frozenset[str]]]:
+    """``(header version, class -> instance attribute names)`` of a
+    checkpoint file, over every ``repro`` object its graph holds.
+
+    Unpickling restores each object's ``__dict__`` and slots as they were
+    written, without running ``__init__``, so the names are the file's.
+    """
+    with open(path, "rb") as fh:
+        version = int(fh.readline().split()[1])
+        root = pickle.load(fh)
+    layout: dict[str, set[str]] = {}
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack += obj
+        elif isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        elif isinstance(obj, functools.partial):
+            stack += [obj.func, obj.args, obj.keywords]
+        elif type(obj).__module__.startswith("repro."):
+            cls = type(obj)
+            names = set(getattr(obj, "__dict__", ()))
+            for klass in cls.__mro__:
+                slots = vars(klass).get("__slots__", ())
+                names.update(
+                    name for name in ((slots,) if isinstance(slots, str) else slots)
+                    if hasattr(obj, name)
+                )
+            layout.setdefault(f"{cls.__module__}.{cls.__qualname__}", set()).update(names)
+            stack += [getattr(obj, name) for name in names]
+    return version, {cls: frozenset(names) for cls, names in layout.items()}
 
 
 class TestStateMachine:
@@ -335,8 +381,9 @@ class TestCheckpointFormat:
         # the one copy of the radio state (ChannelModel, UeChannel,
         # UeContext, FlowRuntime), v7 graphs the registry that is None when
         # off and has no third section (CellSimulation, XNodeB,
-        # EventEngine, TelemetryRegistry): refuse, never half-load.
-        for version in (1, 2, 3, 4, 5, 6, 7):
+        # EventEngine, TelemetryRegistry), v8 graphs the AM entity that
+        # wrapped a UM one (AmTransmitter): refuse, never half-load.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
@@ -454,33 +501,51 @@ class TestCheckpointFormat:
 
 
 class TestGoldenCheckpoint:
-    """The committed checkpoint file must keep resuming bit-identically.
+    """The committed checkpoint files must keep resuming bit-identically.
 
     Regenerated by ``tests/golden/regenerate.py`` after an *intentional*
     format or behaviour change; see that module's docstring.
     """
 
-    CKPT = GOLDEN_DIR / "session-outran-um.ckpt"
-    META = GOLDEN_DIR / "session-outran-um.json"
-
-    def test_golden_checkpoint_resumes_to_pinned_fingerprint(self):
-        expected = json.loads(self.META.read_text())
-        session = SimulationSession.resume(self.CKPT)
+    def resume_to_pinned_fingerprint(self, name):
+        expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        session = SimulationSession.resume(GOLDEN_DIR / f"{name}.ckpt")
         assert session.now_us == expected["checkpoint_now_us"]
-        # Written with 64-bit logs; they keep appending as they are.
-        assert session.sim.metrics._queue_delay_us.typecode == "q"
+        # Written with 32-bit logs; no value of the case needs 64.
+        assert session.sim.metrics._queue_delay_us.typecode == "i"
         result = session.finish()
-        assert session.sim.metrics._queue_delay_us.typecode == "q"
+        assert session.sim.metrics._queue_delay_us.typecode == "i"
         assert result_fingerprint(result) == expected["fingerprint"]
         assert result.completed_flows == expected["completed_flows"]
         # ...which is also what the same case gives in one go today.
-        cfg = SimConfig.lte_default(
-            rlc_mode=expected["rlc_mode"], **expected["config"]
-        )
-        fresh = CellSimulation(cfg, scheduler=expected["scheduler"]).run(
-            expected["duration_s"]
-        )
+        fresh = CellSimulation(
+            session_case_config(name), scheduler=expected["scheduler"]
+        ).run(expected["duration_s"])
         assert result_fingerprint(fresh) == expected["fingerprint"]
+
+    def test_golden_checkpoint_resumes_to_pinned_fingerprint(self):
+        self.resume_to_pinned_fingerprint("session-outran-um")
+
+    def test_am_lossy_checkpoint_resumes_to_pinned_fingerprint(self):
+        self.resume_to_pinned_fingerprint("session-outran-am-lossy")
+
+    @pytest.mark.parametrize("name", sorted(SESSION_CASES))
+    def test_layout_change_bumps_checkpoint_version(self, name, tmp_path):
+        """A pickled layout that differs from the frozen file's must come
+        with a new ``CHECKPOINT_VERSION``: the resume tests above only
+        notice a layout change that breaks this one case's outcome."""
+        session_case_at_checkpoint(name).checkpoint(tmp_path / "now.ckpt")
+        frozen_version, frozen = pickled_layout(GOLDEN_DIR / f"{name}.ckpt")
+        _, current = pickled_layout(tmp_path / "now.ckpt")
+        changed = sorted(
+            cls for cls in frozen.keys() | current.keys()
+            if frozen.get(cls) != current.get(cls)
+        )
+        assert frozen_version != CHECKPOINT_VERSION or not changed, (
+            f"pickled layout of {changed} differs from {name}.ckpt at "
+            f"v{CHECKPOINT_VERSION}: bump CHECKPOINT_VERSION and re-freeze "
+            "with tests/golden/regenerate.py"
+        )
 
 
 class TestRicOnSessions:

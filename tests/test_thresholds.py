@@ -56,6 +56,7 @@ class TestMeanFctModel:
         assert good < bad
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOptimize:
     def test_returns_sorted_positive_thresholds(self):
         rng = np.random.default_rng(1)
