@@ -10,7 +10,8 @@ cloud-dcn-ecn k10/k30/k60 sweep) degenerates to DCTCP's deterministic
 step marking at K queued SDUs -- no randomness drawn at all, so the k
 sweep is exactly reproducible.
 
-The marker's RNG is seeded per UE from the simulation seed, keeping runs
+The marker's RNG is seeded per UE from the simulation seed and built at
+its first draw (a step marker holds only the seed), keeping runs
 deterministic and the whole object graph picklable for checkpoints.
 """
 
@@ -40,7 +41,8 @@ class EcnMarker:
         self.min_sdus = min_sdus
         self.max_sdus = max_sdus
         self.mark_prob = mark_prob
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: random.Random | None = None
 
     def should_mark(self, queued_sdus: int) -> bool:
         """Mark the SDU arriving at a queue of ``queued_sdus`` entries?"""
@@ -51,6 +53,8 @@ class EcnMarker:
         ramp = (queued_sdus - self.min_sdus + 1) / (
             self.max_sdus - self.min_sdus + 1
         )
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         return self._rng.random() < ramp * self.mark_prob
 
     def __repr__(self) -> str:

@@ -15,7 +15,6 @@ PDCP flow table.  Segmented-SDU promotion (section 4.4) is supported via
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Generic, Iterator, Optional, Sequence, TypeVar
 
@@ -80,10 +79,12 @@ class MlfqQueue(Generic[T]):
 
     def __init__(self, config: Optional[MlfqConfig] = None) -> None:
         self.config = config or MlfqConfig()
-        self._queues: list[deque[_Item[T]]] = [
-            deque() for _ in range(self.config.num_queues)
+        # Plain lists: an empty one owns no storage (a deque allocates a
+        # 64-slot block), and the RLC capacity bounds what pop(0) moves.
+        self._queues: list[list[_Item[T]]] = [
+            [] for _ in range(self.config.num_queues)
         ]
-        self._promoted: deque[_Item[T]] = deque()
+        self._promoted: list[_Item[T]] = []
         self._total_bytes = 0
         self._total_items = 0
         # Incremental per-level byte counters: buffer status reports read
@@ -96,16 +97,7 @@ class MlfqQueue(Generic[T]):
 
     def push(self, payload: T, nbytes: int, level: int) -> None:
         """Append an item to the tail of queue ``level``."""
-        if not 0 <= level < self.config.num_queues:
-            raise ValueError(
-                f"level {level} outside 0..{self.config.num_queues - 1}"
-            )
-        if nbytes < 0:
-            raise ValueError(f"negative size: {nbytes}")
-        self._queues[level].append(_Item(payload, nbytes))
-        self._total_bytes += nbytes
-        self._total_items += 1
-        self._level_bytes[level] += nbytes
+        self._admit(nbytes, level).append(_Item(payload, nbytes))
 
     def push_front(self, payload: T, nbytes: int, level: int) -> None:
         """Prepend an item at the head of queue ``level``.
@@ -114,16 +106,20 @@ class MlfqQueue(Generic[T]):
         of a segmented SDU to its own queue, where higher-priority arrivals
         can still delay it -- the failure mode section 4.4 fixes.
         """
+        self._admit(nbytes, level).insert(0, _Item(payload, nbytes))
+
+    def _admit(self, nbytes: int, level: int) -> list[_Item[T]]:
+        """Check and count an item entering ``level``; return its queue."""
         if not 0 <= level < self.config.num_queues:
             raise ValueError(
                 f"level {level} outside 0..{self.config.num_queues - 1}"
             )
         if nbytes < 0:
             raise ValueError(f"negative size: {nbytes}")
-        self._queues[level].appendleft(_Item(payload, nbytes))
         self._total_bytes += nbytes
         self._total_items += 1
         self._level_bytes[level] += nbytes
+        return self._queues[level]
 
     def push_promoted(self, payload: T, nbytes: int) -> None:
         """Place an item ahead of every queue (segmented-SDU promotion)."""
@@ -139,12 +135,12 @@ class MlfqQueue(Generic[T]):
     def pop(self) -> tuple[T, int]:
         """Remove and return ``(payload, nbytes)`` of the head item."""
         if self._promoted:
-            item = self._promoted.popleft()
+            item = self._promoted.pop(0)
             self._promoted_bytes -= item.nbytes
         else:
             for level, queue in enumerate(self._queues):
                 if queue:
-                    item = queue.popleft()
+                    item = queue.pop(0)
                     self._level_bytes[level] -= item.nbytes
                     break
             else:
@@ -230,11 +226,8 @@ class MlfqQueue(Generic[T]):
         Together with :meth:`repro.core.flow_table.FlowTable.reset_all`
         this implements the "priority boost" safeguard of section 6.3.
         """
-        merged: deque[_Item[T]] = deque()
-        for queue in self._queues:
-            merged.extend(queue)
-            queue.clear()
-        self._queues[0] = merged
+        merged = [item for queue in self._queues for item in queue]
+        self._queues = [merged] + [[] for _ in self._queues[1:]]
         self._level_bytes = [sum(self._level_bytes)] + [0] * (
             self.config.num_queues - 1
         )
@@ -259,14 +252,13 @@ class MlfqQueue(Generic[T]):
             queue = self._queues[level]
             if queue:
                 item = queue.pop()
-                self._total_bytes -= item.nbytes
-                self._total_items -= 1
                 self._level_bytes[level] -= item.nbytes
-                return item.payload, item.nbytes
-        if self._promoted:
+                break
+        else:
+            if not self._promoted:
+                return None
             item = self._promoted.pop()
-            self._total_bytes -= item.nbytes
-            self._total_items -= 1
             self._promoted_bytes -= item.nbytes
-            return item.payload, item.nbytes
-        return None
+        self._total_bytes -= item.nbytes
+        self._total_items -= 1
+        return item.payload, item.nbytes

@@ -17,7 +17,6 @@ reporting, or TCP end-to-end) take over.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ class HarqEntity:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        seed: int,
         rtt_us: int,
         max_retx: int = DEFAULT_MAX_RETX,
         combining_gain: float = DEFAULT_COMBINING_GAIN,
@@ -66,14 +65,15 @@ class HarqEntity:
             raise ValueError(f"max_retx must be >= 0: {max_retx}")
         if not 0.0 < combining_gain <= 1.0:
             raise ValueError(f"combining gain in (0, 1]: {combining_gain}")
-        self._rng = rng
+        self._seed = seed  # becomes ``_rng`` at the first decode draw
+        self._rng: Optional[np.random.Generator] = None
         self.rtt_us = rtt_us
         self.max_retx = max_retx
         self.combining_gain = combining_gain
         self.ue_id = ue_id
         #: Flow-lifecycle tracer (None keeps failure/retx paths emit-free).
         self.tracer = tracer
-        self._pending: deque[HarqProcess] = deque()
+        self._pending: list[HarqProcess] = []
         self.retransmissions = 0
         self.abandoned = 0
 
@@ -121,6 +121,8 @@ class HarqEntity:
             raise ValueError("process is not pending")
         self.retransmissions += 1
         process.next_attempt(self.combining_gain)
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         decoded = bool(self._rng.random() >= process.error_prob)
         if self.tracer is not None:
             self.tracer.on_harq_attempt(

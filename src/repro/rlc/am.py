@@ -20,7 +20,7 @@ paper observes when AM timers are left at defaults.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,9 +80,9 @@ class AmTransmitter(UmTransmitter):
         self.t_poll_retransmit_us = t_poll_retransmit_us
         self._next_sn = 0
         self._unacked: "OrderedDict[int, _UnackedPdu]" = OrderedDict()
-        self._retx_queue: deque[int] = deque()
+        self._retx_queue: list[int] = []
         self._retx_pending: set[int] = set()
-        self._ctrl_queue: deque[AmStatus] = deque()
+        self._ctrl_queue: list[AmStatus] = []
         self._pdus_since_poll = 0
         self._poll_outstanding_since: Optional[int] = None
         self.retx_transmissions = 0
@@ -120,19 +120,19 @@ class AmTransmitter(UmTransmitter):
         out: list[RlcPdu | AmStatus] = []
         budget = grant_bytes
         while self._ctrl_queue and budget >= self._ctrl_queue[0].wire_bytes:
-            status = self._ctrl_queue.popleft()
+            status = self._ctrl_queue.pop(0)
             budget -= status.wire_bytes
             out.append(status)
         while self._retx_queue and budget > RLC_HEADER_BYTES + MIN_SEGMENT_BYTES:
             sn = self._retx_queue[0]
             entry = self._unacked.get(sn)
             if entry is None:  # ACKed while queued for retx
-                self._retx_queue.popleft()
+                self._retx_queue.pop(0)
                 self._retx_pending.discard(sn)
                 continue
             if entry.wire_bytes > budget:
                 break
-            self._retx_queue.popleft()
+            self._retx_queue.pop(0)
             self._retx_pending.discard(sn)
             entry.retx_count += 1
             entry.sent_us = now_us
@@ -189,7 +189,7 @@ class AmTransmitter(UmTransmitter):
             return
         oldest_sn = next(iter(self._unacked))
         if oldest_sn not in self._retx_pending:
-            self._retx_queue.appendleft(oldest_sn)
+            self._retx_queue.insert(0, oldest_sn)
             self._retx_pending.add(oldest_sn)
             self.spurious_retx += 1
 

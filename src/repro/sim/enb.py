@@ -82,7 +82,7 @@ class XNodeB:
 
             self._harq: list[HarqEntity] | None = [
                 HarqEntity(
-                    np.random.default_rng(rng.integers(2**63)),
+                    int(rng.integers(2**63)),
                     rtt_us=config.harq_rtt_ttis * config.tti_us,
                     max_retx=config.harq_max_retx,
                     ue_id=ue.index,

@@ -106,7 +106,11 @@ class TestEcnMarker:
         marker = make_aqm(cfg, ue_index=2)
         assert isinstance(marker, EcnMarker)
         # Per-UE seeds differ so queues do not mark in lockstep.
-        assert make_aqm(cfg, 0)._rng.random() != make_aqm(cfg, 1)._rng.random()
+        draws = [
+            [m.should_mark(20) for _ in range(64)]
+            for m in (make_aqm(cfg, 0), make_aqm(cfg, 1))
+        ]
+        assert draws[0] != draws[1]
 
     def test_names(self):
         assert AQM_NAMES == ("droptail", "red")

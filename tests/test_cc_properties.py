@@ -158,19 +158,25 @@ MARKERS = st.tuples(
 QUEUES = st.lists(st.integers(0, 150), max_size=200)
 
 
+def marker_state(m):
+    """The marker's generator state; one not yet built is ``Random(seed)``'s."""
+    return (m._rng or random.Random(m._seed)).getstate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(marker=MARKERS, queues=QUEUES)
 def test_property_marker_outside_the_band_is_a_step_and_draws_nothing(
     marker, queues
 ):
     """Below ``min_sdus`` never, at or above ``max_sdus`` always, and in
-    neither case is a random number drawn; inside the band exactly one."""
+    neither case is a random number drawn (nor a generator built); inside
+    the band exactly one."""
     low, span, prob, seed = marker
     m = EcnMarker(low, low + span, mark_prob=prob, seed=seed)
     for queued in queues:
-        rng_before = m._rng.getstate()
+        rng_before = marker_state(m)
         marked = m.should_mark(queued)
-        drew = m._rng.getstate() != rng_before
+        drew = marker_state(m) != rng_before
         if queued < low:
             assert not marked and not drew
         elif queued >= low + span:
@@ -181,6 +187,7 @@ def test_property_marker_outside_the_band_is_a_step_and_draws_nothing(
             probe.setstate(rng_before)
             probe.random()
             assert m._rng.getstate() == probe.getstate()
+    assert (m._rng is None) == all(not low <= q < low + span for q in queues)
 
 
 @settings(max_examples=100, deadline=None)

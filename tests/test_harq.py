@@ -10,7 +10,7 @@ from repro.net.packet import FiveTuple, Packet
 
 def make_entity(seed=0, rtt_us=8_000, max_retx=3, gain=0.3):
     return HarqEntity(
-        np.random.default_rng(seed), rtt_us=rtt_us, max_retx=max_retx,
+        seed, rtt_us=rtt_us, max_retx=max_retx,
         combining_gain=gain,
     )
 
@@ -67,13 +67,25 @@ class TestHarqEntity:
         with pytest.raises(ValueError):
             entity.attempt(stray, 0)
 
+    def test_generator_is_built_at_the_first_draw(self):
+        """The seed stands in for the generator until a retransmission
+        draws; the draws are then ``default_rng(seed)``'s."""
+        entity = make_entity(seed=5, gain=1.0)
+        assert entity._rng is None
+        process = entity.on_initial_failure(["tb"], 1000, 0.5, 0)
+        assert entity._rng is None
+        entity.attempt(process, 8_000)
+        expected = np.random.default_rng(5)
+        expected.random()
+        assert entity._rng.random() == expected.random()
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            HarqEntity(np.random.default_rng(0), rtt_us=0)
+            HarqEntity(0, rtt_us=0)
         with pytest.raises(ValueError):
-            HarqEntity(np.random.default_rng(0), rtt_us=1, max_retx=-1)
+            HarqEntity(0, rtt_us=1, max_retx=-1)
         with pytest.raises(ValueError):
-            HarqEntity(np.random.default_rng(0), rtt_us=1, combining_gain=0.0)
+            HarqEntity(0, rtt_us=1, combining_gain=0.0)
 
 
 class TestHarqInSimulation:

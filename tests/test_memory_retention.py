@@ -5,17 +5,22 @@ per flow and flat memory from 1 k to 8 k flows; these tests hold the
 simulator around it to the same shape.  A finished flow may leave behind
 its ``FctRecord``, its flow-table entry and a few typed samples -- not
 its TCP endpoints -- and per-packet history is bytes in typed columns,
-not one Python object per packet.
+not one Python object per packet.  A UE that holds no data holds no queue
+storage and no random-number generator, so each UE adds a few KB to
+building a cell (the paper's Fig. 14 scale side).
 """
 
 import gc
 import inspect
+import os
 import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import repro
 from repro import CellSimulation, SimConfig
 from repro.core.flow_table import FlowTable
 from repro.net.packet import FiveTuple, Packet
@@ -315,3 +320,37 @@ def test_a_resume_reclaims_the_session_it_replaced(first_call, tmp_path):
     finally:
         if automatic:
             gc.enable()
+
+
+def construction_bytes(num_ues: int) -> int:
+    """Bytes allocated from ``repro`` files (and still live) while
+    building the LTE / load 0.3 / ``outran`` session of ``num_ues`` UEs."""
+    in_repro = tracemalloc.Filter(
+        True, os.path.join(os.path.dirname(repro.__file__), "*")
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # Held until the snapshot, so what the session keeps is counted.
+        session = SimulationSession.from_config(  # noqa: F841
+            SimConfig.lte_default(num_ues=num_ues, load=0.3, seed=42), "outran"
+        )
+        snapshot = tracemalloc.take_snapshot().filter_traces([in_repro])
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_an_idle_ue_allocates_no_queue_storage():
+    """Per-UE FIFOs (four MLFQ levels, the promoted slot, HARQ's pending
+    queue) are lists, 56 B each while empty where a deque is 760 B, and
+    HARQ's generator stays a seed until the first decode draw: ~2.9 KB
+    per UE, was 7.8 KB."""
+    construction_bytes(20)  # warm: imports, module caches, the kernel loader
+    assert (construction_bytes(200) - construction_bytes(20)) / 180 <= 4_000
+    session = SimulationSession.from_config(
+        SimConfig.lte_default(num_ues=20, load=0.3, seed=42), "outran"
+    )
+    harq = session.sim.enb._harq
+    assert len(harq) == 20
+    assert not [h for h in harq if isinstance(h._rng, np.random.Generator)]

@@ -219,3 +219,99 @@ def test_property_mlfq_level_monotone_in_bytes(thresholds, sent):
     level = config.level_for_bytes(sent)
     assert config.level_for_bytes(sent + 1) >= level
     assert 0 <= level <= len(ladder)
+
+
+class MlfqModel:
+    """Reference model: one list ordered by ``(promoted first, level,
+    arrival)``, where ``push_front`` arrives ahead of everything queued.
+
+    ``boost_all`` re-stamps arrivals in current service order, so moving
+    every item to level 0 keeps that order.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[int, int, int, object, int]] = []
+        self.back = 0
+        self.front = 0
+
+    def add(self, payload, nbytes, level, promoted=False, ahead=False):
+        if ahead:
+            self.front -= 1
+            stamp = self.front
+        else:
+            self.back += 1
+            stamp = self.back
+        self.entries.append((0 if promoted else 1, level, stamp, payload, nbytes))
+        self.entries.sort(key=lambda e: e[:3])
+
+    def boost(self) -> None:
+        self.entries = [
+            (rank, 0, self.back + i, payload, nbytes)
+            for i, (rank, _, _, payload, nbytes) in enumerate(self.entries)
+        ]
+        self.back += len(self.entries)
+
+    def items(self) -> list[tuple[object, int, int]]:
+        return [(payload, nbytes, level) for _, level, _, payload, nbytes in self.entries]
+
+    def level_bytes(self, num_queues: int) -> list[int]:
+        out = [0] * num_queues
+        for _, level, _, _, nbytes in self.entries:
+            out[level] += nbytes
+        return out
+
+
+MLFQ_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 2), st.integers(0, 3000)),
+        st.tuples(st.just("push_front"), st.integers(0, 2), st.integers(0, 3000)),
+        st.tuples(st.just("push_promoted"), st.integers(0, 3000)),
+        st.tuples(st.sampled_from(["pop", "peek", "drop_tail", "boost_all"])),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=MLFQ_OPS)
+def test_property_queue_matches_the_sorted_list_model(ops):
+    """Every operation answers as the one-list model does, and after
+    every step the queue's whole observable state equals the model's."""
+    num_queues = 3
+    q = MlfqQueue(MlfqConfig(num_queues=num_queues, thresholds=(100, 1000)))
+    model = MlfqModel()
+    for step, (name, *args) in enumerate(ops):
+        if name == "push":
+            level, nbytes = args
+            q.push(step, nbytes, level)
+            model.add(step, nbytes, level)
+        elif name == "push_front":
+            level, nbytes = args
+            q.push_front(step, nbytes, level)
+            model.add(step, nbytes, level, ahead=True)
+        elif name == "push_promoted":
+            (nbytes,) = args
+            q.push_promoted(step, nbytes)
+            model.add(step, nbytes, 0, promoted=True)
+        elif name in ("pop", "peek"):
+            if not model.entries:
+                with pytest.raises(IndexError):
+                    getattr(q, name)()
+                continue
+            _, _, _, payload, nbytes = (
+                model.entries.pop(0) if name == "pop" else model.entries[0]
+            )
+            assert getattr(q, name)() == (payload, nbytes)
+        elif name == "drop_tail":
+            victim = model.entries.pop()[3:] if model.entries else None
+            assert q.drop_tail() == victim
+        else:
+            q.boost_all()
+            model.boost()
+        expected = model.items()
+        assert list(q.items()) == expected
+        assert q.head_level() == (expected[0][2] if expected else None)
+        assert q.tail_level() == (expected[-1][2] if expected else None)
+        assert q.level_bytes() == model.level_bytes(num_queues)
+        assert q.total_bytes == sum(nbytes for _, nbytes, _ in expected)
+        assert len(q) == len(expected)

@@ -81,17 +81,21 @@ def pickled_instances(payload: bytes) -> Counter:
     return built
 
 
-def pickled_layout(path) -> tuple[int, dict[str, frozenset[str]]]:
-    """``(header version, class -> instance attribute names)`` of a
+def pickled_layout(path) -> tuple[int, dict[str, dict[str, frozenset[str]]]]:
+    """``(header version, class -> attribute -> value type names)`` of a
     checkpoint file, over every ``repro`` object its graph holds.
 
     Unpickling restores each object's ``__dict__`` and slots as they were
     written, without running ``__init__``, so the names are the file's.
+    The type names (``deque``, ``list``, ``Generator``, ``int``, ...) are
+    unioned over a class's instances: a container or a generator swapped
+    for another type under an unchanged attribute name is a layout change
+    too.
     """
     with open(path, "rb") as fh:
         version = int(fh.readline().split()[1])
         root = pickle.load(fh)
-    layout: dict[str, set[str]] = {}
+    layout: dict[str, dict[str, set[str]]] = {}
     seen, stack = set(), [root]
     while stack:
         obj = stack.pop()
@@ -115,9 +119,15 @@ def pickled_layout(path) -> tuple[int, dict[str, frozenset[str]]]:
                     name for name in ((slots,) if isinstance(slots, str) else slots)
                     if hasattr(obj, name)
                 )
-            layout.setdefault(f"{cls.__module__}.{cls.__qualname__}", set()).update(names)
-            stack += [getattr(obj, name) for name in names]
-    return version, {cls: frozenset(names) for cls, names in layout.items()}
+            attrs = layout.setdefault(f"{cls.__module__}.{cls.__qualname__}", {})
+            for name in names:
+                value = getattr(obj, name)
+                attrs.setdefault(name, set()).add(type(value).__qualname__)
+                stack.append(value)
+    return version, {
+        cls: {name: frozenset(kinds) for name, kinds in attrs.items()}
+        for cls, attrs in layout.items()
+    }
 
 
 class TestStateMachine:
@@ -382,8 +392,10 @@ class TestCheckpointFormat:
         # UeContext, FlowRuntime), v7 graphs the registry that is None when
         # off and has no third section (CellSimulation, XNodeB,
         # EventEngine, TelemetryRegistry), v8 graphs the AM entity that
-        # wrapped a UM one (AmTransmitter): refuse, never half-load.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8):
+        # wrapped a UM one (AmTransmitter), v9 graphs the per-UE deques and
+        # eager generators (MlfqQueue, HarqEntity, AmTransmitter,
+        # EcnMarker): refuse, never half-load.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())
