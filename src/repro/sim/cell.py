@@ -29,7 +29,7 @@ from repro.rlc.pdu import RlcSdu
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventEngine, PeriodicTask, microseconds
 from repro.sim.enb import XNodeB
-from repro.sim.metrics import FctRecord, MetricsCollector, SimResult
+from repro.sim.metrics import MetricsCollector, SimResult
 from repro.sim.ue import FlowRuntime, UeContext
 from repro.telemetry.registry import TelemetryRegistry, coerce_registry
 from repro.traffic.generator import FlowSpec
@@ -343,13 +343,7 @@ class CellSimulation:
     def _on_flow_complete(self, spec: FlowSpec, now_us: int) -> None:
         runtime = self._runtimes[spec.flow_id]
         self.metrics.on_flow_complete(
-            FctRecord(
-                flow_id=spec.flow_id,
-                ue_index=spec.ue_index,
-                size_bytes=spec.size_bytes,
-                start_us=runtime.start_us,
-                end_us=now_us,
-            )
+            spec.flow_id, spec.ue_index, spec.size_bytes, runtime.start_us, now_us
         )
         self.ues[spec.ue_index].active_runtimes.pop(spec.flow_id, None)
         if self.flow_trace is not None:
@@ -362,7 +356,7 @@ class CellSimulation:
         """The last ACK arrived: sample the RTT and retire the flow.
 
         Both endpoints are dropped here, so a run holds the TCP state of
-        its live flows only; what outlives the flow is its ``FctRecord``,
+        its live flows only; what outlives the flow is its ``FctRecord`` row,
         its ``_flow_sizes`` entry, the counters folded below and the
         UE's ``FlowTable`` entry (the paper's 41 B per flow).
         """
@@ -575,7 +569,7 @@ class CellSimulation:
         return sum(len(ue.active_runtimes) for ue in self.ues)
 
     def _count_completed_flows(self) -> int:
-        return len(self.metrics.records)
+        return self.metrics.completed
 
     def _trace_mb(self) -> float:
         trace = self.enb.trace
@@ -675,7 +669,7 @@ class CellSimulation:
         reg.gauge("tcp.cwnd_bytes.max").set(float(max(cwnds)) if cwnds else 0.0)
         # flows ---------------------------------------------------------
         reg.counter("sim.flows_started").inc(self.metrics.flows_started)
-        reg.counter("sim.flows_completed").inc(len(self.metrics.records))
+        reg.counter("sim.flows_completed").inc(self.metrics.completed)
         reg.gauge("sim.flows_active").set(
             sum(len(ue.active_runtimes) for ue in self.ues)
         )

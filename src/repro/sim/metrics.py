@@ -44,7 +44,8 @@ def size_bucket(size_bytes: int) -> str:
 
 @dataclass(frozen=True)
 class FctRecord:
-    """One completed flow."""
+    """One completed flow (a row of ``MetricsCollector._records``, built
+    when read)."""
 
     flow_id: int
     ue_index: int
@@ -81,6 +82,8 @@ def jain_index(values: Sequence[float]) -> float:
 
 
 _INT32 = range(-(2**31), 2**31)
+#: Integers in a ``MetricsCollector._records`` row (``FctRecord``'s fields).
+_FCT_ROW = 5
 
 
 def append_row(log: array, values: tuple) -> array:
@@ -114,7 +117,9 @@ class MetricsCollector:
         self.bandwidth_hz = bandwidth_hz
         self.tti_us = tti_us
         self._beta = min((tti_us / 1e6) / fairness_window_s, 1.0)
-        self.records: list[FctRecord] = []
+        #: One ``_FCT_ROW``-int row per completed flow, in ``FctRecord``
+        #: field order (20 B a flow); read through fct_columns().
+        self._records = array("i")
         self.se_samples: list[tuple[int, float]] = []
         self.fairness_samples: list[tuple[int, float]] = []
         # One sample per dequeued SDU / per finished sender: typed columns
@@ -175,8 +180,26 @@ class MetricsCollector:
     def on_flow_started(self) -> None:
         self.flows_started += 1
 
-    def on_flow_complete(self, record: FctRecord) -> None:
-        self.records.append(record)
+    def on_flow_complete(
+        self, flow_id: int, ue_index: int, size_bytes: int, start_us: int,
+        end_us: int,
+    ) -> None:
+        self._records = append_row(
+            self._records, (flow_id, ue_index, size_bytes, start_us, end_us)
+        )
+
+    @property
+    def completed(self) -> int:
+        """Flows completed so far."""
+        return len(self._records) // _FCT_ROW
+
+    def fct_columns(self, start: int = 0) -> tuple[array, ...]:
+        """``(flow_id, ue_index, size_bytes, start_us, end_us)`` columns of
+        the flows completed from the ``start``-th on, in completion order."""
+        log = self._records
+        return tuple(
+            log[start * _FCT_ROW + i :: _FCT_ROW] for i in range(_FCT_ROW)
+        )
 
     def on_queue_delay(self, flow_id: int, delay_us: int) -> None:
         self._queue_delay_flow_ids = append_row(
@@ -224,12 +247,21 @@ class SimResult:
 
     @property
     def records(self) -> list[FctRecord]:
-        return self._c.records
+        """A fresh list of the completed flows, in completion order."""
+        return [FctRecord(*row) for row in zip(*self._c.fct_columns())]
+
+    def fct_columns(self) -> tuple[array, ...]:
+        """The records as ``(flow_id, ue_index, size_bytes, start_us,
+        end_us)`` integer columns."""
+        return self._c.fct_columns()
 
     def fcts_ms(self, bucket: Optional[str] = None) -> np.ndarray:
         """FCTs in ms, optionally restricted to a size bucket."""
+        _, _, sizes, starts, ends = self._c.fct_columns()
         values = [
-            r.fct_ms for r in self._c.records if bucket is None or r.bucket == bucket
+            (end - start) / 1e3
+            for size, start, end in zip(sizes, starts, ends)
+            if bucket is None or size_bucket(size) == bucket
         ]
         return np.asarray(values, dtype=float)
 
@@ -241,7 +273,7 @@ class SimResult:
         at all is almost always a misconfiguration (duration too short,
         load zero) worth flagging.
         """
-        if not self._c.records:
+        if not self._c.completed:
             warnings.warn(
                 f"run [{self.scheduler_name}] completed no flows; "
                 "FCT statistics are NaN",
@@ -265,12 +297,12 @@ class SimResult:
 
     @property
     def completed_flows(self) -> int:
-        return len(self._c.records)
+        return self._c.completed
 
     @property
     def censored_flows(self) -> int:
         """Flows started but not finished when the run ended."""
-        return self._c.flows_started - len(self._c.records)
+        return self._c.flows_started - self._c.completed
 
     # -- system metrics ---------------------------------------------------------
 

@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 
 class SessionError(RuntimeError):
@@ -240,7 +240,7 @@ class SimulationSession:
             "queue_depth": sim.engine.pending(),
             "ttis_run": sim.enb.ttis_run,
             "flows_started": sim.metrics.flows_started,
-            "flows_completed": len(sim.metrics.records),
+            "flows_completed": sim.metrics.completed,
             "flows_active": sim._count_active_flows(),
         }
 
@@ -489,10 +489,7 @@ def result_fingerprint_payload(result: SimResult) -> dict:
     return {
         "scheduler": result.scheduler_name,
         "duration_s": result.duration_s,
-        "records": [
-            [r.flow_id, r.ue_index, r.size_bytes, r.start_us, r.end_us]
-            for r in c.records
-        ],
+        "records": [list(row) for row in zip(*c.fct_columns())],
         "flows_started": c.flows_started,
         "se_samples": [[t, repr(v)] for t, v in c.se_samples],
         "fairness_samples": [[t, repr(v)] for t, v in c.fairness_samples],

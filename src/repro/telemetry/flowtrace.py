@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from repro.sim.metrics import append_row
+from repro.sim.metrics import append_row, size_bucket
 
 if TYPE_CHECKING:  # circular-import-free type hints only
     from repro.net.packet import Packet
@@ -115,14 +115,19 @@ _INSTANTS = (
     _PDCP_DECIPHER_FAILURE,
 ) = range(len(_INSTANTS))
 #: A span's kind is ``_SPAN`` plus its index in :data:`COMPONENTS`; ``a``
-#: is the flow's position in the breakdown list and ``b`` the duration.
+#: is the flow's row in the breakdown log and ``b`` the duration.
 _SPAN = len(_INSTANTS)
 _ROW = 5
+#: Integers in a breakdown row (``FlowBreakdown``'s fields); the
+#: components are ``row[_COMPONENTS_AT:_COMPONENTS_AT + len(COMPONENTS)]``.
+_BREAKDOWN_ROW = 15
+_COMPONENTS_AT = 5
 
 
 @dataclass(frozen=True)
 class FlowBreakdown:
-    """Additive per-layer decomposition of one completed flow's FCT."""
+    """Additive per-layer decomposition of one completed flow's FCT (a
+    row of ``FlowTracer._breakdowns``, built when read)."""
 
     flow_id: int
     ue_index: int
@@ -147,8 +152,6 @@ class FlowBreakdown:
 
     @property
     def bucket(self) -> str:
-        from repro.sim.metrics import size_bucket
-
         return size_bucket(self.size_bytes)
 
     def components(self) -> dict[str, int]:
@@ -221,7 +224,9 @@ class FlowTracer:
     def __init__(self, air_delay_us: int = 0) -> None:
         self.air_delay_us = air_delay_us
         self._flows: dict[int, _FlowTrace] = {}
-        self._breakdowns: list[FlowBreakdown] = []
+        #: One ``_BREAKDOWN_ROW``-int row per decomposed flow, in
+        #: ``FlowBreakdown`` field order (60 B a flow).
+        self._breakdowns = array("i")
         #: Instant/span rows feeding the Chrome trace export, ``_ROW``
         #: integers each (20 B an event, 40 B once ``append_row`` widens it).
         self._events = array("i")
@@ -330,49 +335,64 @@ class FlowTracer:
         if flow is None or flow.completed:
             return
         flow.completed = True
-        breakdown = self._decompose(flow, now_us)
-        if breakdown is None:
+        row = self._decompose(flow, now_us)
+        if row is None:
             self.incomplete_flows += 1
         else:
-            self._breakdowns.append(breakdown)
-            self._emit_flow_spans(breakdown)
+            self._record_breakdown(row)
         flow.last_delivered = None
 
-    def _decompose(self, flow: _FlowTrace, end_us: int) -> Optional[FlowBreakdown]:
+    def _decompose(self, flow: _FlowTrace, end_us: int) -> Optional[tuple]:
+        """The flow's breakdown row, in ``FlowBreakdown`` field order."""
         stamps = flow.last_delivered
         if stamps is None or None in stamps:
             return None
         sent_us, ingress_us, enqueued_us, first_tx_us, last_tx_us = stamps
         residual = end_us - last_tx_us
         air_us = min(self.air_delay_us, residual)
-        return FlowBreakdown(
-            flow_id=flow.flow_id,
-            ue_index=flow.ue_index,
-            size_bytes=flow.size_bytes,
-            start_us=flow.start_us,
-            end_us=end_us,
-            tcp_us=sent_us - flow.start_us,
-            core_us=ingress_us - sent_us,
-            pdcp_us=enqueued_us - ingress_us,
-            mac_wait_us=first_tx_us - enqueued_us,
-            rlc_us=last_tx_us - first_tx_us,
-            harq_us=residual - air_us,
-            air_us=air_us,
-            tcp_retx=flow.tcp_retx,
-            rlc_drops=flow.rlc_drops,
-            harq_retx=flow.harq_retx,
+        return (
+            flow.flow_id,
+            flow.ue_index,
+            flow.size_bytes,
+            flow.start_us,
+            end_us,
+            sent_us - flow.start_us,  # tcp
+            ingress_us - sent_us,  # core
+            enqueued_us - ingress_us,  # pdcp
+            first_tx_us - enqueued_us,  # mac_wait
+            last_tx_us - first_tx_us,  # rlc
+            residual - air_us,  # harq
+            air_us,
+            flow.tcp_retx,
+            flow.rlc_drops,
+            flow.harq_retx,
         )
+
+    def _record_breakdown(self, row: tuple) -> None:
+        """Append a breakdown row and the span events of its components."""
+        self._breakdowns = append_row(self._breakdowns, row)
+        index = self.completed_flows - 1
+        cursor = row[3]  # start_us
+        components = row[_COMPONENTS_AT : _COMPONENTS_AT + len(COMPONENTS)]
+        for kind, dur in enumerate(components, start=_SPAN):
+            if dur > 0:
+                self._emit(cursor, row[1], kind, index, dur)
+            cursor += dur
+
+    def _breakdown(self, index: int) -> FlowBreakdown:
+        start = index * _BREAKDOWN_ROW
+        return FlowBreakdown(*self._breakdowns[start : start + _BREAKDOWN_ROW])
 
     # -- results ---------------------------------------------------------
 
     def breakdowns(self) -> list[FlowBreakdown]:
         """Per-flow FCT breakdowns of every completed flow, in completion
-        order."""
-        return list(self._breakdowns)
+        order (a fresh list, built from the breakdown log)."""
+        return [self._breakdown(i) for i in range(self.completed_flows)]
 
     @property
     def completed_flows(self) -> int:
-        return len(self._breakdowns)
+        return len(self._breakdowns) // _BREAKDOWN_ROW
 
     @property
     def event_count(self) -> int:
@@ -384,17 +404,6 @@ class FlowTracer:
         self, ts_us: int, ue_index: int, kind: int, a: int = 0, b: int = 0
     ) -> None:
         self._events = append_row(self._events, (ts_us, ue_index, kind, a, b))
-
-    def _emit_flow_spans(self, b: FlowBreakdown) -> None:
-        """Span rows of the breakdown just appended to ``_breakdowns``."""
-        index = len(self._breakdowns) - 1
-        durations = b.components()
-        cursor = b.start_us
-        for kind, component in enumerate(COMPONENTS, start=_SPAN):
-            dur = durations[component]
-            if dur > 0:
-                self._emit(cursor, b.ue_index, kind, index, dur)
-            cursor += dur
 
     def to_chrome_trace(self) -> dict:
         """Render the event stream in Chrome trace-event JSON format.
@@ -436,7 +445,7 @@ class FlowTracer:
             else:
                 component = COMPONENTS[kind - _SPAN]
                 track = _COMPONENT_TRACK[component]
-                flow = self._breakdowns[a]
+                flow = self._breakdown(a)
                 name = (
                     f"flow {flow.flow_id} {flow.bucket} {flow.size_bytes}B "
                     f"{component}"

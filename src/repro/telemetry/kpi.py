@@ -9,7 +9,7 @@ state (RLC occupancy, per-MLFQ-level backlog, backlogged UEs).
 Everything here is a pure read: building a snapshot touches no RNG and
 mutates no simulator state, so a subscribed-but-passive RIC (a no-op
 xApp) leaves a run byte-identical to an unsubscribed one.  The collector's
-only state is its own high-water mark into the metrics record list.
+only state is its own high-water mark into the metrics record log.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ class KpiCollector:
     def snapshot(self, window_us: int) -> CellKpiSnapshot:
         """Consume the completions since the last call; snapshot queues."""
         sim = self._sim
-        records = sim.metrics.records
-        window = records[self._record_index:]
-        self._record_index = len(records)
-        fcts = [r.fct_ms for r in window]
-        short_fcts = [r.fct_ms for r in window if r.size_bytes <= SHORT_MAX_BYTES]
+        _, _, sizes, starts, ends = sim.metrics.fct_columns(self._record_index)
+        self._record_index = sim.metrics.completed
+        fcts = [(end - start) / 1e3 for start, end in zip(starts, ends)]
+        short_fcts = [
+            fct for fct, size in zip(fcts, sizes) if size <= SHORT_MAX_BYTES
+        ]
         level_bytes: Optional[list[int]] = None
         queued_bytes = 0
         backlogged = 0
@@ -98,7 +99,7 @@ class KpiCollector:
         return CellKpiSnapshot(
             t_us=sim.engine.now_us,
             window_us=window_us,
-            flows_completed=len(window),
+            flows_completed=len(fcts),
             fct_mean_ms=float(np.mean(fcts)) if fcts else float("nan"),
             fct_p50_ms=_pctl(fcts, 50),
             fct_p95_ms=_pctl(fcts, 95),

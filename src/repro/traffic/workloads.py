@@ -37,11 +37,22 @@ if TYPE_CHECKING:
     from repro.sim.metrics import SimResult
 
 #: Flow-id bases keep each workload's flows identifiable (and clear of
-#: background/page/bulk/phase id ranges used elsewhere).
+#: background/page/bulk/phase id ranges used elsewhere).  A generator
+#: refuses a window whose ids would leave its ``_ID_RANGE``.
 INCAST_FLOW_ID_BASE = 5_000_000
 RPC_FLOW_ID_BASE = 6_000_000
 VIDEO_FLOW_ID_BASE = 7_000_000
 _ID_RANGE = 1_000_000
+#: Video reserves ids up to the first nonstationary phase's
+#: (``PHASE_FLOW_ID_STRIDE``, 10 000 000): 300 sessions of 10 000 segments.
+_VIDEO_ID_RANGE = 3_000_000
+
+
+def _out_of_ids(workload: str, flows: int, duration_s: float) -> ValueError:
+    return ValueError(
+        f"{workload} workload: {flows} flows in {duration_s} s exceed its "
+        f"{_ID_RANGE} flow ids"
+    )
 
 
 class IncastFanInGenerator:
@@ -91,9 +102,17 @@ class IncastFanInGenerator:
         flows = self.base_gen.generate(duration_s)
         burst_bytes = self.fanin_bytes * self.fanin_flows
         burst_period_s = burst_bytes * 8.0 / self.fanin_rate_bps
-        next_id = INCAST_FLOW_ID_BASE
+        burst_starts = []
         t = burst_period_s
         while t < duration_s:
+            burst_starts.append(t)
+            t += burst_period_s
+        if len(burst_starts) * self.fanin_flows > _ID_RANGE:
+            raise _out_of_ids(
+                "incast", len(burst_starts) * self.fanin_flows, duration_s
+            )
+        next_id = INCAST_FLOW_ID_BASE
+        for t in burst_starts:
             victim = int(self._rng.integers(0, self.num_ues))
             for _ in range(self.fanin_flows):
                 # Distinct flow ids -> distinct five-tuples: N independent
@@ -108,7 +127,6 @@ class IncastFanInGenerator:
                     )
                 )
                 next_id += 1
-            t += burst_period_s
         flows.sort(key=lambda f: f.start_us)
         return flows
 
@@ -158,6 +176,8 @@ class RpcWorkloadGenerator:
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
         times = times[times < duration_s]
         n = len(times)
+        if n > _ID_RANGE:
+            raise _out_of_ids("rpc", n, duration_s)
         sizes = np.maximum(
             self._rng.exponential(self.response_bytes, size=n), 64.0
         )
@@ -209,6 +229,12 @@ class VideoWorkloadGenerator:
         self.num_sessions = max(
             1, int(round(load * capacity_bps / bitrate_bps))
         )
+        max_sessions = _VIDEO_ID_RANGE // self.SESSION_ID_STRIDE
+        if self.num_sessions > max_sessions:
+            raise ValueError(
+                f"video workload: {self.num_sessions} sessions exceed the "
+                f"{max_sessions} its flow-id range holds"
+            )
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -226,6 +252,12 @@ class VideoWorkloadGenerator:
             k = 0
             t = float(offsets[s])
             while t < duration_s:
+                if k == self.SESSION_ID_STRIDE:
+                    raise ValueError(
+                        f"video workload: a session of {duration_s} s needs "
+                        f"more than {self.SESSION_ID_STRIDE} segments of "
+                        f"{self.segment_s} s, its flow-id stride"
+                    )
                 flows.append(
                     FlowSpec(
                         flow_id=base + k,
@@ -288,7 +320,7 @@ def is_rpc_flow(flow_id: int) -> bool:
 
 
 def is_video_flow(flow_id: int) -> bool:
-    return VIDEO_FLOW_ID_BASE <= flow_id < VIDEO_FLOW_ID_BASE + _ID_RANGE
+    return VIDEO_FLOW_ID_BASE <= flow_id < VIDEO_FLOW_ID_BASE + _VIDEO_ID_RANGE
 
 
 def rpc_latencies_ms(
@@ -300,10 +332,11 @@ def rpc_latencies_ms(
     client-observed latency spans ``start_us - request_delay_us`` (the
     request's arrival at the server) to the response's completion.
     """
+    flow_ids, _, _, starts, ends = result.fct_columns()
     return sorted(
-        (rec.end_us - (rec.start_us - request_delay_us)) / 1e3
-        for rec in result.records
-        if is_rpc_flow(rec.flow_id)
+        (end - (start - request_delay_us)) / 1e3
+        for flow_id, start, end in zip(flow_ids, starts, ends)
+        if is_rpc_flow(flow_id)
     )
 
 
@@ -324,11 +357,12 @@ def video_rebuffer_ratio(
     """
     stride = VideoWorkloadGenerator.SESSION_ID_STRIDE
     sessions: dict[int, dict[int, int]] = {}
-    for rec in result.records:
-        if not is_video_flow(rec.flow_id):
+    flow_ids, _, _, _, ends = result.fct_columns()
+    for flow_id, end_us in zip(flow_ids, ends):
+        if not is_video_flow(flow_id):
             continue
-        offset = rec.flow_id - VIDEO_FLOW_ID_BASE
-        sessions.setdefault(offset // stride, {})[offset % stride] = rec.end_us
+        offset = flow_id - VIDEO_FLOW_ID_BASE
+        sessions.setdefault(offset // stride, {})[offset % stride] = end_us
     segment_us = segment_s * 1e6
     stalled_us = 0.0
     played_us = 0.0

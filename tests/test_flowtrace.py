@@ -14,7 +14,7 @@ Load-bearing invariants:
 import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -185,26 +185,24 @@ class LegKeepingTracer(FlowTracer):
         else:
             residual = now_us - leg.last_tx_us
             air_us = min(self.air_delay_us, residual)
-            self._breakdowns.append(
-                FlowBreakdown(
-                    flow_id=flow.flow_id,
-                    ue_index=flow.ue_index,
-                    size_bytes=flow.size_bytes,
-                    start_us=flow.start_us,
-                    end_us=now_us,
-                    tcp_us=leg.tx_us - flow.start_us,
-                    core_us=leg.ingress_us - leg.tx_us,
-                    pdcp_us=leg.enqueue_us - leg.ingress_us,
-                    mac_wait_us=leg.first_tx_us - leg.enqueue_us,
-                    rlc_us=leg.last_tx_us - leg.first_tx_us,
-                    harq_us=residual - air_us,
-                    air_us=air_us,
-                    tcp_retx=flow.tcp_retx,
-                    rlc_drops=flow.rlc_drops,
-                    harq_retx=flow.harq_retx,
-                )
+            breakdown = FlowBreakdown(
+                flow_id=flow.flow_id,
+                ue_index=flow.ue_index,
+                size_bytes=flow.size_bytes,
+                start_us=flow.start_us,
+                end_us=now_us,
+                tcp_us=leg.tx_us - flow.start_us,
+                core_us=leg.ingress_us - leg.tx_us,
+                pdcp_us=leg.enqueue_us - leg.ingress_us,
+                mac_wait_us=leg.first_tx_us - leg.enqueue_us,
+                rlc_us=leg.last_tx_us - leg.first_tx_us,
+                harq_us=residual - air_us,
+                air_us=air_us,
+                tcp_retx=flow.tcp_retx,
+                rlc_drops=flow.rlc_drops,
+                harq_retx=flow.harq_retx,
             )
-            self._emit_flow_spans(self._breakdowns[-1])
+            self._record_breakdown(astuple(breakdown))
         for packet_id in self._flow_legs.pop(flow_id):
             self._legs.pop(packet_id, None)
 

@@ -100,8 +100,8 @@ class TestSimResult:
         c.on_flow_started()
         c.on_flow_started()
         c.on_flow_started()
-        c.on_flow_complete(FctRecord(0, 0, 5_000, 0, 20_000))
-        c.on_flow_complete(FctRecord(1, 1, 50_000, 0, 100_000))
+        c.on_flow_complete(0, 0, 5_000, 0, 20_000)
+        c.on_flow_complete(1, 1, 50_000, 0, 100_000)
         c.on_queue_delay(0, 4_000)
         c.on_queue_delay(1, 12_000)
         c.on_rtt_sample(30_000.0)

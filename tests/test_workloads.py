@@ -12,9 +12,10 @@ import pytest
 from repro.runner.spec import RunSpec
 from repro.sim.cell import CellSimulation
 from repro.sim.config import SimConfig
-from repro.sim.metrics import FctRecord
+from repro.sim.metrics import FctRecord, MetricsCollector, SimResult
 from repro.sim.session import SimulationSession, result_fingerprint
 from repro.traffic.distributions import distribution_by_name
+from repro.traffic.nonstationary import PHASE_FLOW_ID_STRIDE
 from repro.traffic.workloads import (
     INCAST_FLOW_ID_BASE,
     RPC_FLOW_ID_BASE,
@@ -40,6 +41,16 @@ def sim_for(workload_kind, duration_s=1.0, **traffic_kw):
         traffic=replace(cfg.traffic, kind=workload_kind, **traffic_kw)
     )
     return CellSimulation(cfg, scheduler="outran")
+
+
+def _result(*records):
+    """A run's result whose completed flows are ``records``, in order."""
+    collector = MetricsCollector(num_ues=2, bandwidth_hz=1e7, tti_us=1000)
+    for r in records:
+        collector.on_flow_complete(
+            r.flow_id, r.ue_index, r.size_bytes, r.start_us, r.end_us
+        )
+    return SimResult(collector, duration_s=1.0, scheduler_name="pf")
 
 
 class TestIncastFanIn:
@@ -82,6 +93,16 @@ class TestIncastFanIn:
         with pytest.raises(ValueError):
             IncastFanInGenerator(DIST, 4, 0.5, CAPACITY, fanin_fraction=1.5)
 
+    def test_a_window_past_the_id_range_is_refused(self):
+        # 1-byte flows, 1 000 a burst, every ~8 us: ~1.24 M flows in 10 ms,
+        # refused before any is built (the next range is the RPC one).
+        gen = IncastFanInGenerator(
+            DIST, 4, 1.0, 1e9, seed=1,
+            fanin_flows=1_000, fanin_bytes=1, fanin_fraction=0.99,
+        )
+        with pytest.raises(ValueError, match="exceed its 1000000 flow ids"):
+            gen.generate(0.01)
+
 
 class TestRpcWorkload:
     def test_flow_ids_and_think_time(self):
@@ -101,15 +122,20 @@ class TestRpcWorkload:
         assert mk(1) == mk(1)
         assert mk(1) != mk(2)
 
-    def test_latency_helper_on_synthetic_records(self):
-        class _R:
-            records = [
-                FctRecord(RPC_FLOW_ID_BASE + 0, 0, 1000, 12_000, 20_000),
-                FctRecord(RPC_FLOW_ID_BASE + 1, 1, 1000, 52_000, 95_000),
-                FctRecord(123, 0, 1000, 0, 50_000),  # non-RPC: ignored
-            ]
+    def test_a_window_past_the_id_range_is_refused(self):
+        # 64-byte responses at 1 Gbit/s: ~1.2 M requests in 0.62 s.
+        gen = RpcWorkloadGenerator(1, 1.0, 1e9, seed=1, response_bytes=64)
+        with pytest.raises(ValueError, match="exceed its 1000000 flow ids"):
+            gen.generate(0.62)
 
-        lat = rpc_latencies_ms(_R(), request_delay_us=2_000)
+    def test_latency_helper_on_synthetic_records(self):
+        result = _result(
+            FctRecord(RPC_FLOW_ID_BASE + 0, 0, 1000, 12_000, 20_000),
+            FctRecord(RPC_FLOW_ID_BASE + 1, 1, 1000, 52_000, 95_000),
+            FctRecord(123, 0, 1000, 0, 50_000),  # non-RPC: ignored
+        )
+
+        lat = rpc_latencies_ms(result, request_delay_us=2_000)
         # Latency spans the request's server arrival (start - think time)
         # to response completion: (20000 - 10000), (95000 - 50000).
         assert lat == [10.0, 45.0]
@@ -138,40 +164,64 @@ class TestVideoWorkload:
         mk = lambda s: VideoWorkloadGenerator(4, 0.4, CAPACITY, seed=s).generate(2.0)
         assert mk(2) == mk(2)
 
+    def test_a_session_past_its_id_stride_is_refused(self):
+        """12 000 segments of 1 ms per session would give session 0's
+        last 2 000 segments session 1's ids."""
+        gen = VideoWorkloadGenerator(
+            1, 1.0, 2e6, seed=1, bitrate_bps=1_000_000, segment_s=0.001
+        )
+        assert gen.num_sessions == 2
+        with pytest.raises(ValueError, match="more than 10000 segments"):
+            gen.generate(12.0)
+        # A stride's worth of segments per session still fits.
+        flows = VideoWorkloadGenerator(
+            1, 1.0, 2e6, seed=1, bitrate_bps=1_000_000, segment_s=0.001
+        ).generate(10.0)
+        stride = VideoWorkloadGenerator.SESSION_ID_STRIDE
+        assert len(flows) == len({f.flow_id for f in flows}) == 2 * stride
+
+    def test_sessions_past_the_id_range_are_refused(self):
+        """Session 300 would start at VIDEO_FLOW_ID_BASE + 3 000 000, the
+        first id of a nonstationary phase."""
+        with pytest.raises(ValueError, match="301 sessions exceed the 300"):
+            VideoWorkloadGenerator(1, 1.0, 301_000.0, bitrate_bps=1_000)
+        # The last session that fits keeps all its ids in the range.
+        gen = VideoWorkloadGenerator(1, 1.0, 300_000.0, bitrate_bps=1_000)
+        assert gen.num_sessions == 300
+        flows = gen.generate(3.0)
+        stride = gen.SESSION_ID_STRIDE
+        assert len({f.flow_id // stride for f in flows}) == 300
+        assert all(is_video_flow(f.flow_id) for f in flows)
+        assert max(f.flow_id for f in flows) < PHASE_FLOW_ID_STRIDE
+
     def test_rebuffer_ratio_on_synthetic_records(self):
         base = VIDEO_FLOW_ID_BASE
 
-        class _R:
-            # One session, 1 s segments, startup buffer of 2.  Play
-            # starts at t=1.5s when segment 1 lands; segments 0-2 play
-            # back-to-back until 4.5s, but segment 3 only arrives at
-            # t=5.0s: a 0.5s stall against 4s of playback.
-            records = [
-                FctRecord(base + 0, 0, 1, 0, 1_000_000),
-                FctRecord(base + 1, 0, 1, 0, 1_500_000),
-                FctRecord(base + 2, 0, 1, 0, 2_000_000),
-                FctRecord(base + 3, 0, 1, 0, 5_000_000),
-            ]
+        # One session, 1 s segments, startup buffer of 2.  Play starts
+        # at t=1.5s when segment 1 lands; segments 0-2 play back-to-back
+        # until 4.5s, but segment 3 only arrives at t=5.0s: a 0.5s stall
+        # against 4s of playback.
+        result = _result(
+            FctRecord(base + 0, 0, 1, 0, 1_000_000),
+            FctRecord(base + 1, 0, 1, 0, 1_500_000),
+            FctRecord(base + 2, 0, 1, 0, 2_000_000),
+            FctRecord(base + 3, 0, 1, 0, 5_000_000),
+        )
 
-        ratio = video_rebuffer_ratio(_R(), segment_s=1.0, startup_segments=2)
+        ratio = video_rebuffer_ratio(result, segment_s=1.0, startup_segments=2)
         assert ratio == pytest.approx(0.5 / (0.5 + 4.0))
 
     def test_rebuffer_ratio_none_without_sessions(self):
-        class _R:
-            records = []
-
-        assert video_rebuffer_ratio(_R()) is None
+        assert video_rebuffer_ratio(_result()) is None
 
     def test_smooth_session_has_zero_rebuffer(self):
         base = VIDEO_FLOW_ID_BASE
 
-        class _R:
-            records = [
-                FctRecord(base + k, 0, 1, 0, int((k + 0.5) * 1e6))
-                for k in range(6)
-            ]
+        result = _result(
+            *(FctRecord(base + k, 0, 1, 0, int((k + 0.5) * 1e6)) for k in range(6))
+        )
 
-        assert video_rebuffer_ratio(_R()) == 0.0
+        assert video_rebuffer_ratio(result) == 0.0
 
 
 class TestEndToEnd:
