@@ -23,6 +23,7 @@ arrives at the receiver* -- the paper's FCT definition.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
@@ -36,18 +37,36 @@ INITIAL_CWND_SEGMENTS = 10
 MIN_RTO_US = 200_000
 MAX_RTO_US = 60_000_000
 DUPACK_THRESHOLD = 3
+#: Ranges one ACK's SACK option carries.
+SACK_BLOCKS = 4
+#: Segments one repair pass (``_retransmit_holes``) may retransmit.
+REPAIR_BUDGET = 3
 
-__all__ = ["TcpFlow", "TcpReceiver"]
+__all__ = ["TcpFlow", "TcpReceiver", "add_range", "trim_ranges"]
+
+
+# A set of byte ranges -- the receiver's out-of-order buffer and the
+# sender's SACK scoreboard -- is one flat sorted list [s0, e0, s1, e1, ...]
+# of disjoint half-open ranges that never touch: byte b is held iff
+# bisect_right(ranges, b) is odd.
+
+
+def add_range(ranges: list[int], start: int, end: int) -> None:
+    """Hold bytes ``[start, end)``, merging every range it touches."""
+    if start < end:
+        i = bisect_left(ranges, start)
+        j = bisect_right(ranges, end)
+        ranges[i:j] = [start] * (i % 2 == 0) + [end] * (j % 2 == 0)
+
+
+def trim_ranges(ranges: list[int], seq: int) -> None:
+    """Drop every held byte below ``seq``."""
+    i = bisect_right(ranges, seq)
+    ranges[:i] = [seq] * (i % 2)
 
 
 class TcpFlow:
     """Sending side of one downlink flow, living at the remote server."""
-
-    #: ``(deadline_us, rank)`` the queued RTO timer re-queues itself at
-    #: when it comes up; None while the timer is the deadline.  A class
-    #: default, so a sender resumed from a checkpoint that predates the
-    #: lazy timer reads "the timer is the deadline" -- which it was.
-    _rto_due: Optional[tuple[int, int]] = None
 
     def __init__(
         self,
@@ -78,8 +97,7 @@ class TcpFlow:
 
         self.start_us = engine.now_us
         self.snd_una = 0  # lowest unacknowledged byte
-        self.snd_nxt = 0  # next new byte to send
-        self.max_sent = 0  # highest byte ever transmitted
+        self.snd_nxt = 0  # next new byte to send (never moves back)
         if cc is None:
             from repro.cc.cubic import CubicCC
 
@@ -88,9 +106,9 @@ class TcpFlow:
         self.cc: CongestionControl = cc
         self.dupacks = 0
         self.recovery_point: Optional[int] = None
-        #: SACK scoreboard: merged, sorted, disjoint byte intervals the
-        #: receiver holds above snd_una.
-        self._sacked: list[list[int]] = []
+        #: SACK scoreboard: the byte ranges (``add_range``) the receiver
+        #: holds above snd_una.
+        self._sacked: list[int] = []
         self._retx_time: dict[int, int] = {}  # hole -> last repair time
         self.srtt_us: Optional[float] = None
         self.rttvar_us: float = 0.0
@@ -98,6 +116,9 @@ class TcpFlow:
         self.rto_backoff = 1
         #: The one queued retransmission timer (see ``_arm_rto``).
         self._rto_event: Optional[Event] = None
+        #: ``(deadline_us, rank)`` the queued timer re-queues itself at
+        #: when it comes up; None while the timer is the deadline.
+        self._rto_due: Optional[tuple[int, int]] = None
         self._send_times: dict[int, int] = {}  # seq -> send time (RTT samples)
         self.done = False
         self.packets_sent = 0
@@ -127,24 +148,12 @@ class TcpFlow:
     def inflight_bytes(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    @property
-    def sacked_bytes(self) -> int:
-        """Bytes the receiver holds above snd_una (SACK scoreboard)."""
-        una = self.snd_una
-        return sum(e - max(s, una) for s, e in self._sacked if e > una)
-
-    def _is_sacked(self, seq: int) -> bool:
-        """True when byte ``seq`` lies inside a SACKed interval."""
-        from bisect import bisect_right
-
-        idx = bisect_right(self._sacked, [seq + 1]) - 1
-        return idx >= 0 and self._sacked[idx][0] <= seq < self._sacked[idx][1]
-
     def pipe_bytes(self) -> int:
         """RFC 6675 pipe estimate: bytes believed to be in the network."""
         pipe = self.inflight_bytes
         if self.recovery_point is not None:
-            pipe -= min(self.sacked_bytes, pipe)
+            sacked = sum(self._sacked[1::2]) - sum(self._sacked[::2])
+            pipe -= min(sacked, pipe)
         return pipe
 
     @property
@@ -158,15 +167,10 @@ class TcpFlow:
             and self.snd_nxt < self.size_bytes
             and self.pipe_bytes() + self.mss <= self.cwnd_bytes + 1
         ):
+            # New data only: bytes below snd_nxt are repaired by
+            # ``_retransmit_holes``, which also skips what SACK covers.
             length = min(self.mss, self.size_bytes - self.snd_nxt)
-            if self.snd_nxt < self.max_sent and self._is_sacked(self.snd_nxt):
-                # The receiver already holds this segment (SACK) -- skip
-                # instead of re-sending it after a go-back-N.
-                self.snd_nxt += length
-                continue
-            # Bytes below max_sent are retransmissions (Karn: they must
-            # not produce RTT samples, and they count as retx).
-            self._transmit(self.snd_nxt, length, is_retx=self.snd_nxt < self.max_sent)
+            self._transmit(self.snd_nxt, length, is_retx=False)
             self.snd_nxt += length
         self._arm_rto()
 
@@ -180,7 +184,6 @@ class TcpFlow:
         else:
             self._send_times.pop(seq, None)  # Karn: no RTT sample on retx
             self.retransmits += 1
-        self.max_sent = max(self.max_sent, seq + length)
         self.packets_sent += 1
         if self.tracer is not None:
             self.tracer.on_tcp_tx(self.flow_id, packet, self.engine.now_us)
@@ -197,13 +200,18 @@ class TcpFlow:
         now = self.engine.now_us
         if ece:
             self.ecn_ce_acks += 1
-        self._register_sacks(sack_blocks)
+        sacked = self._sacked
+        for start, end in sack_blocks:
+            add_range(sacked, start, end)
+        if sacked:
+            # Nothing at or below the cumulative ACK (a reordered ACK may
+            # report ranges snd_una has passed since).
+            trim_ranges(sacked, max(ack_seq, self.snd_una))
         if ack_seq > self.snd_una:
             self._sample_rtt(ack_seq, now)
             newly_acked = ack_seq - self.snd_una
             self.snd_una = ack_seq
             self.rto_backoff = 1
-            self._trim_sacked()
             if self.recovery_point is not None:
                 if ack_seq >= self.recovery_point:
                     # Exit recovery: deflate the dupack-inflated window
@@ -212,7 +220,6 @@ class TcpFlow:
                     self.dupacks = 0
                     self._retx_time.clear()
                     self.cc.on_recovery_exit(now)
-                    self._trim_sacked()
                 else:
                     # Partial ACK: repair the holes SACK exposes.
                     self._retransmit_holes()
@@ -236,64 +243,37 @@ class TcpFlow:
                 self._retransmit_holes()
                 self._try_send()
 
-    def _register_sacks(self, sack_blocks: tuple) -> None:
-        """Merge the ACK's SACK blocks into the interval scoreboard."""
-        if not sack_blocks:
-            return
-        merged = [list(block) for block in self._sacked]
-        merged.extend([int(s), int(e)] for s, e in sack_blocks if e > s)
-        merged.sort()
-        out: list[list[int]] = []
-        for start, end in merged:
-            if out and start <= out[-1][1]:
-                out[-1][1] = max(out[-1][1], end)
-            else:
-                out.append([start, end])
-        self._sacked = out
+    def _retransmit_holes(self) -> None:
+        """Retransmit up to ``REPAIR_BUDGET`` un-SACKed segments below
+        recovery.
 
-    def _trim_sacked(self) -> None:
-        """Drop scoreboard intervals at or below the cumulative ACK."""
-        una = self.snd_una
-        trimmed = []
-        for start, end in self._sacked:
-            if end <= una:
-                continue
-            trimmed.append([max(start, una), end])
-        self._sacked = trimmed
-
-    def _retransmit_holes(self, budget: int = 3) -> None:
-        """Retransmit up to ``budget`` un-SACKed holes below recovery.
-
-        Holes are the gaps between scoreboard intervals, walked directly
-        (no per-segment scan).  A hole whose repair was itself lost is
-        retried once ~1.5 smoothed RTTs have passed since the last
-        attempt (otherwise a single lost retransmission stalls the whole
-        recovery until the RTO).
+        Holes are the gaps between scoreboard ranges, walked segment by
+        segment.  A hole whose repair was itself lost is retried once
+        ~1.5 smoothed RTTs have passed since the last attempt (otherwise a
+        single lost retransmission stalls the whole recovery until the
+        RTO).  Called only in recovery (``recovery_point`` set).
         """
-        if self.recovery_point is None:
-            return
         now = self.engine.now_us
         retry_after = int((self.srtt_us or 50_000) * 1.5)
         limit = min(self.recovery_point, self.size_bytes)
+        retx_time = self._retx_time
         sent = 0
-        cursor = self.snd_una
-        intervals = self._sacked + [[limit, limit]]
-        for start, end in intervals:
-            if sent >= budget or cursor >= limit:
-                break
-            gap_end = min(start, limit)
-            seq = cursor
-            while seq < gap_end and sent < budget:
-                length = min(self.mss, self.size_bytes - seq)
-                if length <= 0:
-                    break
-                last = self._retx_time.get(seq)
+        # Holes: [snd_una, s0), [e0, s1), ..., [e_last, limit).
+        edges = iter([self.snd_una, *self._sacked, limit])
+        for seq, hole_end in zip(edges, edges):
+            if seq >= limit:
+                return
+            hole_end = min(hole_end, limit)
+            while seq < hole_end:
+                last = retx_time.get(seq)
                 if last is None or now - last > retry_after:
+                    length = min(self.mss, self.size_bytes - seq)
                     self._transmit(seq, length, is_retx=True)
-                    self._retx_time[seq] = now
+                    retx_time[seq] = now
                     sent += 1
+                    if sent == REPAIR_BUDGET:
+                        return
                 seq += self.mss
-            cursor = max(cursor, end)
 
     def _fast_retransmit(self, now_us: int) -> None:
         if self.tracer is not None:
@@ -390,16 +370,14 @@ class TcpFlow:
         # indefinitely).  Drop every pending RTT timer.
         self._send_times.clear()
         self.rto_backoff = min(self.rto_backoff * 2, 64)
-        if self.max_sent > self.snd_una:
+        if self.snd_nxt > self.snd_una:
             # Stay in SACK-repair mode over everything outstanding: the
             # scoreboard survives the timeout, so only real holes are
             # re-sent (no blind go-back-N flood).
-            self.recovery_point = self.max_sent
-            self.snd_nxt = max(self.snd_nxt, self.snd_una)
+            self.recovery_point = self.snd_nxt
             self._retransmit_holes()
         else:
             self.recovery_point = None
-            self.snd_nxt = self.snd_una
         self._try_send()
 
     def _finish(self, now_us: int) -> None:
@@ -431,7 +409,8 @@ class TcpReceiver:
         self.send_ack = send_ack
         self.on_complete = on_complete
         self.rcv_nxt = 0
-        self._out_of_order: dict[int, int] = {}  # seq -> end_seq
+        #: Bytes held above rcv_nxt, as byte ranges (``add_range``).
+        self._out_of_order: list[int] = []
         self.completed_us: Optional[int] = None
         self.packets_received = 0
         self.bytes_received = 0
@@ -444,15 +423,17 @@ class TcpReceiver:
         """Process an arriving data packet and emit a cumulative ACK."""
         self.packets_received += 1
         if packet.end_seq > self.rcv_nxt:
+            held = self._out_of_order
             if packet.seq <= self.rcv_nxt:
                 self.rcv_nxt = packet.end_seq
-                # Pull any buffered contiguous segments forward.
-                while self.rcv_nxt in self._out_of_order:
-                    self.rcv_nxt = self._out_of_order.pop(self.rcv_nxt)
+                # Pull the buffered range that now starts at rcv_nxt
+                # forward.  Segments are MSS-aligned, so the new rcv_nxt
+                # never falls inside a held range.
+                if held and held[0] == self.rcv_nxt:
+                    self.rcv_nxt = held[1]
+                    del held[:2]
             else:
-                self._out_of_order[packet.seq] = max(
-                    self._out_of_order.get(packet.seq, 0), packet.end_seq
-                )
+                add_range(held, packet.seq, packet.end_seq)
         self.bytes_received = self.rcv_nxt
         if self.rcv_nxt >= self.size_bytes and self.completed_us is None:
             self.completed_us = now_us
@@ -473,14 +454,9 @@ class TcpReceiver:
         ack.ece = packet.ecn_ce
         self.send_ack(ack)
 
-    def sack_blocks(self, limit: int = 4) -> tuple:
-        """Merged out-of-order byte ranges (the SACK option payload)."""
+    def sack_blocks(self) -> tuple:
+        """The lowest ``SACK_BLOCKS`` held ranges (the SACK option payload)."""
         if not self._out_of_order:
             return ()
-        merged: list[list[int]] = []
-        for start, end in sorted(self._out_of_order.items()):
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        return tuple((s, e) for s, e in merged[:limit])
+        held = self._out_of_order[: 2 * SACK_BLOCKS]
+        return tuple(zip(held[::2], held[1::2]))

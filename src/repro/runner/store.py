@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 from repro.sim.metrics import SimResult
 
 #: Bump when the pickled payload layout changes incompatibly.
-STORE_SCHEMA = 3
+STORE_SCHEMA = 4
 
 _PAYLOAD_SUFFIX = ".pkl"
 

@@ -471,8 +471,8 @@ class CellSimulation:
                 "tbs_lost": self.enb.tbs_lost,
             },
             telemetry=self.telemetry_snapshot(),
-            flow_breakdowns=(
-                self.flow_trace.breakdowns()
+            breakdown_log=(
+                self.flow_trace._breakdowns
                 if self.flow_trace is not None
                 else None
             ),

@@ -226,7 +226,7 @@ class SimResult:
         flow_sizes: Optional[dict[int, int]] = None,
         extra: Optional[dict] = None,
         telemetry: Optional[dict] = None,
-        flow_breakdowns: Optional[list["FlowBreakdown"]] = None,
+        breakdown_log: Optional[array] = None,
     ) -> None:
         self._c = collector
         self.duration_s = duration_s
@@ -238,10 +238,20 @@ class SimResult:
         #: of the summary accessors so instrumented and plain runs report
         #: identical simulation results.
         self.telemetry = telemetry
-        #: Per-flow FCT breakdowns from the flow tracer (None when tracing
-        #: was off).  Also kept out of the summary accessors: a traced and
-        #: an untraced same-seed run report identical simulation results.
-        self.flow_breakdowns = flow_breakdowns
+        #: The flow tracer's breakdown rows (None when tracing was off).
+        #: Also kept out of the summary accessors: a traced and an
+        #: untraced same-seed run report identical simulation results.
+        self._breakdowns = breakdown_log
+
+    @property
+    def flow_breakdowns(self) -> Optional[list["FlowBreakdown"]]:
+        """A fresh list of per-flow FCT breakdowns, in completion order
+        (None when tracing was off)."""
+        if self._breakdowns is None:
+            return None
+        from repro.telemetry.flowtrace import breakdown_list
+
+        return breakdown_list(self._breakdowns)
 
     # -- FCT ------------------------------------------------------------------
 

@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 
 #: Checkpoint file header: magic, format version, newline, pickle payload.
 CHECKPOINT_MAGIC = b"REPROCKPT"
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 
 class SessionError(RuntimeError):

@@ -124,6 +124,14 @@ _BREAKDOWN_ROW = 15
 _COMPONENTS_AT = 5
 
 
+def breakdown_list(log: array) -> list[FlowBreakdown]:
+    """A fresh ``FlowBreakdown`` per row of a breakdown log, in log order."""
+    return [
+        FlowBreakdown(*log[i : i + _BREAKDOWN_ROW])
+        for i in range(0, len(log), _BREAKDOWN_ROW)
+    ]
+
+
 @dataclass(frozen=True)
 class FlowBreakdown:
     """Additive per-layer decomposition of one completed flow's FCT (a
@@ -388,7 +396,7 @@ class FlowTracer:
     def breakdowns(self) -> list[FlowBreakdown]:
         """Per-flow FCT breakdowns of every completed flow, in completion
         order (a fresh list, built from the breakdown log)."""
-        return [self._breakdown(i) for i in range(self.completed_flows)]
+        return breakdown_list(self._breakdowns)
 
     @property
     def completed_flows(self) -> int:

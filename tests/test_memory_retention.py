@@ -173,7 +173,7 @@ def test_tracer_keeps_nothing_per_packet():
     tracer = session.sim.flow_trace
 
     def send_until(sent_bytes):
-        while sender.max_sent < sent_bytes:
+        while sender.snd_nxt < sent_bytes:
             assert not session.done
             session.step(n_ttis=20)
 

@@ -393,8 +393,10 @@ class TestCheckpointFormat:
         # wrapped a UM one (AmTransmitter), v9 graphs the per-UE deques and
         # eager generators (MlfqQueue, HarqEntity, AmTransmitter,
         # EcnMarker), v10 graphs the per-flow record objects
-        # (MetricsCollector, FlowTracer): refuse, never half-load.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        # (MetricsCollector, FlowTracer), v11 graphs the SACK interval
+        # lists and the receiver's segment dict (TcpFlow, TcpReceiver):
+        # refuse, never half-load.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             old = tmp_path / f"v{version}.ckpt"
             old.write_bytes(
                 CHECKPOINT_MAGIC + b" %d\n" % version + pickle.dumps(object())

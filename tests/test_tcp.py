@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.cubic import CubicState
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
-from repro.net.tcp import TcpFlow, TcpReceiver
+from repro.net.tcp import SACK_BLOCKS, TcpFlow, TcpReceiver
 from repro.sim.engine import EventEngine
 
 FT = FiveTuple(1, 2, 443, 5000)
@@ -221,4 +221,4 @@ class TestSackBlocks:
         rx, _ = self._rx()
         for i in range(10):
             rx.on_data(Packet(FT, 0, 2_000 * (i + 1), 500), 0)
-        assert len(rx.sack_blocks(limit=4)) == 4
+        assert len(rx.sack_blocks()) == SACK_BLOCKS == 4
