@@ -34,11 +34,12 @@ class CubicState:
     k_s: float = 0.0
     ssthresh_bytes: float = math.inf
 
-    def enter_recovery(self, cwnd_bytes: float) -> float:
-        """On loss: remember W_max, shrink the window; returns new cwnd."""
+    def enter_recovery(self, cwnd_bytes: float, mss: int) -> float:
+        """On loss: remember W_max, shrink the window (never below two
+        segments); returns new cwnd."""
         self.w_max_bytes = cwnd_bytes
         self.epoch_start_us = None
-        new_cwnd = max(cwnd_bytes * CUBIC_BETA, 2.0 * DEFAULT_MSS)
+        new_cwnd = max(cwnd_bytes * CUBIC_BETA, 2.0 * mss)
         self.ssthresh_bytes = new_cwnd
         return new_cwnd
 
@@ -97,11 +98,11 @@ class CubicCC(CongestionControl):
     ) -> None:
         # No growth on a marked ACK; at most one reduction per window.
         if ack_seq >= self._ecn_gate:
-            self.cwnd_bytes = self.cubic.enter_recovery(self.cwnd_bytes)
+            self.cwnd_bytes = self.cubic.enter_recovery(self.cwnd_bytes, self.mss)
             self._ecn_gate = snd_nxt
 
     def on_loss(self, now_us: int) -> None:
-        self.cwnd_bytes = self.cubic.enter_recovery(self.cwnd_bytes)
+        self.cwnd_bytes = self.cubic.enter_recovery(self.cwnd_bytes, self.mss)
 
     def on_recovery_exit(self, now_us: int) -> None:
         # Deflate the dupack-inflated window back to ssthresh

@@ -370,14 +370,14 @@ class TcpFlow:
         # indefinitely).  Drop every pending RTT timer.
         self._send_times.clear()
         self.rto_backoff = min(self.rto_backoff * 2, 64)
-        if self.snd_nxt > self.snd_una:
-            # Stay in SACK-repair mode over everything outstanding: the
-            # scoreboard survives the timeout, so only real holes are
-            # re-sent (no blind go-back-N flood).
-            self.recovery_point = self.snd_nxt
-            self._retransmit_holes()
-        else:
-            self.recovery_point = None
+        # Stay in SACK-repair mode over everything outstanding.  There is
+        # some: the timer runs only while ``snd_una < size_bytes``, and
+        # ``_try_send`` then leaves a segment in flight (no controller
+        # takes cwnd below two segments).  The scoreboard survives the
+        # timeout, so only real holes are re-sent (no blind go-back-N
+        # flood).
+        self.recovery_point = self.snd_nxt
+        self._retransmit_holes()
         self._try_send()
 
     def _finish(self, now_us: int) -> None:

@@ -6,18 +6,19 @@
   LTE simulations and the Colosseum experiments.
 * ``MIRAGE_MOBILE_APP`` -- the more recent mobile-app capture of Aceto et
   al. [12], used for the paper's 5G simulations (Figure 20).
-* ``WEBSEARCH`` -- the DCTCP web-search workload [13] with a 1.92 MB mean,
-  used as the heavy *background* traffic in the testbed PLT experiments.
+* ``WEBSEARCH`` -- the DCTCP web-search workload [13] (the paper quotes a
+  1.92 MB mean), used as the heavy *background* traffic in the testbed
+  PLT experiments.
 
 The original CDFs are published as plots; the control points below are
 digitized to match the documented anchors (e.g. the 35.9 KB / 90th
 percentile point) and the reported means.  Sampling is inverse-transform
 with log-linear interpolation between control points, which preserves the
-heavy tail.  The extreme tail is truncated at ~10 MB so that the load a
-finite simulation realizes matches the nominal load (an untruncated
-30 MB+ tail makes the sample mean of a few-thousand-flow run swing tens
-of percent around the distribution mean; the paper's 10 K-flow runs
-average this out).
+heavy tail.  The extreme tail is truncated (at 10, 12 and 30 MB) so that
+the load a finite simulation realizes matches the nominal load (an
+untruncated 30 MB+ tail makes the sample mean of a few-thousand-flow run
+swing tens of percent around the distribution mean; the paper's 10 K-flow
+runs average this out).
 """
 
 from __future__ import annotations
@@ -27,17 +28,16 @@ from typing import Sequence
 
 import numpy as np
 
-#: Samples drawn per step of the Monte-Carlo mean (a few hundred KB of
-#: transient arrays instead of 6 MB for the whole draw).
-_MEAN_CHUNK = 8_192
-
 
 class EmpiricalDistribution:
     """Inverse-transform sampler over a piecewise log-linear CDF."""
 
-    def __init__(self, name: str, points: Sequence[tuple[float, float]]) -> None:
+    def __init__(
+        self, name: str, points: Sequence[tuple[float, float]], mean: float
+    ) -> None:
         """``points`` are (size_bytes, cdf) pairs, strictly increasing in
-        both coordinates, ending at cdf = 1.0."""
+        both coordinates, ending at cdf = 1.0; ``mean`` is the table's
+        mean flow size in bytes (see :meth:`mean`)."""
         if len(points) < 2:
             raise ValueError("need at least two CDF points")
         sizes = [p[0] for p in points]
@@ -54,8 +54,7 @@ class EmpiricalDistribution:
         self._log_sizes = np.log(np.asarray(sizes, dtype=float))
         self._probs = np.asarray(probs, dtype=float)
         self._sizes = np.asarray(sizes, dtype=float)
-        #: ``(samples, seed) -> mean()``: the draw is a pure function of them.
-        self._means: dict[tuple[int, int], float] = {}
+        self._mean = mean
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw ``n`` flow sizes in bytes (integer, >= 1).
@@ -108,25 +107,14 @@ class EmpiricalDistribution:
         u = (rng.permutation(n) + rng.uniform(0.0, 1.0, size=n)) / n
         return self.quantiles(u)
 
-    def mean(self, samples: int = 200_000, seed: int = 12345) -> float:
-        """Monte-Carlo mean flow size in bytes (deterministic seed).
+    def mean(self) -> float:
+        """Mean flow size in bytes: the table's pinned value.
 
-        Summed chunk by chunk from one generator, so the draw never
-        holds ``samples`` values at once.  Sizes are integers and the
-        total is far below 2**53, so the sum -- and hence the mean -- is
-        exact whatever the chunking.  Drawn once per ``(samples, seed)``:
-        every generator built on a named distribution asks for it.
+        Each named table pins the exact mean of 200 000 :meth:`sample`
+        draws at seed 12345 (integer sizes, so the sum is exact);
+        ``tests/test_traffic.py`` re-derives every literal from that draw.
         """
-        key = (samples, seed)
-        if key not in self._means:
-            rng = np.random.default_rng(seed)
-            total = 0
-            for start in range(0, samples, _MEAN_CHUNK):
-                total += int(
-                    self.sample(rng, min(_MEAN_CHUNK, samples - start)).sum()
-                )
-            self._means[key] = total / samples
-        return self._means[key]
+        return self._mean
 
 
 #: Huang et al. [41] LTE downlink TCP flows.  Anchors: median ~2.9 KB,
@@ -148,6 +136,7 @@ LTE_CELLULAR = EmpiricalDistribution(
         (3_000_000, 0.9965),
         (10_000_000, 1.0),
     ],
+    mean=51480.644295,
 )
 
 #: Aceto et al. [12] MIRAGE mobile-app traffic (2019): slightly smaller
@@ -168,10 +157,11 @@ MIRAGE_MOBILE_APP = EmpiricalDistribution(
         (3_000_000, 0.9962),
         (12_000_000, 1.0),
     ],
+    mean=52965.940995,
 )
 
-#: DCTCP web-search [13]: the paper's heavy background workload
-#: (average flow 1.92 MB).
+#: DCTCP web-search [13]: the paper's heavy background workload (the
+#: paper's average flow is 1.92 MB; this truncated table's is 1.81 MB).
 WEBSEARCH = EmpiricalDistribution(
     "websearch",
     [
@@ -186,6 +176,7 @@ WEBSEARCH = EmpiricalDistribution(
         (10_000_000, 0.95),
         (30_000_000, 1.0),
     ],
+    mean=1813348.29385,
 )
 
 _BY_NAME = {

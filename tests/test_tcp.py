@@ -127,6 +127,34 @@ class TestLossRecovery:
         assert receiver.complete
         assert done_at > 200_000  # paid the RTO
 
+    def test_lost_repair_is_retried_only_past_retry_after(self):
+        """A hole repaired at ``t`` goes out again only once the clock is
+        past ``t + int(1.5 * srtt_us)``: not at that microsecond, but at
+        the next one."""
+        engine = EventEngine()
+        sent = []
+        sender = TcpFlow(
+            engine, 0, FT, 8 * DEFAULT_MSS, route_data=sent.append,
+            initial_cwnd_segments=4,
+        )
+        sender.start()  # segments 0-3 go out; segment 0 is lost
+        sack = ((DEFAULT_MSS, 4 * DEFAULT_MSS),)
+        engine.run_until(1_000)
+        for _ in range(3):  # the third dupack repairs segment 0
+            sender.on_ack(0, sack)
+        sender.srtt_us = 10_000.5  # retry_after = int(15_000.75) = 15_000
+
+        def repairs():
+            return [packet.seq for packet in sent if packet.is_retx]
+
+        assert repairs() == [0]
+        engine.run_until(1_000 + 15_000)
+        sender.on_ack(0, sack)
+        assert repairs() == [0]
+        engine.run_until(1_000 + 15_001)
+        sender.on_ack(0, sack)
+        assert repairs() == [0, 0]
+
     def test_multiple_losses_eventually_recover(self):
         drops = tuple(i * DEFAULT_MSS for i in (2, 6, 9))
         sender, receiver, _, _ = run_flow(
@@ -138,20 +166,20 @@ class TestLossRecovery:
 class TestCubicState:
     def test_enter_recovery_shrinks_window(self):
         cubic = CubicState()
-        new = cubic.enter_recovery(100_000.0)
+        new = cubic.enter_recovery(100_000.0, DEFAULT_MSS)
         assert new == pytest.approx(70_000.0)
         assert cubic.w_max_bytes == 100_000.0
 
     def test_target_grows_toward_wmax(self):
         cubic = CubicState()
-        cubic.enter_recovery(100_000.0)
+        cubic.enter_recovery(100_000.0, DEFAULT_MSS)
         early = cubic.target_bytes(0, 70_000.0, DEFAULT_MSS)
         later = cubic.target_bytes(5_000_000, 70_000.0, DEFAULT_MSS)
         assert later > early
 
     def test_target_convex_beyond_k(self):
         cubic = CubicState()
-        cubic.enter_recovery(100_000.0)
+        cubic.enter_recovery(100_000.0, DEFAULT_MSS)
         t1 = cubic.target_bytes(8_000_000, 70_000.0, DEFAULT_MSS)
         t2 = cubic.target_bytes(16_000_000, 70_000.0, DEFAULT_MSS)
         assert t2 > t1 > 0

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cc.cubic import CubicCC
+from repro.cc.dctcp import DctcpCC
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
 from repro.net.tcp import (
     DUPACK_THRESHOLD,
@@ -301,6 +303,89 @@ def test_property_lazy_rto_is_the_eager_timer_with_one_heap_entry(
     assert [tx.rto_firings for tx in lazy] == [tx.rto_firings for tx in eager]
     assert all(tx.done for tx in lazy)
     assert not any(entry[2] for entry in engine._queue)
+
+
+class InFlightAtRtoFlow(TcpFlow):
+    """Records ``(snd_una, snd_nxt)`` whenever its timer fires."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.at_rto = []
+
+    def _on_rto(self):
+        fired, outstanding = self.rto_firings, (self.snd_una, self.snd_nxt)
+        super()._on_rto()
+        if self.rto_firings > fired:  # fired, not an early wake-up
+            self.at_rto.append(outstanding)
+
+
+def rto_states(sizes, loss, ack_loss, ece, seed):
+    """``(snd_una, snd_nxt)`` at every RTO of ``run_flows``' senders."""
+    _, senders, _ = run_flows(InFlightAtRtoFlow, sizes, loss, ack_loss, ece, seed)
+    assert all(tx.done for tx in senders)
+    return [state for tx in senders for state in tx.at_rto]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(
+        st.tuples(st.integers(1, 30), st.integers(0, DEFAULT_MSS - 1)),
+        min_size=1, max_size=4,
+    ),
+    loss=st.floats(0.0, 0.4),
+    ack_loss=st.floats(0.0, 0.3),
+    ece=st.floats(0.0, 0.5),
+    seed=st.integers(0, 10_000),
+)
+def test_property_an_rto_always_finds_data_in_flight(sizes, loss, ack_loss, ece, seed):
+    """Whenever the retransmission timer fires, ``snd_nxt > snd_una``:
+    ``_on_rto`` enters repair over a non-empty range, under data loss,
+    ACK loss and ECN window cuts, also for flows ending in a short
+    segment."""
+    sizes = [max(1, n * DEFAULT_MSS - tail) for n, tail in sizes]
+    assert all(una < nxt for una, nxt in rto_states(sizes, loss, ack_loss, ece, seed))
+
+
+def test_lossy_flows_fire_rtos_with_data_in_flight():
+    """The property above is not vacuous: these fixed lossy, ECN-marked
+    flows time out, every time with data in flight."""
+    states = [
+        state
+        for seed in range(4)
+        for state in rto_states([30 * DEFAULT_MSS - 7, 12 * DEFAULT_MSS], 0.3, 0.2, 0.3, seed)
+    ]
+    assert states and all(una < nxt for una, nxt in states)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mss=st.integers(500, 9_000),
+    cc_cls=st.sampled_from((CubicCC, DctcpCC)),
+    size_segments=st.integers(5, 40),
+)
+def test_property_ecn_cuts_leave_a_segment_in_flight_at_any_mss(mss, cc_cls, size_segments):
+    """Every ACK ECE-marked on a lossless path: the controller never cuts
+    cwnd below two segments of the flow's own MSS, so ``_try_send``
+    always has a segment out and no RTO fires."""
+    engine = EventEngine()
+    state = {}
+
+    def route_data(packet):
+        engine.schedule_in(5_000, lambda: state["rx"].on_data(packet, engine.now_us))
+
+    def route_ack(ack):
+        engine.schedule_in(5_000, state["tx"].on_ack, ack.ack_seq, ack.sack_blocks, True)
+
+    size = size_segments * mss
+    state["rx"] = TcpReceiver(0, FT, size, send_ack=route_ack)
+    state["tx"] = tx = TcpFlow(
+        engine, 0, FT, size, route_data=route_data, mss=mss,
+        cc=cc_cls(mss=mss, initial_cwnd_segments=4),
+    )
+    tx.start()
+    engine.run_until(60_000_000)
+    assert tx.done and tx.rto_firings == 0
+    assert tx.cwnd_bytes >= 2 * mss
 
 
 # -- segment alignment --------------------------------------------------------

@@ -1,11 +1,10 @@
 """Tests for flow-size distributions and arrival generation."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.config import TrafficSpec
 from repro.traffic.distributions import (
     EmpiricalDistribution,
     LTE_CELLULAR,
@@ -18,18 +17,22 @@ from repro.traffic.generator import (
     PoissonTrafficGenerator,
     SHORT_FLOW_BYTES,
 )
+from repro.traffic.workloads import TRAFFIC_KINDS, make_generator
+
+#: Every distribution a config can name.
+NAMED = (LTE_CELLULAR, MIRAGE_MOBILE_APP, WEBSEARCH)
 
 
 class TestEmpiricalDistribution:
     def test_validation_rejects_bad_cdfs(self):
         with pytest.raises(ValueError):
-            EmpiricalDistribution("x", [(100, 1.0)])  # too few points
+            EmpiricalDistribution("x", [(100, 1.0)], 100.0)  # too few points
         with pytest.raises(ValueError):
-            EmpiricalDistribution("x", [(100, 0.5), (50, 1.0)])  # sizes down
+            EmpiricalDistribution("x", [(100, 0.5), (50, 1.0)], 75.0)  # sizes down
         with pytest.raises(ValueError):
-            EmpiricalDistribution("x", [(100, 0.5), (200, 0.4)])  # cdf down
+            EmpiricalDistribution("x", [(100, 0.5), (200, 0.4)], 150.0)  # cdf down
         with pytest.raises(ValueError):
-            EmpiricalDistribution("x", [(100, 0.5), (200, 0.9)])  # no 1.0
+            EmpiricalDistribution("x", [(100, 0.5), (200, 0.9)], 150.0)  # no 1.0
 
     def test_samples_within_support(self):
         rng = np.random.default_rng(0)
@@ -58,17 +61,31 @@ class TestEmpiricalDistribution:
             LTE_CELLULAR.quantile(1.5)
 
     def test_lookup_by_name(self):
-        assert distribution_by_name("lte_cellular") is LTE_CELLULAR
-        assert distribution_by_name("mirage_mobile_app") is MIRAGE_MOBILE_APP
+        for dist in NAMED:
+            assert distribution_by_name(dist.name) is dist
         with pytest.raises(ValueError):
             distribution_by_name("nope")
 
-    def test_mean_deterministic(self):
-        """The memo hands back what a fresh draw computes, per (samples, seed)."""
-        fresh = copy.deepcopy(LTE_CELLULAR)
-        fresh._means.clear()
-        assert fresh.mean() == LTE_CELLULAR.mean() == LTE_CELLULAR.mean()
-        assert LTE_CELLULAR.mean(samples=1_000, seed=1) != LTE_CELLULAR.mean()
+    @pytest.mark.parametrize("dist", NAMED, ids=lambda d: d.name)
+    def test_pinned_mean_is_the_seeded_draw(self, dist):
+        """Each table's mean is exactly that of 200 000 draws at seed 12345
+        (integer sizes: the sum, hence the quotient, is exact)."""
+        total = int(dist.sample(np.random.default_rng(12345), 200_000).sum())
+        assert dist.mean() == total / 200_000
+
+
+@pytest.mark.parametrize("kind", TRAFFIC_KINDS)
+def test_cold_start_draws_nothing(monkeypatch, kind):
+    """Building every generator over every named table and generating
+    from it calls no ``sample``: arrival rates read the pinned mean."""
+
+    def refuse(*_):
+        raise AssertionError("a cold start drew flow sizes")
+
+    monkeypatch.setattr(EmpiricalDistribution, "sample", refuse)
+    for dist in NAMED:
+        traffic = TrafficSpec(distribution=dist.name, load=0.5, kind=kind)
+        assert make_generator(traffic, 4, 50e6, seed=1).generate(5.0)
 
 
 class TestPoissonGenerator:
